@@ -12,6 +12,10 @@
 //! 4. summarise ([`WorkloadRun::summary`]) or sweep the whole suite
 //!    ([`run_suite`] / [`for_each_workload`]).
 //!
+//! The [`job`] module is the request model the `ser-repro` CLI and the
+//! daemon share: campaign, suite, ecc-grid and fuzz jobs parsed from
+//! arguments or JSON, run into typed outputs, rendered as artifacts.
+//!
 //! # Example
 //!
 //! ```
@@ -28,6 +32,7 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 mod compare;
+pub mod job;
 mod run;
 mod suite_runner;
 pub mod telemetry;

@@ -630,6 +630,23 @@ pub fn ecc_grid_artifact(
     doc
 }
 
+/// The differential-fuzz artifact: the campaign seed, programs checked,
+/// injection cross-checks, committed instructions and the failure count.
+/// Reproducers are files the CLI writes; the artifact only counts them.
+pub fn fuzz_artifact(
+    seed: u64,
+    report: &ses_oracle::FuzzReport,
+    level: TelemetryLevel,
+) -> JsonValue {
+    let mut doc = header("fuzz", level);
+    doc.set("seed", seed)
+        .set("iterations", report.iterations)
+        .set("injection_checks", report.injection_checks)
+        .set("total_committed", report.total_committed)
+        .set("failures", report.failures.len() as u64);
+    doc
+}
+
 /// Writes a rendered artifact to `path` (atomically enough for tests:
 /// full render first, single write call).
 ///

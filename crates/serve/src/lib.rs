@@ -4,11 +4,13 @@
 //!
 //! The serving stack is deliberately small and deterministic:
 //!
-//! * [`job`] — the wire-level job schema. A [`job::JobSpec`] parses from a
-//!   JSON body, canonicalises to a content-addressed key, and executes
-//!   through exactly the `ses-core` calls the CLI subcommands make, so a
-//!   served artifact is byte-identical to the `--json` file the CLI writes
-//!   for the same (config, workload, seed).
+//! * [`JobSpec`] — the job model, defined in `ses_core::job` and shared
+//!   with the CLI: a request parses from a JSON body into the same typed
+//!   job the CLI builds from its arguments, canonicalises to a
+//!   content-addressed key, and runs through one code path, so a served
+//!   artifact is byte-identical to the `--json` file the CLI writes for
+//!   the same job. The daemon alone applies the serving caps
+//!   ([`JobSpec::admit`]).
 //! * [`cache`] — a single-flight LRU result cache with a byte budget.
 //!   Only deterministic (`summary`-level) artifacts are cached, so a hit
 //!   returns exactly the bytes a cold run would produce.
@@ -27,12 +29,11 @@
 pub mod cache;
 pub mod client;
 pub mod http;
-pub mod job;
 pub mod loadtest;
 pub mod server;
 
 pub use cache::{CacheStats, ResultCache};
 pub use client::{http_get, http_post, Response};
-pub use job::{JobError, JobSpec, SharedRuns};
+pub use ses_core::job::{job_key_hash, JobError, JobSpec, SharedRuns};
 pub use loadtest::{run_loadtest, LoadtestConfig, LoadtestReport};
 pub use server::{Server, ServeConfig};

@@ -30,7 +30,7 @@ use ses_metrics::{JsonValue, SCHEMA_VERSION};
 
 use crate::cache::ResultCache;
 use crate::http::{read_request, write_error, write_response, HttpError, Request};
-use crate::job::{job_key_hash, JobSpec, SharedRuns};
+use ses_core::job::{job_key_hash, JobSpec, SharedRuns};
 
 /// Configuration for [`Server::start`].
 #[derive(Debug, Clone)]
@@ -266,8 +266,9 @@ fn serve_job(shared: &Shared, kind: &str, body: &[u8]) -> Result<RouteOk, HttpEr
         .map_err(|_| HttpError::new(400, "request body is not valid UTF-8"))?;
     let doc = JsonValue::parse(text)
         .map_err(|e| HttpError::new(400, format!("malformed JSON body: {e}")))?;
-    let spec =
-        JobSpec::parse(kind, &doc).map_err(|e| HttpError::new(e.status, e.message.clone()))?;
+    let spec = JobSpec::parse(kind, &doc)
+        .and_then(|spec| spec.admit().map(|()| spec))
+        .map_err(|e| HttpError::new(e.status, e.message))?;
     let canonical = spec.canonical();
     let key_hex = format!("{:016x}", job_key_hash(&canonical));
 

@@ -9,22 +9,27 @@
 //! ser-repro pet <name>
 //! ```
 //!
+//! `inject`, `suite`, `ecc-grid`, `fuzz` and the recovery/ECC forms of
+//! `campaign` parse into the same `ses_core::job::JobSpec` the daemon
+//! serves: `--flag-name value` is the job's JSON field `flag_name`.
+//!
 //! Every subcommand additionally accepts `--json <path>` to write a
 //! schema-versioned run artifact and `--telemetry off|summary|full` to
 //! pick how much goes into it (see EXPERIMENTS.md for the schema).
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+use ses_core::job::{
+    parse_detection, CampaignFlavor, EccFields, Fields, JobOutput, JobSpec, Machine, SharedRuns,
+};
 use ses_core::telemetry as artifact;
 use ses_core::{
-    compare_suites, mean, read_probability, run_ecc_campaign, run_fuzz, run_suite_with,
-    run_workload, spec_by_name, splitmix64, suite, AdaptiveCampaignConfig, AdaptiveConfig,
-    AdaptiveSession, Campaign, CampaignConfig, DetectionModel, EccCampaignConfig, EccDomain,
-    EccScheme, Environment, FalseDueCause, FuzzConfig, JsonValue, LatencyDistribution, Level,
-    MetricKind, Outcome, PatternClass, PatternDistribution, PatternModel, Pipeline,
-    PipelineConfig, RecoveryPolicy, RegionFault, ReliabilityModel, Table, TechNode, Technique,
-    TelemetryLevel, TrackingConfig,
+    compare_suites, mean, run_fuzz, run_workload, spec_by_name, splitmix64, suite,
+    AdaptiveCampaignConfig, AdaptiveConfig, AdaptiveSession, BenchSummary, Campaign,
+    CampaignConfig, DetailedReport, DetectionModel, EccCampaignConfig, EccCampaignReport,
+    EccDomain, EccScheme, FalseDueCause, JsonValue, MetricKind, PatternClass, PatternDistribution,
+    Pipeline, PipelineConfig, RegionFault, ReliabilityModel, Table, Technique, TelemetryLevel,
 };
 use ses_types::Reg;
 
@@ -75,36 +80,64 @@ impl Telemetry {
     }
 }
 
-fn parse_level(s: &str) -> Result<Level, String> {
-    match s {
-        "l0" | "L0" => Ok(Level::L0),
-        "l1" | "L1" => Ok(Level::L1),
-        "l2" | "L2" => Ok(Level::L2),
-        other => Err(format!("unknown cache level '{other}' (use l0/l1/l2)")),
-    }
+/// Parses the `--squash` / `--throttle` machine flags of `bench` and
+/// `compare`.
+fn parse_machine(args: &[String]) -> Result<PipelineConfig, String> {
+    let mut fields = Fields::from_args("machine", args)?;
+    let machine = Machine::parse(&mut fields)?;
+    fields.finish()?;
+    Ok(machine.config())
 }
 
-/// Applies `--squash` / `--throttle` flags to a pipeline config.
-fn parse_machine(args: &[String]) -> Result<PipelineConfig, String> {
-    let mut cfg = PipelineConfig::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--squash" => {
-                let v = it.next().ok_or("--squash needs a level")?;
-                cfg = cfg.with_squash(parse_level(v)?);
-            }
-            "--throttle" => {
-                let v = it.next().ok_or("--throttle needs a level")?;
-                cfg = cfg.with_throttle(parse_level(v)?);
-            }
-            other if other.starts_with("--") => {
-                return Err(format!("unknown flag '{other}'"));
-            }
-            _ => {}
-        }
+/// Tokenizes a job command's arguments; `--json` / `--telemetry` set the
+/// job's `level`.
+fn job_fields(kind: &str, args: &[String], tel: &Telemetry) -> Result<Fields, String> {
+    let mut args = args.to_vec();
+    if tel.active() {
+        args.extend(["--level".to_string(), tel.level.label().to_string()]);
     }
-    Ok(cfg)
+    Ok(Fields::from_args(kind, &args)?)
+}
+
+/// `inject`, `suite`, `ecc-grid` and the recovery/ECC forms of
+/// `campaign`: the arguments parse into the job the daemon serves, which
+/// runs and reports exactly as a served job would.
+fn cmd_job(kind: &str, args: &[String], tel: &Telemetry) -> Result<(), String> {
+    let job = JobSpec::from_fields(kind, job_fields(kind, args, tel)?)?;
+    emit_output(&job.run(&SharedRuns::default())?, tel)
+}
+
+/// Prints a job's text report and writes its artifact if `--json` was
+/// given; both read the same typed output.
+fn emit_output(output: &JobOutput, tel: &Telemetry) -> Result<(), String> {
+    match output {
+        JobOutput::Campaign {
+            flavor,
+            config,
+            report,
+            ..
+        } => print_campaign(*flavor, config, report),
+        JobOutput::EccCampaign {
+            config,
+            report,
+            baseline_ipc,
+            model,
+            ..
+        } => print_ecc_campaign(config, report, *baseline_ipc, model),
+        JobOutput::Suite { rows, .. } => print_suite(rows),
+        JobOutput::EccGrid {
+            distribution,
+            workloads,
+        } => print_ecc_grid(distribution, workloads),
+        JobOutput::Fuzz { seed, report } => println!(
+            "fuzz: seed {seed}  {} programs checked  {} injection cross-checks  {} committed instructions",
+            report.iterations, report.injection_checks, report.total_committed
+        ),
+    }
+    if tel.active() {
+        tel.emit(&output.artifact(tel.level))?;
+    }
+    Ok(())
 }
 
 fn cmd_list(tel: &Telemetry) -> Result<(), String> {
@@ -141,47 +174,11 @@ fn cmd_list(tel: &Telemetry) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_suite(args: &[String], tel: &Telemetry) -> Result<(), String> {
-    // `--threads N` pins the worker count (0 = one per core); artifacts
-    // are byte-identical for any value because the sweep preserves suite
-    // order.
-    let mut threads = 0usize;
-    let mut rest = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--threads" {
-            threads = it
-                .next()
-                .ok_or("--threads needs a count")?
-                .parse()
-                .map_err(|e| format!("bad thread count: {e}"))?;
-        } else {
-            rest.push(a.clone());
-        }
-    }
-    let cfg = parse_machine(&rest)?;
-    // Full-level artifacts carry the per-workload AVF decomposition,
-    // which needs the complete WorkloadRun, so project it inside the
-    // parallel sweep instead of re-running everything afterwards.
-    let (rows, details): (Vec<_>, Vec<_>) =
-        if tel.active() && tel.level == TelemetryLevel::Full {
-            run_suite_with(&cfg, threads, |_, run| {
-                (run.summary(), artifact::workload_detail(&run))
-            })
-            .map_err(|e| e.to_string())?
-            .into_iter()
-            .unzip()
-        } else {
-            (
-                run_suite_with(&cfg, threads, |_, run| run.summary())
-                    .map_err(|e| e.to_string())?,
-                Vec::new(),
-            )
-        };
+fn print_suite(rows: &[BenchSummary]) {
     let mut t = Table::new(vec![
         "bench", "class", "IPC", "SDC AVF", "DUE AVF", "false DUE", "squashes",
     ]);
-    for r in &rows {
+    for r in rows {
         t.row(vec![
             r.name.clone(),
             r.category.label().into(),
@@ -199,10 +196,6 @@ fn cmd_suite(args: &[String], tel: &Telemetry) -> Result<(), String> {
         mean(rows.iter().map(|r| r.sdc_avf.percent())),
         mean(rows.iter().map(|r| r.due_avf.percent())),
     );
-    if tel.active() {
-        tel.emit(&artifact::suite_artifact(&cfg, &rows, &details, tel.level))?;
-    }
-    Ok(())
 }
 
 fn cmd_bench(name: &str, args: &[String], tel: &Telemetry) -> Result<(), String> {
@@ -301,232 +294,130 @@ fn cmd_bench(name: &str, args: &[String], tel: &Telemetry) -> Result<(), String>
     Ok(())
 }
 
-fn cmd_inject(name: &str, args: &[String], tel: &Telemetry) -> Result<(), String> {
-    let spec = spec_by_name(name)
-        .ok_or_else(|| format!("unknown benchmark '{name}'"))?;
-    let mut injections = 300u32;
-    let mut detection = DetectionModel::Parity { tracking: None };
-    let mut prune = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--injections" => {
-                injections = it
-                    .next()
-                    .ok_or("--injections needs a count")?
-                    .parse()
-                    .map_err(|e| format!("bad count: {e}"))?;
-            }
-            "--prune" => prune = true,
-            "--model" => {
-                detection = match it.next().ok_or("--model needs a value")?.as_str() {
-                    "none" => DetectionModel::None,
-                    "parity" => DetectionModel::Parity { tracking: None },
-                    "tracking" => DetectionModel::Parity {
-                        tracking: Some(TrackingConfig::paper_combined()),
-                    },
-                    other => return Err(format!("unknown model '{other}'")),
-                };
-            }
-            other if other.starts_with("--") => return Err(format!("unknown flag '{other}'")),
-            _ => {}
-        }
-    }
-    let config = CampaignConfig {
-        injections,
-        seed: 2026,
-        detection,
-        prune,
-        ..CampaignConfig::default()
-    };
-    let iq_entries = config.pipeline.iq_entries;
-    let campaign = Campaign::prepare(&spec, config).map_err(|e| e.to_string())?;
-    let detailed = campaign.run_detailed();
+fn print_campaign(flavor: CampaignFlavor, config: &CampaignConfig, detailed: &DetailedReport) {
     let report = detailed.summary();
     print!("{report}");
-    match detection {
-        DetectionModel::None => {
-            let p = report.sdc_avf_estimate();
-            println!(
-                "statistical SDC AVF: {:.1}% +/- {:.1}%",
-                p * 100.0,
-                report.ci95(p) * 100.0
-            );
-        }
-        _ => {
-            let p = report.due_avf_estimate();
-            println!(
-                "statistical DUE AVF: {:.1}% +/- {:.1}%",
-                p * 100.0,
-                report.ci95(p) * 100.0
-            );
-            let _ = Outcome::ALL; // (kept for discoverability in docs)
-        }
+    if flavor == CampaignFlavor::Plain {
+        let (metric, p) = match config.detection {
+            DetectionModel::None => ("SDC", report.sdc_avf_estimate()),
+            _ => ("DUE", report.due_avf_estimate()),
+        };
+        println!(
+            "statistical {metric} AVF: {:.1}% +/- {:.1}%",
+            p * 100.0,
+            report.ci95(p) * 100.0
+        );
+        return;
     }
-    if tel.active() {
-        tel.emit(&artifact::campaign_artifact(
-            name, &detailed, iq_entries, tel.level,
-        ))?;
+    match &config.detect_latency {
+        Some(d) => println!("detection latency: {d} cycles"),
+        None => println!("detection latency: 0 cycles (immediate)"),
     }
-    Ok(())
+    println!("recovery policy: {}", config.recovery.label());
+    if let Some(r) = detailed.recovery() {
+        println!(
+            "idempotent regions: {} (mean length {:.1} instructions)",
+            r.regions, r.mean_region_len
+        );
+        println!(
+            "recovered {} of {} detections ({:.1}%), machine-check fallback {}",
+            r.recovered,
+            r.detected(),
+            r.recovered_fraction() * 100.0,
+            r.fallback_due
+        );
+        println!(
+            "re-execution cost: {} instructions total, {:.1} per recovery (mean latency {:.1} cycles)",
+            r.reexec_instructions,
+            r.mean_reexec_instructions(),
+            r.mean_latency_cycles()
+        );
+    }
 }
 
-/// `campaign` — a confidence-targeted fault-injection campaign: either
-/// adaptive stratified sampling (`--adaptive`) or uniform sampling run to
-/// the same target half-width, so the two budgets are directly
-/// comparable.
-fn cmd_campaign(name: &str, args: &[String], tel: &Telemetry) -> Result<(), String> {
-    let spec = spec_by_name(name).ok_or_else(|| format!("unknown benchmark '{name}'"))?;
-    let mut adaptive = false;
-    let mut target_halfwidth = 0.05f64;
-    let mut detection = DetectionModel::None;
-    let mut model_set = false;
-    let mut seed = 2026u64;
-    let mut max_injections: Option<u32> = None;
-    let mut gate_vs_uniform = false;
-    let mut spatial: Option<bool> = None;
-    let mut ecc: Option<EccScheme> = None;
-    let mut node: Option<TechNode> = None;
-    let mut env: Option<Environment> = None;
-    let mut detect_latency: Option<LatencyDistribution> = None;
-    let mut recovery = RecoveryPolicy::MachineCheck;
-    let mut prune = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--adaptive" => adaptive = true,
-            "--prune" => prune = true,
-            "--detect-latency" => {
-                detect_latency = Some(
-                    it.next()
-                        .ok_or("--detect-latency needs a spec (fixed:N, geometric:M, table:LxW,...)")?
-                        .parse()?,
-                );
-            }
-            "--recovery" => {
-                recovery = it.next().ok_or("--recovery needs a policy")?.parse()?;
-            }
-            "--pattern-model" => {
-                spatial = Some(match it.next().ok_or("--pattern-model needs a value")?.as_str() {
-                    "single" => false,
-                    "spatial" => true,
-                    other => {
-                        return Err(format!(
-                            "unknown pattern model '{other}' (use single/spatial)"
-                        ))
-                    }
-                });
-            }
-            "--ecc" => {
-                ecc = Some(EccScheme::parse(it.next().ok_or("--ecc needs a scheme")?)?);
-            }
-            "--node" => {
-                node = Some(TechNode::parse(it.next().ok_or("--node needs a value")?)?);
-            }
-            "--env" => {
-                env = Some(Environment::parse(it.next().ok_or("--env needs a value")?)?);
-            }
-            "--target-halfwidth" => {
-                target_halfwidth = it
-                    .next()
-                    .ok_or("--target-halfwidth needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad half-width: {e}"))?;
-                if !(target_halfwidth > 0.0 && target_halfwidth < 1.0) {
-                    return Err("--target-halfwidth must be in (0, 1)".into());
-                }
-            }
-            "--model" => {
-                model_set = true;
-                detection = match it.next().ok_or("--model needs a value")?.as_str() {
-                    "none" => DetectionModel::None,
-                    "parity" => DetectionModel::Parity { tracking: None },
-                    "tracking" => DetectionModel::Parity {
-                        tracking: Some(TrackingConfig::paper_combined()),
-                    },
-                    other => return Err(format!("unknown model '{other}'")),
-                };
-            }
-            "--seed" => {
-                seed = it
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad seed: {e}"))?;
-            }
-            "--injections" => {
-                max_injections = Some(
-                    it.next()
-                        .ok_or("--injections needs a cap")?
-                        .parse()
-                        .map_err(|e| format!("bad count: {e}"))?,
-                );
-            }
-            "--gate-vs-uniform" => gate_vs_uniform = true,
-            other if other.starts_with("--") => return Err(format!("unknown flag '{other}'")),
-            _ => {}
-        }
+fn print_ecc_campaign(
+    cfg: &EccCampaignConfig,
+    report: &EccCampaignReport,
+    baseline_ipc: f64,
+    model: &ReliabilityModel,
+) {
+    println!(
+        "ecc campaign: {} strikes under {} ({} check bits/word)",
+        cfg.injections,
+        cfg.domain.label(),
+        cfg.domain.check_bits()
+    );
+    for (class, n) in PatternClass::ALL.iter().zip(report.per_class) {
+        println!("  {:16} {n}", class.label());
     }
-    // `--detect-latency` / `--recovery idempotent` select the
-    // detection-latency + recovery campaign: a fixed-budget detailed run
-    // whose artifact carries the schema-versioned `recovery` stanza.
-    // Recovery only acts on signalled faults, so detection defaults to
-    // parity here unless `--model` was given explicitly.
-    if recovery == RecoveryPolicy::Idempotent || detect_latency.is_some() {
-        if adaptive || ecc.is_some() || spatial.is_some() {
-            return Err(
-                "--detect-latency/--recovery combine with neither --adaptive nor --ecc/--pattern-model"
-                    .into(),
-            );
-        }
-        if !model_set {
-            detection = DetectionModel::Parity { tracking: None };
-        }
-        let config = CampaignConfig {
-            injections: max_injections.unwrap_or(500),
-            seed,
-            detection,
-            detect_latency: detect_latency.clone(),
-            recovery,
-            prune,
-            ..CampaignConfig::default()
-        };
-        let iq_entries = config.pipeline.iq_entries;
-        let campaign = Campaign::prepare(&spec, config).map_err(|e| e.to_string())?;
-        let detailed = campaign.run_detailed();
-        let report = detailed.summary();
-        print!("{report}");
-        match &detect_latency {
-            Some(d) => println!("detection latency: {d} cycles"),
-            None => println!("detection latency: 0 cycles (immediate)"),
-        }
-        println!("recovery policy: {}", recovery.label());
-        if let Some(r) = detailed.recovery() {
-            println!(
-                "idempotent regions: {} (mean length {:.1} instructions)",
-                r.regions, r.mean_region_len
-            );
-            println!(
-                "recovered {} of {} detections ({:.1}%), machine-check fallback {}",
-                r.recovered,
-                r.detected(),
-                r.recovered_fraction() * 100.0,
-                r.fallback_due
-            );
-            println!(
-                "re-execution cost: {} instructions total, {:.1} per recovery (mean latency {:.1} cycles)",
-                r.reexec_instructions,
-                r.mean_reexec_instructions(),
-                r.mean_latency_cycles()
-            );
-        }
-        if tel.active() {
-            tel.emit(&artifact::campaign_artifact(
-                name, &detailed, iq_entries, tel.level,
-            ))?;
-        }
-        return Ok(());
+    println!(
+        "dispositions: corrected {}  detected {}  silent {}",
+        report.corrected, report.detected, report.silent
+    );
+    println!(
+        "analytic residual: corrected {:.4}  detected {:.4}  silent {:.6}",
+        report.analytic.corrected, report.analytic.detected, report.analytic.silent
+    );
+    println!(
+        "measured rates: DUE {:.2}% +/- {:.2}%   SDC {:.2}% +/- {:.2}%",
+        report.due_rate() * 100.0,
+        report.ci95(report.due_rate()) * 100.0,
+        report.sdc_rate() * 100.0,
+        report.ci95(report.sdc_rate()) * 100.0
+    );
+    let rates = model.rate_interval(
+        ses_core::Ipc::new(baseline_ipc),
+        report.due_rate(),
+        report.ci95(report.due_rate()),
+    );
+    if let Some(pt) = rates.point {
+        println!(
+            "DUE rates: {:.4} FIT, MTTF {:.2e} years",
+            pt.fit.value(),
+            pt.mttf.years()
+        );
+    } else {
+        println!("DUE rates: no machine checks observed; FIT interval starts at 0");
     }
+}
+
+/// `campaign` — with `--detect-latency`, `--recovery`, `--ecc` or
+/// `--pattern-model` (and no `--adaptive`) this is the served campaign
+/// job. Otherwise it is a confidence-targeted campaign: adaptive
+/// stratified sampling (`--adaptive`) or uniform sampling run to the same
+/// target half-width, so the two budgets are directly comparable. That
+/// path is CLI-only and keeps its own defaults.
+fn cmd_campaign(args: &[String], tel: &Telemetry) -> Result<(), String> {
+    let mut fields = Fields::from_args("campaign", args)?;
+    let adaptive = fields.bool("adaptive")?.unwrap_or(false);
+    let latency = fields.has("detect_latency") || fields.has("recovery");
+    if !adaptive && (latency || fields.has("ecc") || fields.has("pattern_model")) {
+        return cmd_job("campaign", args, tel);
+    }
+    if latency {
+        return Err("--detect-latency/--recovery do not combine with --adaptive".into());
+    }
+    let name = fields
+        .string("workload")?
+        .ok_or("campaign needs a benchmark name")?;
+    let spec = spec_by_name(&name).ok_or_else(|| format!("unknown benchmark '{name}'"))?;
+    let target_halfwidth = fields
+        .parsed("target_halfwidth", |s| {
+            s.parse::<f64>().map_err(|e| format!("bad half-width: {e}"))
+        })?
+        .unwrap_or(0.05);
+    if !(target_halfwidth > 0.0 && target_halfwidth < 1.0) {
+        return Err("--target-halfwidth must be in (0, 1)".into());
+    }
+    let gate_vs_uniform = fields.bool("gate_vs_uniform")?.unwrap_or(false);
+    let detection = fields
+        .parsed("model", parse_detection)?
+        .map_or(DetectionModel::None, |(model, _)| model);
+    let seed = fields.u64("seed")?.unwrap_or(2026);
+    let max_injections = fields.u32("injections")?.unwrap_or(200_000);
+    let prune = fields.bool("prune")?.unwrap_or(false);
+    let strikes = EccFields::parse(&mut fields)?;
+    fields.finish()?;
 
     let metric = match detection {
         DetectionModel::None => MetricKind::SdcAvf,
@@ -539,95 +430,9 @@ fn cmd_campaign(name: &str, args: &[String], tel: &Telemetry) -> Result<(), Stri
         ..CampaignConfig::default()
     };
     let campaign = Campaign::prepare(&spec, config).map_err(|e| e.to_string())?;
-    // `--node`/`--env` swap the default raw-rate model for a technology
-    // scenario; either flag alone fills the other from its default.
-    let model = if node.is_some() || env.is_some() {
-        ReliabilityModel::for_scenario(
-            node.unwrap_or(TechNode::N28),
-            env.unwrap_or(Environment::Consumer),
-        )
-    } else {
-        ReliabilityModel::default()
-    };
+    let model = strikes.reliability();
+    let pattern = strikes.pattern();
 
-    // `--ecc` (or an explicit `--pattern-model`) turns on the multi-bit
-    // spatial strike engine. The scheme defaults to unprotected;
-    // `--pattern-model single` collapses the distribution to single-bit
-    // strikes so the ECC path can be compared against the classic one.
-    let pattern = if ecc.is_some() || spatial.is_some() {
-        Some(PatternModel {
-            distribution: if spatial == Some(false) {
-                PatternDistribution::single_only()
-            } else {
-                PatternDistribution::default()
-            },
-            domain: EccDomain::new(ecc.unwrap_or(EccScheme::None)),
-        })
-    } else {
-        None
-    };
-
-    if let (Some(p), false) = (&pattern, adaptive) {
-        // Fixed-budget multi-bit campaign under the protection domain.
-        let cfg = EccCampaignConfig {
-            injections: max_injections.unwrap_or(1000),
-            seed,
-            distribution: p.distribution,
-            domain: p.domain,
-        };
-        let report = run_ecc_campaign(&campaign, &cfg);
-        println!(
-            "ecc campaign: {} strikes under {} ({} check bits/word)",
-            cfg.injections,
-            cfg.domain.label(),
-            cfg.domain.check_bits()
-        );
-        for (class, n) in PatternClass::ALL.iter().zip(report.per_class) {
-            println!("  {:16} {n}", class.label());
-        }
-        println!(
-            "dispositions: corrected {}  detected {}  silent {}",
-            report.corrected, report.detected, report.silent
-        );
-        println!(
-            "analytic residual: corrected {:.4}  detected {:.4}  silent {:.6}",
-            report.analytic.corrected, report.analytic.detected, report.analytic.silent
-        );
-        println!(
-            "measured rates: DUE {:.2}% +/- {:.2}%   SDC {:.2}% +/- {:.2}%",
-            report.due_rate() * 100.0,
-            report.ci95(report.due_rate()) * 100.0,
-            report.sdc_rate() * 100.0,
-            report.ci95(report.sdc_rate()) * 100.0
-        );
-        let rates = model.rate_interval(
-            ses_core::Ipc::new(campaign.baseline_ipc()),
-            report.due_rate(),
-            report.ci95(report.due_rate()),
-        );
-        if let Some(pt) = rates.point {
-            println!(
-                "DUE rates: {:.4} FIT, MTTF {:.2e} years",
-                pt.fit.value(),
-                pt.mttf.years()
-            );
-        } else {
-            println!("DUE rates: no machine checks observed; FIT interval starts at 0");
-        }
-        if tel.active() {
-            tel.emit(&artifact::ecc_campaign_artifact(
-                name,
-                &cfg,
-                &report,
-                campaign.baseline_ipc(),
-                &model,
-                tel.level,
-            ))?;
-        }
-        return Ok(());
-    }
-
-    let max_injections = max_injections.unwrap_or(200_000);
     if !adaptive {
         let uniform =
             campaign.run_uniform_to_target(target_halfwidth, metric, 64, max_injections);
@@ -644,7 +449,7 @@ fn cmd_campaign(name: &str, args: &[String], tel: &Telemetry) -> Result<(), Stri
             doc.set("schema_version", ses_core::SCHEMA_VERSION)
                 .set("artifact", "uniform_campaign")
                 .set("telemetry", tel.level.label())
-                .set("workload", name)
+                .set("workload", name.as_str())
                 .set("metric", metric.label())
                 .set("target_halfwidth", target_halfwidth)
                 .set("trials", uniform.trials)
@@ -707,7 +512,7 @@ fn cmd_campaign(name: &str, args: &[String], tel: &Telemetry) -> Result<(), Stri
     }
     if tel.active() {
         tel.emit(&artifact::adaptive_campaign_artifact(
-            name, &cfg, &report, &model, tel.level,
+            &name, &cfg, &report, &model, tel.level,
         ))?;
     }
     if gate_vs_uniform && report.total_trials >= equivalent {
@@ -719,66 +524,14 @@ fn cmd_campaign(name: &str, args: &[String], tel: &Telemetry) -> Result<(), Stri
     Ok(())
 }
 
-/// `ecc-grid` — the analytic (node × environment × scheme) residual-rate
-/// grid for one or more workloads. Each workload contributes only its
-/// measured read probability (a forced-signal single-bit probe) and
-/// baseline IPC; everything else is exact enumeration, so the artifact
-/// regenerates byte-identically from the same command. The pinned golden
-/// `tests/golden/campaign_ecc.json` is produced exactly this way.
-fn cmd_ecc_grid(args: &[String], tel: &Telemetry) -> Result<(), String> {
-    let mut names = Vec::new();
-    let mut probes = 400u32;
-    let mut seed = 0xECCu64;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--probes" => {
-                probes = it
-                    .next()
-                    .ok_or("--probes needs a count")?
-                    .parse()
-                    .map_err(|e| format!("bad count: {e}"))?;
-            }
-            "--seed" => {
-                seed = it
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad seed: {e}"))?;
-            }
-            other if other.starts_with("--") => return Err(format!("unknown flag '{other}'")),
-            name => names.push(name.to_string()),
-        }
-    }
-    if names.is_empty() {
-        return Err("ecc-grid needs at least one benchmark name".into());
-    }
-    let distribution = PatternDistribution::default();
-    let mut workloads = Vec::new();
-    for name in &names {
-        let spec = spec_by_name(name).ok_or_else(|| format!("unknown benchmark '{name}'"))?;
-        let campaign = Campaign::prepare(
-            &spec,
-            CampaignConfig {
-                injections: 0,
-                seed,
-                detection: DetectionModel::None,
-                ..CampaignConfig::default()
-            },
-        )
-        .map_err(|e| e.to_string())?;
-        let p_read = read_probability(&campaign, probes, seed);
-        println!(
-            "{name}: P(read) = {:.4} over {probes} probes, IPC {:.3}",
-            p_read,
-            campaign.baseline_ipc()
-        );
-        workloads.push((name.clone(), campaign.baseline_ipc(), p_read, probes));
+fn print_ecc_grid(distribution: &PatternDistribution, workloads: &[(String, f64, f64, u32)]) {
+    for (name, ipc, p_read, probes) in workloads {
+        println!("{name}: P(read) = {p_read:.4} over {probes} probes, IPC {ipc:.3}");
     }
     let mut t = Table::new(vec!["scheme", "check bits", "residual detected", "residual silent"]);
     for &scheme in &EccScheme::ALL {
         let domain = EccDomain::new(scheme);
-        let res = ses_core::ResidualModel::analytic(&distribution, &domain);
+        let res = ses_core::ResidualModel::analytic(distribution, &domain);
         t.row(vec![
             domain.label(),
             domain.check_bits().to_string(),
@@ -787,10 +540,6 @@ fn cmd_ecc_grid(args: &[String], tel: &Telemetry) -> Result<(), String> {
         ]);
     }
     println!("{t}");
-    if tel.active() {
-        tel.emit(&artifact::ecc_grid_artifact(&distribution, &workloads, tel.level))?;
-    }
-    Ok(())
 }
 
 fn cmd_pet(name: &str, tel: &Telemetry) -> Result<(), String> {
@@ -940,90 +689,42 @@ fn cmd_run_asm(path: &str, tel: &Telemetry) -> Result<(), String> {
     Ok(())
 }
 
+/// `fuzz` — the served fuzz job plus the CLI-only flags: `--out` (where
+/// reproducers go), `--emit-corpus` / `--corpus-count` (write clean
+/// programs instead of fuzzing), `--region-fault` (plant a defect the run
+/// must catch) and `--no-shrink`.
 fn cmd_fuzz(args: &[String], tel: &Telemetry) -> Result<(), String> {
-    let mut cfg = FuzzConfig::default();
-    let mut out_dir = PathBuf::from("fuzz-out");
-    let mut corpus_dir: Option<PathBuf> = None;
-    let mut corpus_count = 12u64;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seed" => {
-                cfg.seed = it
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad seed: {e}"))?;
-            }
-            "--iters" => {
-                cfg.iters = it
-                    .next()
-                    .ok_or("--iters needs a count")?
-                    .parse()
-                    .map_err(|e| format!("bad count: {e}"))?;
-            }
-            "--shrink" => cfg.shrink = true,
-            "--no-shrink" => cfg.shrink = false,
-            "--mutate" => {
-                match it.next().ok_or("--mutate needs a mode")?.as_str() {
-                    // Region-boundary-aware fuzzing: store-dense programs
-                    // stress the idempotent-region analysis and its
-                    // replay check (oracle stage 6).
-                    "regions" => cfg.program_spec = ses_workloads::FuzzProgramSpec::mem_heavy(),
-                    other => return Err(format!("unknown mutation mode '{other}' (use regions)")),
-                }
-            }
-            "--region-fault" => {
-                // Seeds a defect into the region analysis so the fuzzer
-                // must catch (and shrink) the resulting divergence; the
-                // run is expected to FAIL.
-                cfg.oracle.region_fault =
-                    Some(match it.next().ok_or("--region-fault needs a kind")?.as_str() {
-                        "ignore-acc" => RegionFault::IgnoreReg(Reg::new(2)),
-                        "ignore-stores" => RegionFault::IgnoreStores,
-                        other => {
-                            return Err(format!(
-                                "unknown region fault '{other}' (use ignore-acc/ignore-stores)"
-                            ))
-                        }
-                    });
-            }
-            "--inject-every" => {
-                cfg.injection_every = it
-                    .next()
-                    .ok_or("--inject-every needs a count (0 disables)")?
-                    .parse()
-                    .map_err(|e| format!("bad count: {e}"))?;
-            }
-            "--out" => out_dir = PathBuf::from(it.next().ok_or("--out needs a directory")?),
-            "--emit-corpus" => {
-                corpus_dir = Some(PathBuf::from(
-                    it.next().ok_or("--emit-corpus needs a directory")?,
-                ));
-            }
-            "--corpus-count" => {
-                corpus_count = it
-                    .next()
-                    .ok_or("--corpus-count needs a count")?
-                    .parse()
-                    .map_err(|e| format!("bad count: {e}"))?;
-            }
-            other => return Err(format!("unknown fuzz flag '{other}'")),
-        }
-    }
+    let mut fields = job_fields("fuzz", args, tel)?;
+    let out_dir = PathBuf::from(fields.string("out")?.unwrap_or_else(|| "fuzz-out".into()));
+    let corpus_dir = fields.string("emit_corpus")?;
+    let corpus_count = fields.u64("corpus_count")?.unwrap_or(12);
+    // A planted region-analysis defect: the run must catch and shrink it.
+    let region_fault = fields.parsed("region_fault", |s| match s {
+        "ignore-acc" => Ok(RegionFault::IgnoreReg(Reg::new(2))),
+        "ignore-stores" => Ok(RegionFault::IgnoreStores),
+        other => Err(format!("unknown region fault '{other}' (use ignore-acc/ignore-stores)")),
+    })?;
+    let no_shrink = fields.bool("no_shrink")?.unwrap_or(false);
+    let JobSpec::Fuzz(job) = JobSpec::from_fields("fuzz", fields)? else {
+        unreachable!("fuzz arguments parse into a fuzz job")
+    };
+    let mut cfg = job.config();
+    cfg.shrink &= !no_shrink;
+    cfg.oracle.region_fault = region_fault;
 
     if let Some(dir) = corpus_dir {
-        return emit_corpus(&dir, cfg.seed, corpus_count, &cfg.program_spec);
+        return emit_corpus(Path::new(&dir), cfg.seed, corpus_count, &cfg.program_spec);
     }
 
-    let report = run_fuzz(&cfg);
-    println!(
-        "fuzz: seed {}  {} programs checked  {} injection cross-checks  {} committed instructions",
-        cfg.seed, report.iterations, report.injection_checks, report.total_committed
-    );
-    if !report.failures.is_empty() {
+    let fuzz = run_fuzz(&cfg);
+    let output = JobOutput::Fuzz {
+        seed: cfg.seed,
+        report: fuzz.clone(),
+    };
+    emit_output(&output, tel)?;
+    if !fuzz.failures.is_empty() {
         std::fs::create_dir_all(&out_dir).map_err(|e| format!("{}: {e}", out_dir.display()))?;
-        for f in &report.failures {
+        for f in &fuzz.failures {
             let path = out_dir.join(format!("repro-{:016x}.s", f.program_seed));
             std::fs::write(&path, f.reproducer_asm())
                 .map_err(|e| format!("{}: {e}", path.display()))?;
@@ -1037,25 +738,13 @@ fn cmd_fuzz(args: &[String], tel: &Telemetry) -> Result<(), String> {
             );
         }
     }
-    if tel.active() {
-        let mut doc = JsonValue::object();
-        doc.set("schema_version", ses_core::SCHEMA_VERSION)
-            .set("artifact", "fuzz")
-            .set("telemetry", tel.level.label())
-            .set("seed", cfg.seed)
-            .set("iterations", report.iterations)
-            .set("injection_checks", report.injection_checks)
-            .set("total_committed", report.total_committed)
-            .set("failures", report.failures.len() as u64);
-        tel.emit(&doc)?;
-    }
-    if report.clean() {
+    if fuzz.clean() {
         println!("no divergences found");
         Ok(())
     } else {
         Err(format!(
             "{} divergence(s) found; reproducers in {}",
-            report.failures.len(),
+            fuzz.failures.len(),
             out_dir.display()
         ))
     }
@@ -1099,40 +788,17 @@ fn emit_corpus(
 
 /// `serve` — run the campaign-as-a-service daemon in the foreground.
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let mut config = ses_serve::ServeConfig {
-        addr: "127.0.0.1:7878".to_string(),
-        ..ses_serve::ServeConfig::default()
+    let mut fields = Fields::from_args("serve", args)?;
+    let defaults = ses_serve::ServeConfig::default();
+    let config = ses_serve::ServeConfig {
+        addr: fields.string("addr")?.unwrap_or_else(|| "127.0.0.1:7878".into()),
+        threads: fields.u64("threads")?.map_or(defaults.threads, |n| n as usize),
+        cache_bytes: fields.u64("cache_bytes")?.map_or(defaults.cache_bytes, |n| n as usize),
+        max_body_bytes: fields
+            .u64("max_body_bytes")?
+            .map_or(defaults.max_body_bytes, |n| n as usize),
     };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--addr" => {
-                config.addr = it.next().ok_or("--addr needs host:port")?.clone();
-            }
-            "--threads" => {
-                config.threads = it
-                    .next()
-                    .ok_or("--threads needs a count")?
-                    .parse()
-                    .map_err(|e| format!("bad thread count: {e}"))?;
-            }
-            "--cache-bytes" => {
-                config.cache_bytes = it
-                    .next()
-                    .ok_or("--cache-bytes needs a byte budget")?
-                    .parse()
-                    .map_err(|e| format!("bad byte budget: {e}"))?;
-            }
-            "--max-body-bytes" => {
-                config.max_body_bytes = it
-                    .next()
-                    .ok_or("--max-body-bytes needs a limit")?
-                    .parse()
-                    .map_err(|e| format!("bad limit: {e}"))?;
-            }
-            other => return Err(format!("unknown serve flag '{other}'")),
-        }
-    }
+    fields.finish()?;
     let server = ses_serve::Server::start(&config).map_err(|e| e.to_string())?;
     println!("serving on http://{}", server.addr());
     println!("routes: POST /v1/campaign /v1/suite /v1/ecc-grid /v1/fuzz  GET /v1/stats /v1/healthz");
@@ -1145,55 +811,26 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 /// `loadtest` — drive a daemon with concurrent mixed-shape clients and
 /// write `BENCH_serve.json`.
 fn cmd_loadtest(args: &[String]) -> Result<(), String> {
-    let mut cfg = ses_serve::LoadtestConfig::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--addr" => cfg.addr = Some(it.next().ok_or("--addr needs host:port")?.clone()),
-            "--clients" => {
-                cfg.clients = it
-                    .next()
-                    .ok_or("--clients needs a count")?
-                    .parse()
-                    .map_err(|e| format!("bad count: {e}"))?;
-            }
-            "--requests" => {
-                cfg.requests_per_client = it
-                    .next()
-                    .ok_or("--requests needs a per-client count")?
-                    .parse()
-                    .map_err(|e| format!("bad count: {e}"))?;
-            }
-            "--workload" => {
-                cfg.workload = it.next().ok_or("--workload needs a name")?.clone();
-            }
-            "--injections" => {
-                cfg.injections = it
-                    .next()
-                    .ok_or("--injections needs a count")?
-                    .parse()
-                    .map_err(|e| format!("bad count: {e}"))?;
-            }
-            "--seeds" => {
-                cfg.seeds = it
-                    .next()
-                    .ok_or("--seeds needs a count")?
-                    .parse()
-                    .map_err(|e| format!("bad count: {e}"))?;
-            }
-            "--threads" => {
-                cfg.threads = it
-                    .next()
-                    .ok_or("--threads needs a count")?
-                    .parse()
-                    .map_err(|e| format!("bad thread count: {e}"))?;
-            }
-            "--out" => cfg.out = Some(PathBuf::from(it.next().ok_or("--out needs a path")?)),
-            "--no-out" => cfg.out = None,
-            "--gate" => cfg.gate = true,
-            other => return Err(format!("unknown loadtest flag '{other}'")),
-        }
-    }
+    let mut fields = Fields::from_args("loadtest", args)?;
+    let d = ses_serve::LoadtestConfig::default();
+    let count = |n: Option<u64>, default: usize| n.map_or(default, |n| n as usize);
+    let cfg = ses_serve::LoadtestConfig {
+        addr: fields.string("addr")?,
+        clients: count(fields.u64("clients")?, d.clients),
+        requests_per_client: count(fields.u64("requests")?, d.requests_per_client),
+        workload: fields.string("workload")?.unwrap_or(d.workload),
+        injections: fields.u32("injections")?.unwrap_or(d.injections),
+        seeds: fields.u64("seeds")?.unwrap_or(d.seeds),
+        threads: count(fields.u64("threads")?, d.threads),
+        out: match (fields.string("out")?, fields.bool("no_out")?) {
+            (_, Some(true)) => None,
+            (Some(path), _) => Some(PathBuf::from(path)),
+            (None, _) => d.out,
+        },
+        gate: fields.bool("gate")?.unwrap_or(d.gate),
+        ..d
+    };
+    fields.finish()?;
     let report = ses_serve::run_loadtest(&cfg)?;
     println!(
         "loadtest: {} distinct jobs, {} requests total",
@@ -1224,11 +861,11 @@ fn usage() -> &'static str {
      \n\
      commands:\n\
        list                        list the benchmark suite\n\
-       suite [flags]               run all 26 benchmarks, print AVF summary\n\
-\x20                                 (--threads N pins the worker count)\n\
+       suite [options]             run all 26 benchmarks, print AVF summary\n\
        bench <name> [flags]        detailed report for one benchmark\n\
-       inject <name> [options]     fault-injection campaign\n\
-       campaign <name> [options]   confidence-targeted campaign (adaptive or uniform)\n\
+       inject <name> [options]     fixed-budget fault-injection campaign\n\
+       campaign <name> [options]   confidence-targeted campaign (adaptive or uniform),\n\
+\x20                                 or a recovery/ECC campaign\n\
        ecc-grid <names> [options]  analytic node x environment x scheme residual grid\n\
        pet <name>                  PET-buffer size sweep\n\
        run-asm <file.s>            assemble and analyse a SES-64 program\n\
@@ -1237,18 +874,26 @@ fn usage() -> &'static str {
        serve [options]             campaign-as-a-service HTTP daemon\n\
        loadtest [options]          concurrent-client benchmark against the daemon\n\
      \n\
-     machine flags: --squash l0|l1    --throttle l0|l1\n\
-     inject options: --injections N   --model none|parity|tracking  --prune\n\
-     campaign options: --adaptive  --target-halfwidth W  --model none|parity|tracking\n\
-                       --seed N  --injections CAP  --gate-vs-uniform  --prune\n\
-                       --pattern-model single|spatial  --ecc none|parity|sec|sec-ded|taec|dec\n\
-                       --node 28nm|16nm|7nm  --env consumer|avionics|space\n\
-                       --detect-latency fixed:N|geometric:M|table:LxW,...\n\
-                       --recovery machine-check|idempotent\n\
-     ecc-grid options: --probes N  --seed N\n\
-     fuzz options: --seed N  --iters N  --shrink|--no-shrink  --out DIR\n\
-                   --inject-every N  --emit-corpus DIR  --corpus-count N\n\
-                   --mutate regions  --region-fault ignore-acc|ignore-stores\n\
+     job options: inject, suite, ecc-grid, fuzz and campaign with --detect-latency,\n\
+     --recovery, --ecc or --pattern-model (without --adaptive) are the daemon's jobs.\n\
+     --flag-name VALUE is its JSON field flag_name, a bare --flag is true, and\n\
+     positional names fill workload (inject, campaign) or workloads (ecc-grid).\n\
+       campaign: --injections N  --seed N  --model none|parity|tracking  --prune  --threads N\n\
+                 --detect-latency fixed:N|geometric:M|table:LxW,...\n\
+                 --recovery machine-check|idempotent\n\
+                 --ecc none|parity|sec|sec-ded|taec|dec  --pattern-model single|spatial\n\
+                 --node 28nm|16nm|7nm  --env consumer|avionics|space\n\
+       suite:    --squash l0|l1|l2  --throttle l0|l1|l2  --threads N\n\
+       ecc-grid: --probes N  --seed N\n\
+       fuzz:     --seed N  --iters N  --inject-every N  --shrink  --mutate regions\n\
+     CLI-only options:\n\
+       campaign: --adaptive  --target-halfwidth W  --gate-vs-uniform, with --model --seed\n\
+                 --injections CAP --prune --ecc --pattern-model --node --env\n\
+       fuzz:     --out DIR  --emit-corpus DIR  --corpus-count N  --no-shrink\n\
+                 --region-fault ignore-acc|ignore-stores\n\
+     daemon-only caps: injections, probes <= 100000  iters <= 10000\n\
+                       <= 32 workloads  threads <= 256\n\
+     machine flags (bench, compare): --squash l0|l1|l2  --throttle l0|l1|l2\n\
      serve options: --addr HOST:PORT  --threads N  --cache-bytes N  --max-body-bytes N\n\
      loadtest options: --addr HOST:PORT  --clients N  --requests N  --seeds N\n\
                        --workload NAME  --injections N  --threads N\n\
@@ -1260,20 +905,14 @@ fn dispatch(args: &[String]) -> Result<(), String> {
     let (args, tel) = Telemetry::extract(args)?;
     match args.first().map(String::as_str) {
         Some("list") => cmd_list(&tel),
-        Some("suite") => cmd_suite(&args[1..], &tel),
+        Some("suite") => cmd_job("suite", &args[1..], &tel),
         Some("bench") => match args.get(1) {
             Some(name) if !name.starts_with("--") => cmd_bench(name, &args[2..], &tel),
             _ => Err("bench needs a benchmark name".into()),
         },
-        Some("inject") => match args.get(1) {
-            Some(name) if !name.starts_with("--") => cmd_inject(name, &args[2..], &tel),
-            _ => Err("inject needs a benchmark name".into()),
-        },
-        Some("campaign") => match args.get(1) {
-            Some(name) if !name.starts_with("--") => cmd_campaign(name, &args[2..], &tel),
-            _ => Err("campaign needs a benchmark name".into()),
-        },
-        Some("ecc-grid") => cmd_ecc_grid(&args[1..], &tel),
+        Some("inject") => cmd_job("campaign", &args[1..], &tel),
+        Some("campaign") => cmd_campaign(&args[1..], &tel),
+        Some("ecc-grid") => cmd_job("ecc-grid", &args[1..], &tel),
         Some("pet") => match args.get(1) {
             Some(name) if !name.starts_with("--") => cmd_pet(name, &tel),
             _ => Err("pet needs a benchmark name".into()),

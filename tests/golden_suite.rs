@@ -9,9 +9,13 @@
 //! cargo run --release -- suite --json tests/golden/suite_default.json
 //! cargo run --release -- bench twolf --json tests/golden/run_twolf.json
 //! ```
+//!
+//! The campaign goldens regenerate from the command lines in `ECC_GRID`,
+//! `RECOVERY` and `PRUNE` below, with `--json tests/golden/<file>`.
 
 use std::path::Path;
 
+use ses_core::job::{JobOutput, JobSpec, SharedRuns};
 use ses_core::telemetry::{run_artifact, suite_artifact};
 use ses_core::{
     run_suite, run_workload, spec_by_name, Level, PipelineConfig, TelemetryLevel,
@@ -78,29 +82,40 @@ fn perturbed_config_is_caught() {
     );
 }
 
-/// Rebuilds exactly what `ser-repro ecc-grid cc gzip --json ...` writes:
-/// measured read probabilities and IPCs for the two workloads, then the
-/// analytic node × environment × scheme residual grid.
-fn ecc_grid_rows(probes: u32, seed: u64) -> Vec<(String, f64, f64, u32)> {
-    use ses_core::{read_probability, Campaign, CampaignConfig, DetectionModel};
-    ["cc", "gzip"]
-        .iter()
-        .map(|name| {
-            let spec = spec_by_name(name).expect("workload in suite");
-            let campaign = Campaign::prepare(
-                &spec,
-                CampaignConfig {
-                    injections: 0,
-                    seed,
-                    detection: DetectionModel::None,
-                    ..CampaignConfig::default()
-                },
-            )
-            .expect("campaign prepares");
-            let p_read = read_probability(&campaign, probes, seed);
-            (name.to_string(), campaign.baseline_ipc(), p_read, probes)
-        })
-        .collect()
+/// The command lines that produced the campaign goldens. Each runs here
+/// through the same `JobSpec::from_args` the CLI uses (`inject` is the
+/// campaign job), so the "regenerate with" hint is exactly what the test
+/// checks.
+const ECC_GRID: &str = "ecc-grid cc gzip";
+const RECOVERY: &str =
+    "campaign crafty --detect-latency fixed:8 --recovery idempotent --injections 150";
+const PRUNE: &str = "inject crafty --injections 300 --model tracking --prune";
+
+/// Runs one CLI command line as its job.
+fn run_job(cmdline: &str) -> JobOutput {
+    let mut argv = cmdline.split_whitespace();
+    let kind = match argv.next().expect("a command") {
+        "inject" => "campaign",
+        other => other,
+    };
+    let args: Vec<&str> = argv.collect();
+    JobSpec::from_args(kind, &args)
+        .and_then(|job| job.run(&SharedRuns::default()))
+        .unwrap_or_else(|e| panic!("`{cmdline}` failed: {e}"))
+}
+
+/// The summary artifact `ser-repro <cmdline> --json` writes.
+fn job_artifact(cmdline: &str) -> String {
+    run_job(cmdline).artifact(TelemetryLevel::Summary).render()
+}
+
+fn assert_golden(cmdline: &str, file: &str) {
+    assert_eq!(
+        job_artifact(cmdline),
+        golden(file),
+        "artifact drifted from tests/golden/{file}; if intentional, regenerate with \
+         `cargo run --release -- {cmdline} --json tests/golden/{file}`"
+    );
 }
 
 /// Satellite: the FIT/MTTF grid over (technology node × environment ×
@@ -109,19 +124,7 @@ fn ecc_grid_rows(probes: u32, seed: u64) -> Vec<(String, f64, f64, u32)> {
 /// probe, or the FIT → MTTF conversion shows up here.
 #[test]
 fn ecc_grid_artifact_matches_golden() {
-    use ses_core::telemetry::ecc_grid_artifact;
-    use ses_core::PatternDistribution;
-    let rows = ecc_grid_rows(400, 0xECC);
-    let artifact =
-        ecc_grid_artifact(&PatternDistribution::default(), &rows, TelemetryLevel::Summary)
-            .render();
-    assert_eq!(
-        artifact,
-        golden("campaign_ecc.json"),
-        "ECC grid drifted from tests/golden/campaign_ecc.json; if intentional, \
-         regenerate with \
-         `cargo run --release -- ecc-grid cc gzip --json tests/golden/campaign_ecc.json`"
-    );
+    assert_golden(ECC_GRID, "campaign_ecc.json");
 }
 
 /// The grid comparison must be falsifiable in its *results*, not just its
@@ -134,19 +137,21 @@ fn perturbed_ecc_grid_is_caught() {
     use ses_core::PatternDistribution;
     let golden_text = golden("campaign_ecc.json");
 
-    let fewer_probes = ecc_grid_rows(100, 0xECC);
-    let perturbed =
-        ecc_grid_artifact(&PatternDistribution::default(), &fewer_probes, TelemetryLevel::Summary)
-            .render();
     assert_ne!(
-        perturbed, golden_text,
+        job_artifact(&format!("{ECC_GRID} --probes 100")),
+        golden_text,
         "a different probe budget must move the measured read probability"
     );
 
-    let rows = ecc_grid_rows(400, 0xECC);
-    let single_only =
-        ecc_grid_artifact(&PatternDistribution::single_only(), &rows, TelemetryLevel::Summary)
-            .render();
+    let JobOutput::EccGrid { workloads, .. } = run_job(ECC_GRID) else {
+        panic!("ecc-grid runs into grid rows");
+    };
+    let single_only = ecc_grid_artifact(
+        &PatternDistribution::single_only(),
+        &workloads,
+        TelemetryLevel::Summary,
+    )
+    .render();
     assert_ne!(
         single_only, golden_text,
         "a single-bit-only distribution must move the analytic residual rates"
@@ -159,42 +164,13 @@ fn perturbed_ecc_grid_is_caught() {
     );
 }
 
-/// Rebuilds exactly what `ser-repro campaign crafty --detect-latency
-/// fixed:N --recovery idempotent --injections 150 --json ...` writes.
-fn crafty_recovery_artifact(seed: u64, latency: u64) -> String {
-    use ses_core::telemetry::campaign_artifact;
-    use ses_core::{
-        Campaign, CampaignConfig, DetectionModel, LatencyDistribution, RecoveryPolicy,
-    };
-    let spec = spec_by_name("crafty").expect("crafty in suite");
-    let config = CampaignConfig {
-        injections: 150,
-        seed,
-        detection: DetectionModel::Parity { tracking: None },
-        detect_latency: Some(LatencyDistribution::Fixed(latency)),
-        recovery: RecoveryPolicy::Idempotent,
-        ..CampaignConfig::default()
-    };
-    let iq = config.pipeline.iq_entries;
-    let detailed = Campaign::prepare(&spec, config).expect("campaign prepares").run_detailed();
-    campaign_artifact("crafty", &detailed, iq, TelemetryLevel::Summary).render()
-}
-
 /// Satellite: the recovery campaign artifact — outcome counts with the
 /// `recovered` class, the recovery stanza (region census, recovered vs
 /// machine-check-fallback split, re-execution charge) — is pinned
 /// byte-for-byte under an 8-cycle fixed detection latency.
 #[test]
 fn recovery_artifact_matches_golden() {
-    assert_eq!(
-        crafty_recovery_artifact(2026, 8),
-        golden("campaign_recovery.json"),
-        "recovery artifact drifted from tests/golden/campaign_recovery.json; \
-         if intentional, regenerate with \
-         `cargo run --release -- campaign crafty --detect-latency fixed:8 \
-         --recovery idempotent --injections 150 \
-         --json tests/golden/campaign_recovery.json`"
-    );
+    assert_golden(RECOVERY, "campaign_recovery.json");
 }
 
 /// The pin must be falsifiable in both knobs that define it: a different
@@ -205,13 +181,21 @@ fn perturbed_recovery_artifact_is_caught() {
     let golden_text = golden("campaign_recovery.json");
     assert!(golden_text.contains("\"recovery\""), "golden must carry the recovery stanza");
     assert_ne!(
-        crafty_recovery_artifact(2027, 8),
+        job_artifact(&format!("{RECOVERY} --seed 2027")),
         golden_text,
         "a different fault sequence must move the recovery artifact"
     );
     assert_ne!(
-        crafty_recovery_artifact(2026, 0),
+        job_artifact(&RECOVERY.replace("fixed:8", "fixed:0")),
         golden_text,
         "zero latency recovers every detection and must move the artifact"
     );
+}
+
+/// The convergence-pruned campaign artifact, pruning stanza included, is
+/// pinned byte-for-byte.
+#[test]
+fn prune_artifact_matches_golden() {
+    assert!(golden("campaign_prune.json").contains("\"pruning\""));
+    assert_golden(PRUNE, "campaign_prune.json");
 }

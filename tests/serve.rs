@@ -348,11 +348,13 @@ fn hostile_inputs_yield_structured_errors_and_daemon_keeps_serving() {
         .is_some_and(|m| m.contains("malformed JSON")));
     assert_still_serving(addr);
 
-    // Valid JSON, invalid job: unknown workload, unknown field, bad type.
+    // Valid JSON, invalid job: unknown workload, unknown field, bad type,
+    // a budget over the serving cap.
     for body in [
         r#"{"workload": "no-such-bench"}"#,
         r#"{"workload": "crafty", "bogus": 1}"#,
         r#"{"workload": "crafty", "injections": "lots"}"#,
+        r#"{"workload": "crafty", "injections": 100001}"#,
         r#"{"workload": "crafty", "recovery": "idempotent", "ecc": "sec"}"#,
         r#"[1, 2, 3]"#,
     ] {
