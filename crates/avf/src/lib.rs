@@ -52,5 +52,5 @@ pub use dead::{DeadInfo, DeadKind, DeadMap};
 pub use regfile::RegFileAvf;
 pub use span::{
     lifetime_spans, occupancy_intervals, LifetimeSpan, ResidencySpans, Segment, SpanClass,
-    SpanSet, StrikeIndex, StrikePhase,
+    SpanSet, StrikeIndex,
 };

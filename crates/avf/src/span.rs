@@ -153,35 +153,6 @@ pub fn lifetime_spans(result: &PipelineResult) -> Vec<LifetimeSpan> {
     result.residencies.iter().map(LifetimeSpan::of).collect()
 }
 
-/// Which phase of a residency a strike cycle lands in. Within one phase of
-/// one residency, every strike cycle is timing-equivalent: a live-phase
-/// strike is first observed at the entry's (single) issue read, a
-/// tail-phase strike is never read again, and both observation points are
-/// fixed absolute cycles of the golden schedule — so the fault's
-/// `(outcome, end cycle)` pair is constant across the phase. This is the
-/// span-consistent early-verdict property the campaign executor's verdict
-/// memoization keys on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum StrikePhase {
-    /// `[alloc, boundary)`: the strike precedes the entry's issue read.
-    Live,
-    /// `[boundary, dealloc)`: the strike lands after the last read (or the
-    /// entry is never read at all).
-    Tail,
-}
-
-impl LifetimeSpan {
-    /// The phase a strike at `cycle` lands in. Meaningful only for cycles
-    /// inside the occupancy `[alloc, dealloc)`.
-    pub fn phase_at(&self, cycle: u64) -> StrikePhase {
-        if cycle < self.boundary() {
-            StrikePhase::Live
-        } else {
-            StrikePhase::Tail
-        }
-    }
-}
-
 /// A per-slot, binary-searchable index over a run's lifetime spans,
 /// answering "which residency (if any) holds `slot` at `cycle`" in
 /// O(log residencies-per-slot).

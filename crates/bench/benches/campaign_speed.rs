@@ -17,7 +17,7 @@ use ses_core::{
     CampaignConfig, CampaignReport, DetectionModel, MetricKind, PruneReport, TrackingConfig,
     UniformRun, WorkloadSpec,
 };
-use ses_pipeline::{DetectionModel as PipelineDetection, Pipeline, PipelineConfig};
+use ses_pipeline::{DetectionModel as PipelineDetection, Observers, Pipeline, PipelineConfig};
 
 const INJECTIONS: u32 = 1000;
 const CAMPAIGN_REPS: usize = 5;
@@ -36,41 +36,51 @@ fn reps() -> usize {
 /// both samplers are in their asymptotic (1/h²) regime.
 const CI_TARGET: f64 = 0.01;
 
-/// Best-of-N wall time of `f` (min damps scheduler noise).
-fn best_of<R>(n: usize, mut f: impl FnMut() -> R) -> f64 {
-    (0..n)
-        .map(|_| {
-            let t = Instant::now();
-            std::hint::black_box(f());
-            t.elapsed().as_secs_f64()
-        })
-        .fold(f64::INFINITY, f64::min)
+/// Interleaved off/full pairs for the telemetry-overhead ratio.
+const TELEMETRY_PAIRS: usize = 11;
+
+/// Wall time of one call to `f`.
+fn timed<R>(f: impl FnOnce() -> R) -> f64 {
+    let t = Instant::now();
+    std::hint::black_box(f());
+    t.elapsed().as_secs_f64()
 }
 
-/// Measures the cost of the per-stage telemetry collectors relative to an
-/// uninstrumented timing run. The collectors are branch-on-None when off
-/// and a handful of counter adds per cycle when on, so the ratio must stay
-/// within the 5 % budget.
+/// Measures the cost of the per-stage telemetry collectors on crafty's
+/// golden timing run (about 144k cycles), the run `bench --telemetry full`
+/// instruments. The collectors are branch-on-None when off and a handful
+/// of counter adds per cycle when on, so the ratio must stay within the
+/// 5 % budget. Off and full runs alternate in [`TELEMETRY_PAIRS`] pairs;
+/// the ratio is the median of the per-pair ratios and the quoted walls are
+/// the per-mode minima.
 fn telemetry_overhead() -> (f64, f64, f64) {
-    let spec = WorkloadSpec::quick("telemetry-overhead", 7);
+    let spec = ses_core::spec_by_name("crafty").expect("crafty workload");
     let program = ses_core::synthesize(&spec);
     let trace = ses_arch::Emulator::new(&program)
         .run(spec.target_dynamic * 4)
         .expect("golden trace");
     let pipeline = Pipeline::new(PipelineConfig::default());
-    // Warm up both paths once before timing.
-    let base_result = pipeline.run(&program, &trace);
-    let (instr_result, _) =
-        pipeline.run_instrumented(&program, &trace, PipelineDetection::None, 1024);
+    let plain = pipeline.run(&program, &trace);
+    let full = Observers {
+        stage_bucket: Some((plain.cycles / 64).max(1)),
+        ..Observers::default()
+    };
+    let instrumented = pipeline.run_golden(&program, &trace, PipelineDetection::None, full);
     assert_eq!(
-        base_result.cycles, instr_result.cycles,
+        plain, instrumented.result,
         "instrumentation must not change timing behaviour"
     );
-    let off = best_of(7, || pipeline.run(&program, &trace));
-    let on = best_of(7, || {
-        pipeline.run_instrumented(&program, &trace, PipelineDetection::None, 1024)
-    });
-    (off, on, on / off.max(1e-12))
+    let mut ratios = Vec::with_capacity(TELEMETRY_PAIRS);
+    let (mut off, mut on) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..TELEMETRY_PAIRS {
+        let o = timed(|| pipeline.run(&program, &trace));
+        let f = timed(|| pipeline.run_golden(&program, &trace, PipelineDetection::None, full));
+        ratios.push(f / o.max(1e-12));
+        off = off.min(o);
+        on = on.min(f);
+    }
+    ratios.sort_by(|a, b| a.total_cmp(b));
+    (off, on, ratios[ratios.len() / 2])
 }
 
 fn prepare_with(checkpoint_interval: Option<u64>, detection: DetectionModel, prune: bool) -> Campaign {
@@ -104,20 +114,20 @@ struct CampaignTiming {
 }
 
 /// Times the from-scratch and checkpointed campaigns over
-/// [`CAMPAIGN_REPS`] interleaved rep pairs. Each rep prepares fresh
-/// campaigns (the replay memo cache lives inside `Campaign`, so re-running
-/// one instance would time a warm cache) and runs scratch and checkpointed
-/// back to back, so both halves of a pair see the same machine conditions;
+/// [`CAMPAIGN_REPS`] interleaved rep pairs. A `Campaign` caches nothing
+/// between runs, so each rep reruns the same prepared pair, scratch and
+/// checkpointed back to back, and both halves of a pair see the same
+/// machine conditions;
 /// the reported speedup is the median of the per-pair ratios, which is
 /// robust against the time-correlated load swings that make single-shot
 /// wall-clock ratios on shared machines flap. The quoted wall times are
 /// the per-phase minima.
 fn timed_campaigns() -> CampaignTiming {
     let t = Instant::now();
-    let scratch0 = prepare(Some(0));
+    let scratch = prepare(Some(0));
     let scratch_prepare = t.elapsed().as_secs_f64();
     let t = Instant::now();
-    let ckpt0 = prepare(None);
+    let ckpt = prepare(None);
     let ckpt_prepare = t.elapsed().as_secs_f64();
 
     let reps = reps();
@@ -125,19 +135,12 @@ fn timed_campaigns() -> CampaignTiming {
     let mut scratch_wall = f64::INFINITY;
     let mut ckpt_wall = f64::INFINITY;
     let mut first: Option<(CampaignReport, CampaignReport)> = None;
-    for rep in 0..reps {
-        let (s, c) = if rep == 0 {
-            (None, None)
-        } else {
-            (Some(prepare(Some(0))), Some(prepare(None)))
-        };
-        let s = s.as_ref().unwrap_or(&scratch0);
-        let c = c.as_ref().unwrap_or(&ckpt0);
+    for _ in 0..reps {
         let t = Instant::now();
-        let sr = std::hint::black_box(s.run());
+        let sr = std::hint::black_box(scratch.run());
         let sw = t.elapsed().as_secs_f64();
         let t = Instant::now();
-        let cr = std::hint::black_box(c.run());
+        let cr = std::hint::black_box(ckpt.run());
         let cw = t.elapsed().as_secs_f64();
         ratios.push(sw / cw.max(1e-9));
         scratch_wall = scratch_wall.min(sw);
@@ -154,7 +157,7 @@ fn timed_campaigns() -> CampaignTiming {
     let speedup = ratios[ratios.len() / 2];
     let (scratch_report, ckpt_report) = first.expect("at least one rep");
     CampaignTiming {
-        ckpt: ckpt0,
+        ckpt,
         scratch_report,
         ckpt_report,
         scratch_prepare,
@@ -180,8 +183,7 @@ struct PruneTiming {
 /// under the paper's combined π-bit tracking model (the configuration
 /// whose quiescence oracle lets fingerprint pruning fire) and over the
 /// identical fault sequence. Same interleaved-pair / median-ratio
-/// discipline as [`timed_campaigns`]; each rep prepares fresh campaigns
-/// so the verdict memo starts cold.
+/// discipline as [`timed_campaigns`].
 fn timed_pruned_campaigns() -> PruneTiming {
     let prepare_crafty = |prune: bool| {
         let spec = ses_core::spec_by_name("crafty").expect("crafty workload");
@@ -196,28 +198,24 @@ fn timed_pruned_campaigns() -> PruneTiming {
         };
         Campaign::prepare(&spec, config).expect("campaign prepare")
     };
-    let tracked0 = prepare_crafty(false);
-    let pruned0 = prepare_crafty(true);
+    let tracked = prepare_crafty(false);
+    let pruned = prepare_crafty(true);
 
     let reps = reps();
     let mut ratios = Vec::with_capacity(reps);
     let mut tracked_wall = f64::INFINITY;
     let mut pruned_wall = f64::INFINITY;
     let mut first: Option<(CampaignReport, CampaignReport)> = None;
-    for rep in 0..reps {
-        let (t, p) = if rep == 0 {
-            (None, None)
-        } else {
-            (Some(prepare_crafty(false)), Some(prepare_crafty(true)))
-        };
-        let t_campaign = t.as_ref().unwrap_or(&tracked0);
-        let p_campaign = p.as_ref().unwrap_or(&pruned0);
+    let mut prune = None;
+    for _ in 0..reps {
         let clock = Instant::now();
-        let tr = std::hint::black_box(t_campaign.run());
+        let tr = std::hint::black_box(tracked.run());
         let tw = clock.elapsed().as_secs_f64();
         let clock = Instant::now();
-        let pr = std::hint::black_box(p_campaign.run());
+        let detailed = std::hint::black_box(pruned.run_detailed());
         let pw = clock.elapsed().as_secs_f64();
+        let pr = detailed.summary();
+        prune = detailed.prune().copied();
         ratios.push(tw / pw.max(1e-9));
         tracked_wall = tracked_wall.min(tw);
         pruned_wall = pruned_wall.min(pw);
@@ -232,12 +230,7 @@ fn timed_pruned_campaigns() -> PruneTiming {
     ratios.sort_by(|a, b| a.total_cmp(b));
     let speedup = ratios[ratios.len() / 2];
     let (tracked_report, pruned_report) = first.expect("at least one rep");
-    // The prune fold is a pure function of the fault sequence, so pulling
-    // it from a warm-memo rerun reproduces the cold-start report exactly.
-    let prune = *pruned0
-        .run_detailed()
-        .prune()
-        .expect("pruned campaign reports pruning");
+    let prune = prune.expect("pruned campaign reports pruning");
     PruneTiming {
         tracked_report,
         pruned_report,
@@ -331,7 +324,7 @@ fn main() {
         perf.skip_fraction() * 100.0
     );
     println!(
-        "replays:                {} ({:.1}% memoized/fast-path)",
+        "replays:                {} ({:.1}% fast-path)",
         perf.replays,
         perf.replay_hit_rate() * 100.0
     );
@@ -359,12 +352,11 @@ fn main() {
     );
     println!(
         "prune accounting:       {:.1}% of injections stopped early ({} idle, {} fp), \
-         {:.0} mean replay cycles, {:.1}% memo hits",
+         {:.0} mean replay cycles",
         pruned.prune.stop_fraction() * 100.0,
         pruned.prune.idle_skips,
         pruned.prune.fp_stops,
         pruned.prune.mean_replay_cycles(),
-        pruned.prune.memo_hit_rate() * 100.0
     );
     println!(
         "pruning speedup:        {:.2}x (median of {} interleaved pairs)",
@@ -407,7 +399,7 @@ fn main() {
          \"cycles_skip_fraction\": {:.4},\n  \"replay_hit_rate\": {:.4},\n  \
          \"tracked_inject_wall_s\": {:.6},\n  \"pruned_inject_wall_s\": {:.6},\n  \
          \"prune_speedup\": {:.3},\n  \"prune_stop_fraction\": {:.4},\n  \
-         \"mean_replay_cycles_pruned\": {:.1},\n  \"prune_memo_hit_rate\": {:.4},\n  \
+         \"mean_replay_cycles_pruned\": {:.1},\n  \
          \"telemetry_off_wall_s\": {:.6},\n  \"telemetry_full_wall_s\": {:.6},\n  \
          \"telemetry_overhead_ratio\": {:.4},\n  \"ci_target_halfwidth\": {:.4},\n  \
          \"adaptive_achieved_halfwidth\": {:.6},\n  \"adaptive_trials\": {},\n  \
@@ -430,7 +422,6 @@ fn main() {
         pruned.speedup,
         pruned.prune.stop_fraction(),
         pruned.prune.mean_replay_cycles(),
-        pruned.prune.memo_hit_rate(),
         telemetry_off,
         telemetry_on,
         telemetry_ratio,

@@ -265,14 +265,11 @@ pub fn campaign_artifact(
         let mut pr = JsonValue::object();
         pr.set("idle_skips", prune.idle_skips)
             .set("fp_stops", prune.fp_stops)
-            .set("memo_eligible", prune.memo_eligible)
-            .set("memo_hits", prune.memo_hits)
             .set("replay_cycles", prune.replay_cycles)
             .set("cycles_saved", prune.cycles_saved)
             .set("stop_fraction", prune.stop_fraction())
             .set("mean_replay_cycles", prune.mean_replay_cycles())
-            .set("mean_cycles_saved", prune.mean_cycles_saved())
-            .set("memo_hit_rate", prune.memo_hit_rate());
+            .set("mean_cycles_saved", prune.mean_cycles_saved());
         doc.set("pruning", pr);
     }
     let kinds: Vec<JsonValue> = report

@@ -7,21 +7,17 @@
 //! latest snapshot at or before its strike cycle instead of re-simulating
 //! from cycle 0.
 //!
-//! With [`CampaignConfig::prune`] the executor goes further: prepare also
-//! records a golden fingerprint stream (a rolling hash of architectural
-//! plus microarchitectural state per cycle), injections are grouped by
+//! With [`CampaignConfig::prune`] the executor goes further: the golden
+//! run also records a fingerprint stream (a rolling hash of the
+//! fault-reachable machine state per cycle), injections are grouped by
 //! checkpoint window and forked off a single restored snapshot per window,
 //! each faulted replay stops the moment its fingerprint rejoins the golden
-//! stream at the same cycle, strikes on provably idle coordinates resolve
-//! without simulating at all, and timing verdicts are memoized per
-//! residency equivalence class (`(slot, allocation, phase, mask, ecc)`) in
-//! a sharded map shared across worker threads. Verdicts are identical
-//! either way — debug builds assert every pruned verdict against a full
-//! legacy replay.
+//! stream at the same cycle, and strikes on provably idle coordinates
+//! resolve without simulating at all. Verdicts are identical either way —
+//! debug builds assert every pruned verdict against a full legacy replay.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -29,8 +25,8 @@ use rand::{Rng, SeedableRng};
 use ses_arch::{Emulator, ExecutionTrace, RunOutcome};
 use ses_isa::{bit_kind, encode, BitKind, Program};
 use ses_pipeline::{
-    DetectionModel, EccReadOutcome, FaultOutcome, FaultSpec, Occupant, Pipeline, PipelineConfig,
-    PipelineResult, PrunedWindow, Snapshot, SuppressReason,
+    DetectionModel, FaultOutcome, FaultSpec, ObservedRun, Observers, Occupant, Pipeline,
+    PipelineConfig, PipelineResult, PrunedRun, PrunedWindow, Snapshot, SuppressReason,
 };
 use ses_types::{Cycle, SesError};
 use ses_workloads::{synthesize, WorkloadSpec};
@@ -113,73 +109,13 @@ impl Default for CampaignConfig {
 /// How a corrupted functional replay compared against the golden output.
 /// A corrupted word equal to the golden word short-circuits to
 /// `Identical` without emulating (the fast path); everything else runs
-/// the functional emulator. The former `(trace position, corrupted
-/// word)` replay cache is gone: first strikes always differ from the
-/// golden word by construction, so its hit rate was exactly zero — the
-/// pruned executor's [`VerdictMemo`] is the memoization layer that
-/// actually hits.
+/// the functional emulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Replay {
     Identical,
     Different,
     Crashed,
     Hang,
-}
-
-const MEMO_SHARDS: usize = 16;
-
-/// Memoization key of one pruned-executor timing verdict. A fault's
-/// timing outcome is fully determined by the residency it lands in
-/// (`(slot, alloc)` is unique per golden run), the lifetime phase of its
-/// strike cycle, its flip mask, and the precomputed ECC-domain verdict:
-/// entries issue exactly once, so every strike cycle within one phase of
-/// one residency presents the identical corrupted word at the identical
-/// read point, and the `(outcome, end cycle)` pair is constant across
-/// the whole equivalence class.
-type MemoKey = (usize, u64, ses_avf::StrikePhase, u64, u8);
-
-/// A memoized timing verdict: `(outcome, end cycle, fingerprint-pruned)`.
-type MemoValue = (FaultOutcome, u64, bool);
-
-/// Concurrent verdict memoization for the pruned executor, sharded to
-/// keep lock contention off the injection workers' hot path.
-struct VerdictMemo {
-    shards: [Mutex<HashMap<MemoKey, MemoValue>>; MEMO_SHARDS],
-}
-
-impl VerdictMemo {
-    fn new() -> Self {
-        VerdictMemo {
-            shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
-        }
-    }
-
-    fn shard(&self, key: &MemoKey) -> &Mutex<HashMap<MemoKey, MemoValue>> {
-        let phase = matches!(key.2, ses_avf::StrikePhase::Tail) as u64;
-        let h = ((key.0 as u64)
-            ^ key.1.rotate_left(17)
-            ^ phase.rotate_left(33)
-            ^ key.3.rotate_left(47)
-            ^ u64::from(key.4))
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        &self.shards[(h >> 60) as usize % MEMO_SHARDS]
-    }
-
-    fn get(&self, key: &MemoKey) -> Option<MemoValue> {
-        self.shard(key).lock().expect("memo shard").get(key).copied()
-    }
-
-    fn insert(&self, key: MemoKey, value: MemoValue) {
-        self.shard(&key).lock().expect("memo shard").insert(key, value);
-    }
-
-    #[cfg(test)]
-    fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("memo shard").len())
-            .sum()
-    }
 }
 
 /// How the pruned executor resolved one injection; folded in
@@ -189,23 +125,9 @@ impl VerdictMemo {
 struct PruneMeta {
     /// Cycle the fault's checkpoint window starts at.
     window_start: u64,
-    kind: PruneKind,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum PruneKind {
-    /// The struck coordinate holds no residency: verdict without any
-    /// simulation.
-    Idle,
-    /// Memo-eligible fault. Hits and misses record the identical shape
-    /// (the memoized value is deterministic), so which thread computed an
-    /// entry first never shows in the artifacts; the fold counts a hit
-    /// for every occurrence of a key beyond the first in index order.
-    Memo { key: MemoKey, end: u64, pruned: bool },
-    /// The replay stopped early at the fingerprint convergence gate.
-    Pruned { end: u64 },
-    /// The replay ran to its natural end.
-    Full { end: u64 },
+    /// The forked replay, or `None` when the strike hit an idle
+    /// coordinate and needed no simulation.
+    replay: Option<PrunedRun>,
 }
 
 /// Monotonic work counters shared by the injection workers.
@@ -257,9 +179,8 @@ pub struct Campaign {
     /// empty unless [`CampaignConfig::prune`] is enabled.
     golden_fps: Vec<u64>,
     /// Per-slot residency interval index for the pruned executor's idle
-    /// shortcut and memo keying; built only when pruning is enabled.
+    /// shortcut; built only when pruning is enabled.
     strike_index: Option<ses_avf::StrikeIndex>,
-    memo: VerdictMemo,
     counters: PerfCounters,
     /// Idempotent-region partition of the golden trace, computed only when
     /// the recovery policy is [`RecoveryPolicy::Idempotent`].
@@ -303,55 +224,39 @@ impl Campaign {
         }
         let golden_words = golden.entries().iter().map(|d| encode(&d.instr)).collect();
         let pipeline = Pipeline::new(config.pipeline.clone());
+        // Automatic spacing needs the run length first: one plain sizing
+        // run ahead of the observed one.
+        let sizing = config
+            .checkpoint_interval
+            .is_none()
+            .then(|| pipeline.run(&program, &golden));
+        let checkpoint_interval = sizing
+            .as_ref()
+            .map_or(config.checkpoint_interval.unwrap_or_default(), |plain| {
+                (plain.cycles / 64).max(1)
+            });
         // Snapshots are captured under the campaign's detection model:
         // detection state (PET buffer, π-bit tracker) evolves even before
         // a strike, and a resumed run must carry the same pre-strike
-        // detector state a from-scratch run would have.
-        let (baseline, snapshots, checkpoint_interval, golden_fps) = if config.prune {
-            // The pruned executor also needs the golden fingerprint
-            // stream; fingerprints are pure observations, so the
-            // fingerprinted golden run is otherwise identical to the
-            // plain (or snapshotting) run.
-            match config.checkpoint_interval {
-                Some(0) => {
-                    let (result, snaps, fps) = pipeline.run_golden_fingerprinted(
-                        &program,
-                        &golden,
-                        DetectionModel::None,
-                        0,
-                    );
-                    (result, snaps, 0, fps)
-                }
-                Some(k) => {
-                    let (result, snaps, fps) =
-                        pipeline.run_golden_fingerprinted(&program, &golden, config.detection, k);
-                    (result, snaps, k, fps)
-                }
-                None => {
-                    let plain = pipeline.run(&program, &golden);
-                    let k = (plain.cycles / 64).max(1);
-                    let (result, snaps, fps) =
-                        pipeline.run_golden_fingerprinted(&program, &golden, config.detection, k);
-                    (result, snaps, k, fps)
-                }
-            }
-        } else {
-            match config.checkpoint_interval {
-                Some(0) => (pipeline.run(&program, &golden), Vec::new(), 0, Vec::new()),
-                Some(k) => {
-                    let (result, snaps) =
-                        pipeline.run_with_snapshots(&program, &golden, config.detection, k);
-                    (result, snaps, k, Vec::new())
-                }
-                None => {
-                    let plain = pipeline.run(&program, &golden);
-                    let k = (plain.cycles / 64).max(1);
-                    let (result, snaps) =
-                        pipeline.run_with_snapshots(&program, &golden, config.detection, k);
-                    (result, snaps, k, Vec::new())
-                }
-            }
+        // detector state a from-scratch run would have. The pruned
+        // executor also needs the golden fingerprint stream.
+        let observers = Observers {
+            snapshot_interval: checkpoint_interval,
+            fingerprints: config.prune,
+            stage_bucket: None,
         };
+        let ObservedRun {
+            result: baseline,
+            snapshots,
+            fingerprints: golden_fps,
+            ..
+        } = pipeline.run_golden(&program, &golden, config.detection, observers);
+        // Freed only after the observed run. Freeing the sizing run's
+        // residency log before that run changes where glibc places the large
+        // residency-log copy every checkpoint resume makes: they then come
+        // from fresh mmaps (measured on crafty: 18x the page faults, about
+        // 35% slower injection).
+        drop(sizing);
         let replay_budget = (golden.len() as u64).saturating_mul(4).max(10_000);
         let regions = match config.recovery {
             RecoveryPolicy::Idempotent => Some(ses_avf::RegionMap::analyze(&golden)),
@@ -374,7 +279,6 @@ impl Campaign {
             prepare_wall: start.elapsed(),
             golden_fps,
             strike_index,
-            memo: VerdictMemo::new(),
             counters: PerfCounters::default(),
             regions,
             recovery_counters: RecoveryCounters::default(),
@@ -407,44 +311,27 @@ impl Campaign {
     /// are aggregated in injection-index order regardless of thread
     /// scheduling, and the report carries [`CampaignPerf`] accounting.
     pub fn run(&self) -> CampaignReport {
-        let (outcomes, perf, _, _) = self.timed_run(|_, o| o);
-        let mut report = CampaignReport::from_outcomes(outcomes);
-        report.set_perf(perf);
-        report
+        self.run_detailed().summary()
     }
 
     /// Runs the campaign recording each fault's coordinates alongside its
     /// outcome, for positional analyses (which bits and which queue slots
-    /// carry the vulnerability). Parallelised like [`Campaign::run`],
-    /// with samples in deterministic injection-index order.
+    /// carry the vulnerability). Samples come back in deterministic
+    /// injection-index order. The injection phase is timed and the
+    /// counter deltas it produced are attributed to this execution:
+    /// performance always, recovery accounting when the recovery policy is
+    /// active, pruning accounting when the pruned executor ran.
     pub fn run_detailed(&self) -> DetailedReport {
-        let (samples, perf, recovery, prune) = self.timed_run(|i, o| (self.fault_for(i), o));
-        DetailedReport {
-            samples,
-            perf,
-            recovery,
-            prune,
-        }
-    }
-
-    /// Times the injection phase of a campaign execution and attributes
-    /// the counter deltas it produced (performance always, recovery
-    /// accounting when the recovery policy is active, pruning accounting
-    /// when the pruned executor ran). `wrap` turns each injection's
-    /// classified outcome into the caller's sample type.
-    fn timed_run<T: Send>(
-        &self,
-        wrap: impl Fn(u32, Outcome) -> T + Sync,
-    ) -> (Vec<T>, CampaignPerf, Option<RecoveryReport>, Option<PruneReport>) {
         let before = self.counters.values();
         let rec_before = self.recovery_counters.values();
         let start = Instant::now();
         let n = self.config.injections;
-        let (results, prune) = if self.config.prune {
-            let (results, report) = self.windowed_run(n, &wrap);
-            (results, Some(report))
+        let (samples, prune) = if self.config.prune {
+            let (samples, report) = self.windowed_run(n);
+            (samples, Some(report))
         } else {
-            (self.parallel_map(n, |i| wrap(i, self.inject_one(i))), None)
+            let samples = self.parallel_map(n, |i| (self.fault_for(i), self.inject_one(i)));
+            (samples, None)
         };
         let inject_wall = start.elapsed();
         let after = self.counters.values();
@@ -471,7 +358,12 @@ impl Campaign {
             replays: after.replays - before.replays,
             replay_fast_path: after.replay_fast_path - before.replay_fast_path,
         };
-        (results, perf, recovery, prune)
+        DetailedReport {
+            samples,
+            perf,
+            recovery,
+            prune,
+        }
     }
 
     /// Worker-thread count for a job of `n` independent units.
@@ -530,11 +422,7 @@ impl Campaign {
     /// convergence gate. Results come back in injection-index order and
     /// the accounting fold runs in that order, so reports and artifacts
     /// are byte-identical across thread counts.
-    fn windowed_run<T: Send>(
-        &self,
-        n: u32,
-        wrap: &(impl Fn(u32, Outcome) -> T + Sync),
-    ) -> (Vec<T>, PruneReport) {
+    fn windowed_run(&self, n: u32) -> (Vec<(FaultSpec, Outcome)>, PruneReport) {
         let faults: Vec<FaultSpec> = (0..n).map(|i| self.fault_for(i)).collect();
         // Window id = number of snapshots at or before the strike; id 0 is
         // the from-scratch window (no snapshot precedes the strike).
@@ -559,17 +447,17 @@ impl Campaign {
             })
             .collect();
         let run_group = |(snap, idxs): &(Option<&Snapshot>, Vec<u32>),
-                         sink: &mut Vec<(u32, T, PruneMeta)>| {
+                         sink: &mut Vec<(u32, Outcome, PruneMeta)>| {
             // The window base is built lazily: a chunk whose faults all
-            // resolve idle or from the memo never restores its snapshot.
+            // resolve idle never restores its snapshot.
             let mut window = None;
             for &i in idxs {
                 let fault = faults[i as usize];
                 let (fo, meta) = self.window_fault(*snap, &mut window, fault);
-                sink.push((i, wrap(i, self.classify(&fault, fo)), meta));
+                sink.push((i, self.classify(&fault, fo), meta));
             }
         };
-        let mut indexed: Vec<(u32, T, PruneMeta)> = Vec::with_capacity(n as usize);
+        let mut indexed: Vec<(u32, Outcome, PruneMeta)> = Vec::with_capacity(n as usize);
         let threads = threads.min(groups.len()).max(1);
         if threads == 1 {
             for g in &groups {
@@ -602,14 +490,20 @@ impl Campaign {
         }
         indexed.sort_unstable_by_key(|&(i, _, _)| i);
         let report = self.fold_prune(n, indexed.iter().map(|(_, _, m)| *m));
-        (indexed.into_iter().map(|(_, t, _)| t).collect(), report)
+        let samples = indexed
+            .into_iter()
+            .map(|(i, o, _)| (faults[i as usize], o))
+            .collect();
+        (samples, report)
     }
 
     /// Resolves one fault inside its checkpoint window on the pruned
-    /// path: idle shortcut, memo lookup, then a forked fingerprint-pruned
-    /// replay. Counter charges are a pure function of the fault — memo
-    /// hits and misses charge identically — so [`CampaignPerf`] stays
-    /// schedule-independent.
+    /// path: the idle shortcut, else a forked replay with the convergence
+    /// gate armed. Every fault is charged its window prefix as skipped and
+    /// the cycles it actually simulated (none for an idle strike); the
+    /// tail a gate stop avoids shows only in [`PruneReport::cycles_saved`].
+    /// The charges are a pure function of the fault, so [`CampaignPerf`]
+    /// stays schedule-independent.
     fn window_fault<'a>(
         &'a self,
         snap: Option<&'a Snapshot>,
@@ -621,83 +515,36 @@ impl Campaign {
             .strike_index
             .as_ref()
             .expect("pruned executor requires the strike index");
-        let Some(span) = index.span_at(fault.slot, fault.cycle.as_u64()) else {
-            // Nothing occupies the struck coordinate at the strike cycle:
-            // the replay would simulate to the strike only to observe
-            // SlotIdle and stop.
-            self.counters
-                .cycles_skipped
-                .fetch_add(fault.cycle.as_u64() + 1, Ordering::Relaxed);
-            self.cross_check(fault, FaultOutcome::SlotIdle);
-            return (
-                FaultOutcome::SlotIdle,
-                PruneMeta {
-                    window_start,
-                    kind: PruneKind::Idle,
-                },
+        // With nothing occupying the struck coordinate at the strike cycle,
+        // a replay would simulate to the strike only to observe SlotIdle.
+        let replay = index.span_at(fault.slot, fault.cycle.as_u64()).map(|_| {
+            let w = window.get_or_insert_with(|| {
+                self.pipeline.pruned_window(
+                    &self.program,
+                    &self.golden,
+                    snap,
+                    self.config.detection,
+                )
+            });
+            let run = w.run_fault(fault, &self.golden_fps);
+            self.counters.cycles_simulated.fetch_add(
+                run.end_cycle.saturating_sub(window_start),
+                Ordering::Relaxed,
             );
-        };
-        let key = self.memo_key(&fault, span);
-        let (outcome, end, pruned) = match key.and_then(|k| self.memo.get(&k)) {
-            Some(value) => value,
-            None => {
-                let w = window.get_or_insert_with(|| {
-                    self.pipeline.pruned_window(
-                        &self.program,
-                        &self.golden,
-                        snap,
-                        self.config.detection,
-                    )
-                });
-                let run = w.run_fault(fault, &self.golden_fps);
-                if let Some(k) = key {
-                    self.memo.insert(k, (run.outcome, run.end_cycle, run.pruned));
-                }
-                (run.outcome, run.end_cycle, run.pruned)
-            }
-        };
+            run
+        });
         self.counters
-            .cycles_simulated
-            .fetch_add(end.saturating_sub(window_start), Ordering::Relaxed);
-        let skipped = if key.is_none() && pruned {
-            window_start + self.baseline_cycles.saturating_sub(end)
-        } else {
-            window_start
-        };
-        self.counters.cycles_skipped.fetch_add(skipped, Ordering::Relaxed);
+            .cycles_skipped
+            .fetch_add(window_start, Ordering::Relaxed);
+        let outcome = replay.map_or(FaultOutcome::SlotIdle, |run| run.outcome);
         self.cross_check(fault, outcome);
-        let kind = match key {
-            Some(k) => PruneKind::Memo {
-                key: k,
-                end,
-                pruned,
+        (
+            outcome,
+            PruneMeta {
+                window_start,
+                replay,
             },
-            None if pruned => PruneKind::Pruned { end },
-            None => PruneKind::Full { end },
-        };
-        (outcome, PruneMeta { window_start, kind })
-    }
-
-    /// The memo equivalence class of `fault` within `span`, or `None`
-    /// when memoization is unsound for it: scrubbing rewrites struck
-    /// words mid-residency and temporal double strikes depend on the
-    /// absolute strike cycle, so both always replay live.
-    fn memo_key(&self, fault: &FaultSpec, span: &ses_avf::LifetimeSpan) -> Option<MemoKey> {
-        if self.config.pipeline.scrub_period != 0 || fault.second_cycle.is_some() {
-            return None;
-        }
-        let ecc = match fault.ecc {
-            None => 0u8,
-            Some(EccReadOutcome::Signal) => 1,
-            Some(EccReadOutcome::Silent) => 2,
-        };
-        Some((
-            fault.slot,
-            span.alloc,
-            span.phase_at(fault.cycle.as_u64()),
-            fault.mask(),
-            ecc,
-        ))
+        )
     }
 
     /// Debug-build oracle for the pruned executor: every pruned verdict
@@ -723,38 +570,22 @@ impl Campaign {
     /// Folds per-injection pruning metadata (already in injection-index
     /// order) into the deterministic [`PruneReport`].
     fn fold_prune(&self, injections: u32, metas: impl Iterator<Item = PruneMeta>) -> PruneReport {
-        let mut seen: HashSet<MemoKey> = HashSet::new();
         let mut report = PruneReport {
             injections,
             ..PruneReport::default()
         };
         for meta in metas {
-            match meta.kind {
-                PruneKind::Idle => {
+            match meta.replay {
+                None => {
                     report.idle_skips += 1;
-                    report.cycles_saved +=
-                        self.baseline_cycles.saturating_sub(meta.window_start);
+                    report.cycles_saved += self.baseline_cycles.saturating_sub(meta.window_start);
                 }
-                PruneKind::Memo { key, end, pruned } => {
-                    report.memo_eligible += 1;
-                    if pruned {
+                Some(run) => {
+                    report.replay_cycles += run.end_cycle.saturating_sub(meta.window_start);
+                    if run.pruned {
                         report.fp_stops += 1;
-                        report.cycles_saved += self.baseline_cycles.saturating_sub(end);
+                        report.cycles_saved += self.baseline_cycles.saturating_sub(run.end_cycle);
                     }
-                    if seen.insert(key) {
-                        report.replay_cycles += end.saturating_sub(meta.window_start);
-                    } else {
-                        report.memo_hits += 1;
-                        report.cycles_saved += end.saturating_sub(meta.window_start);
-                    }
-                }
-                PruneKind::Pruned { end } => {
-                    report.fp_stops += 1;
-                    report.replay_cycles += end.saturating_sub(meta.window_start);
-                    report.cycles_saved += self.baseline_cycles.saturating_sub(end);
-                }
-                PruneKind::Full { end } => {
-                    report.replay_cycles += end.saturating_sub(meta.window_start);
                 }
             }
         }
@@ -1573,37 +1404,52 @@ mod tests {
         );
     }
 
+    /// Both executors charge each fault its checkpoint-window prefix as
+    /// skipped, so `cycles_skipped` agrees; the pruned path simulates no
+    /// more than the legacy one (idle strikes simulate nothing, gate stops
+    /// end early), and its tail savings live in the prune report only.
     #[test]
-    fn pruned_executor_memoizes_same_residency_faults() {
-        let spec = WorkloadSpec::quick("prune-memo", 21);
-        let config = CampaignConfig {
-            injections: 10,
-            seed: 3,
-            detection: DetectionModel::Parity { tracking: None },
-            threads: 1,
-            prune: true,
-            ..CampaignConfig::default()
+    fn pruned_accounting_charges_the_window_prefix_as_skipped() {
+        let spec = WorkloadSpec::quick("prune-perf", 21);
+        let tracking = TrackingConfig {
+            scope: PiScope::StoreCommit,
+            anti_pi: true,
+            pet_entries: None,
+            mem_granule: 8,
         };
-        let c = Campaign::prepare(&spec, config).unwrap();
-        // A residency whose live phase covers at least two cycles gives
-        // two distinct strike coordinates in one equivalence class.
-        let span = c
-            .lifetime_spans()
-            .iter()
-            .find(|s| s.boundary() >= s.alloc + 2)
-            .copied()
-            .expect("some residency is live for at least two cycles");
-        let a = FaultSpec::single(Cycle::new(span.alloc), span.slot, 7);
-        let b = FaultSpec::single(Cycle::new(span.alloc + 1), span.slot, 7);
-        let before = c.memo.len();
-        let oa = c.inject_spec_quiet(a);
-        let ob = c.inject_spec_quiet(b);
-        assert_eq!(oa, ob, "one equivalence class, one verdict");
-        assert_eq!(
-            c.memo.len(),
-            before + 1,
-            "both faults must share a single memo entry"
-        );
+        // The charge rule must not depend on the pipeline configuration,
+        // so scrubbing runs too.
+        for scrub_period in [0, 8] {
+            let base = CampaignConfig {
+                injections: 60,
+                seed: 17,
+                detection: DetectionModel::Parity {
+                    tracking: Some(tracking),
+                },
+                pipeline: PipelineConfig {
+                    scrub_period,
+                    ..PipelineConfig::default()
+                },
+                threads: 2,
+                ..CampaignConfig::default()
+            };
+            let legacy = Campaign::prepare(&spec, base.clone()).unwrap().run().perf();
+            let pruned = Campaign::prepare(
+                &spec,
+                CampaignConfig {
+                    prune: true,
+                    ..base
+                },
+            )
+            .unwrap()
+            .run_detailed();
+            let perf = pruned.perf();
+            let report = pruned.prune().expect("pruned run reports accounting");
+            assert!(report.idle_skips > 0 && report.fp_stops > 0, "{report:?}");
+            assert_eq!(perf.cycles_skipped, legacy.cycles_skipped);
+            assert!(perf.cycles_simulated <= legacy.cycles_simulated);
+            assert_eq!(perf.cycles_simulated, report.replay_cycles);
+        }
     }
 
     #[test]

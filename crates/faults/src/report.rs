@@ -81,17 +81,9 @@ pub struct PruneReport {
     /// coordinate held no residency at the strike cycle.
     pub idle_skips: u32,
     /// Faulted replays stopped early because their state fingerprint
-    /// rejoined the golden stream (counted per injection, including
-    /// memoized occurrences of a pruned verdict).
+    /// rejoined the golden stream.
     pub fp_stops: u32,
-    /// Injections whose verdict was memoizable per residency equivalence
-    /// class (no scrubbing, no temporal double strike).
-    pub memo_eligible: u32,
-    /// Memo-eligible injections beyond the first occurrence of their
-    /// equivalence class — verdicts answered without a fresh replay.
-    pub memo_hits: u32,
-    /// Timing-model cycles the pruned path actually simulated (first
-    /// occurrences only).
+    /// Timing-model cycles the pruned path actually simulated.
     pub replay_cycles: u64,
     /// Timing-model cycles the pruned path avoided simulating, relative
     /// to replaying every fault's window to the golden end of the run.
@@ -124,15 +116,6 @@ impl PruneReport {
             0.0
         } else {
             self.cycles_saved as f64 / f64::from(self.injections)
-        }
-    }
-
-    /// Fraction of memo-eligible injections answered from the memo.
-    pub fn memo_hit_rate(&self) -> f64 {
-        if self.memo_eligible == 0 {
-            0.0
-        } else {
-            f64::from(self.memo_hits) / f64::from(self.memo_eligible)
         }
     }
 }
@@ -343,18 +326,14 @@ mod tests {
             injections: 100,
             idle_skips: 20,
             fp_stops: 30,
-            memo_eligible: 90,
-            memo_hits: 9,
             replay_cycles: 5000,
             cycles_saved: 15_000,
         };
         assert!((p.stop_fraction() - 0.5).abs() < 1e-12);
         assert!((p.mean_replay_cycles() - 50.0).abs() < 1e-12);
         assert!((p.mean_cycles_saved() - 150.0).abs() < 1e-12);
-        assert!((p.memo_hit_rate() - 0.1).abs() < 1e-12);
         assert_eq!(PruneReport::default().stop_fraction(), 0.0);
         assert_eq!(PruneReport::default().mean_replay_cycles(), 0.0);
-        assert_eq!(PruneReport::default().memo_hit_rate(), 0.0);
     }
 
     #[test]

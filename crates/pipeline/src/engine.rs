@@ -41,8 +41,45 @@ struct Recovery {
 /// The timing simulator.
 ///
 /// See the [crate-level documentation](crate) for an end-to-end example.
+///
+/// Every entry point drives one cycle loop; they differ only in the
+/// starting state (fresh, restored from a [`Snapshot`], or forked off a
+/// [`PrunedWindow`] base) and in which [`Observers`] ride along.
 pub struct Pipeline {
     config: PipelineConfig,
+}
+
+/// Optional observers of a fault-free run. None of them changes timing:
+/// each is a pure read of the machine state at the top of a cycle (or a
+/// counter bump inside a stage), off by default.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Observers {
+    /// Capture a resumable [`Snapshot`] at the top of every cycle divisible
+    /// by this interval, cycle 0 included (0 = none).
+    pub snapshot_interval: u64,
+    /// Record the per-cycle overlay fingerprint stream consumed by
+    /// convergence pruning ([`PrunedWindow::run_fault`]).
+    pub fingerprints: bool,
+    /// Collect [`StageCounters`] bucketed by this many cycles.
+    pub stage_bucket: Option<u64>,
+}
+
+/// A fault-free run plus whatever its [`Observers`] recorded.
+#[derive(Debug)]
+pub struct ObservedRun {
+    /// The run's timing result.
+    pub result: PipelineResult,
+    /// Snapshots in cycle order (empty unless `snapshot_interval > 0`).
+    pub snapshots: Vec<Snapshot>,
+    /// `fingerprints[c]` is the overlay fingerprint at the top of cycle
+    /// `c`; the stream's length is the run's cycle count (empty unless
+    /// requested). The fingerprint covers only fault-reachable state
+    /// (commit count, occupied queue words, π bits), none of which a
+    /// detection model touches on a fault-free run, so the stream is
+    /// detection-model-independent.
+    pub fingerprints: Vec<u64>,
+    /// Per-stage telemetry (present iff `stage_bucket` was set).
+    pub stages: Option<StageCounters>,
 }
 
 impl Pipeline {
@@ -62,28 +99,31 @@ impl Pipeline {
         &self.config
     }
 
-    /// Runs the timing model over a functional trace.
-    pub fn run(&self, program: &Program, trace: &ExecutionTrace) -> PipelineResult {
-        self.run_with_fault(program, trace, None, DetectionModel::None)
-    }
-
-    /// Runs the fault-free timing model while collecting per-stage
-    /// telemetry bucketed by `bucket_size` cycles. Timing is identical to
-    /// [`Pipeline::run`]; only the counters are extra.
-    pub fn run_instrumented(
+    /// Runs the fault-free timing model under `detection` with the given
+    /// observers attached. The result is identical to [`Pipeline::run`]
+    /// whatever the observers.
+    ///
+    /// The detection model does not change timing in the absence of a
+    /// fault, but its bookkeeping (e.g. the PET buffer's commit log) is
+    /// part of each captured snapshot — pass the same model the fault runs
+    /// resumed from these snapshots will use.
+    pub fn run_golden(
         &self,
         program: &Program,
         trace: &ExecutionTrace,
         detection: DetectionModel,
-        bucket_size: u64,
-    ) -> (PipelineResult, StageCounters) {
+        observers: Observers,
+    ) -> ObservedRun {
         let mut engine = Engine::new(&self.config, program, trace, None, detection);
-        engine.stages = Some(StageCounters::new(bucket_size));
-        if engine.cfg.warm_caches {
-            engine.warm_caches();
-        }
-        let (result, _, stages, _) = engine.run_core(Cycle::ZERO, 0);
-        (result, stages.expect("instrumented run keeps its collector"))
+        engine.observers = observers;
+        engine.stages = observers.stage_bucket.map(StageCounters::new);
+        engine.warmed().run_core(Cycle::ZERO).0
+    }
+
+    /// Runs the timing model over a functional trace.
+    pub fn run(&self, program: &Program, trace: &ExecutionTrace) -> PipelineResult {
+        self.run_golden(program, trace, DetectionModel::None, Observers::default())
+            .result
     }
 
     /// Runs the timing model with an optional injected fault under the
@@ -95,16 +135,14 @@ impl Pipeline {
         fault: Option<FaultSpec>,
         detection: DetectionModel,
     ) -> PipelineResult {
-        Engine::new(&self.config, program, trace, fault, detection).run()
+        let engine = Engine::new(&self.config, program, trace, fault, detection);
+        engine.warmed().run_core(Cycle::ZERO).0.result
     }
 
     /// Runs the fault-free timing model under `detection`, capturing a
-    /// resumable [`Snapshot`] every `interval` cycles (cycle 0 included).
-    ///
-    /// The detection model does not change timing in the absence of a
-    /// fault, but its bookkeeping (e.g. the PET buffer's commit log) is
-    /// part of the captured state — pass the same model the fault runs
-    /// resumed from these snapshots will use.
+    /// resumable [`Snapshot`] every `interval` cycles (cycle 0 included);
+    /// shorthand for [`Pipeline::run_golden`] with only the snapshot
+    /// observer.
     ///
     /// # Panics
     ///
@@ -117,7 +155,12 @@ impl Pipeline {
         interval: u64,
     ) -> (PipelineResult, Vec<Snapshot>) {
         assert!(interval > 0, "snapshot interval must be positive");
-        Engine::new(&self.config, program, trace, None, detection).run_capturing(interval)
+        let observers = Observers {
+            snapshot_interval: interval,
+            ..Observers::default()
+        };
+        let run = self.run_golden(program, trace, detection, observers);
+        (run.result, run.snapshots)
     }
 
     /// Resumes a run from `snapshot`, injecting `fault`. With
@@ -146,34 +189,10 @@ impl Pipeline {
                 snapshot.cycle
             );
         }
-        Engine::from_snapshot(&self.config, program, trace, snapshot, fault)
-            .run_core(snapshot.cycle, 0)
+        Engine::restore(&self.config, program, trace, snapshot, fault, true)
+            .run_core(snapshot.cycle)
             .0
-    }
-
-    /// Runs the fault-free timing model under `detection` while recording
-    /// the per-cycle state fingerprint stream consumed by convergence
-    /// pruning, capturing a [`Snapshot`] every `interval` cycles
-    /// (`interval = 0` captures none). `fingerprints[c]` is the overlay
-    /// fingerprint at the top of cycle `c`; the stream's length is the
-    /// run's cycle count. The fingerprint covers only fault-reachable
-    /// state (commit count, occupied queue words, π bits), none of which
-    /// a detection model touches on a fault-free run, so the stream is
-    /// detection-model-independent.
-    pub fn run_golden_fingerprinted(
-        &self,
-        program: &Program,
-        trace: &ExecutionTrace,
-        detection: DetectionModel,
-        interval: u64,
-    ) -> (PipelineResult, Vec<Snapshot>, Vec<u64>) {
-        let mut engine = Engine::new(&self.config, program, trace, None, detection);
-        engine.fingerprints = Some(Vec::new());
-        if engine.cfg.warm_caches {
-            engine.warm_caches();
-        }
-        let (result, snapshots, _, fps) = engine.run_core(Cycle::ZERO, interval);
-        (result, snapshots, fps.expect("fingerprint collection was enabled"))
+            .result
     }
 
     /// Prepares a batch base for one checkpoint window: the engine state
@@ -192,23 +211,15 @@ impl Pipeline {
     ) -> PrunedWindow<'a> {
         let (base, start) = match snapshot {
             Some(s) => (
-                Engine::from_snapshot_inner(&self.config, program, trace, s, None, false),
+                Engine::restore(&self.config, program, trace, s, None, false),
                 s.cycle(),
             ),
-            None => {
-                let mut e = Engine::new(&self.config, program, trace, None, detection);
-                if e.cfg.warm_caches {
-                    e.warm_caches();
-                }
-                (e, Cycle::ZERO)
-            }
+            None => (
+                Engine::new(&self.config, program, trace, None, detection).warmed(),
+                Cycle::ZERO,
+            ),
         };
-        PrunedWindow {
-            program,
-            trace,
-            base,
-            start,
-        }
+        PrunedWindow { base, start }
     }
 }
 
@@ -232,12 +243,10 @@ pub struct PrunedRun {
 ///
 /// Built by [`Pipeline::pruned_window`]; each [`PrunedWindow::run_fault`]
 /// clones the base state (cheap: the base has an empty residency log) and
-/// replays with convergence pruning. Restoring the snapshot once per
-/// window instead of once per fault amortizes the dominant restore cost
-/// across the whole batch.
+/// replays with the convergence gate armed. Restoring the snapshot once
+/// per window instead of once per fault amortizes the dominant restore
+/// cost across the whole batch.
 pub struct PrunedWindow<'a> {
-    program: &'a Program,
-    trace: &'a ExecutionTrace,
     base: Engine<'a>,
     start: Cycle,
 }
@@ -249,9 +258,10 @@ impl PrunedWindow<'_> {
         self.start.as_u64()
     }
 
-    /// Replays `fault` from the window base with convergence pruning
-    /// against the golden fingerprint stream `golden_fps` (as produced by
-    /// [`Pipeline::run_golden_fingerprinted`]).
+    /// Replays `fault` from the window base, stopping at the first cycle
+    /// the convergence gate fires against the golden fingerprint stream
+    /// `golden_fps` (as recorded by [`Pipeline::run_golden`] with
+    /// [`Observers::fingerprints`]).
     ///
     /// # Panics
     ///
@@ -263,9 +273,17 @@ impl PrunedWindow<'_> {
             fault.cycle,
             self.start
         );
-        self.base
-            .fork(self.program, self.trace, fault)
-            .run_pruned(self.start, golden_fps)
+        let mut engine = self.base.fork(fault);
+        engine.gate = Some(golden_fps);
+        let (run, pruned) = engine.run_core(self.start);
+        PrunedRun {
+            outcome: run
+                .result
+                .fault
+                .expect("a faulted run always resolves an outcome"),
+            end_cycle: run.result.cycles,
+            pruned,
+        }
     }
 }
 
@@ -318,6 +336,7 @@ impl std::fmt::Debug for Snapshot {
     }
 }
 
+#[derive(Clone)]
 struct Engine<'a> {
     cfg: &'a PipelineConfig,
     trace: &'a [DynInstr],
@@ -339,10 +358,13 @@ struct Engine<'a> {
     fault: Option<FaultSpec>,
     detector: Detector,
     stop_early: bool,
+    /// What a golden run records; all off for fault runs.
+    observers: Observers,
     /// Per-stage telemetry; `None` keeps collection zero-cost.
     stages: Option<StageCounters>,
-    /// Per-cycle state fingerprints; `None` keeps collection zero-cost.
-    fingerprints: Option<Vec<u64>>,
+    /// The golden fingerprint stream the convergence gate compares
+    /// against; `None` disarms the gate.
+    gate: Option<&'a [u64]>,
 }
 
 /// FNV-1a step over one 64-bit quantity (word-at-a-time: the stream is
@@ -380,31 +402,32 @@ impl<'a> Engine<'a> {
             fault,
             detector: Detector::new(detection),
             stop_early: false,
+            observers: Observers::default(),
             stages: None,
-            fingerprints: None,
+            gate: None,
         }
     }
 
-    /// Rebuilds an engine mid-run from a snapshot, with an optional fault
-    /// still to inject. The caller continues with
-    /// [`Engine::run_core`]`(snapshot.cycle, 0)`.
-    fn from_snapshot(
-        cfg: &'a PipelineConfig,
-        program: &'a Program,
-        trace: &'a ExecutionTrace,
-        snapshot: &Snapshot,
-        fault: Option<FaultSpec>,
-    ) -> Self {
-        Engine::from_snapshot_inner(cfg, program, trace, snapshot, fault, true)
+    /// A fresh engine ready to run from cycle 0: caches warmed when the
+    /// configuration asks for it. A restored or forked engine carries
+    /// post-warm-up state and must not be warmed again.
+    fn warmed(mut self) -> Self {
+        if self.cfg.warm_caches {
+            self.warm_caches();
+        }
+        self
     }
 
-    /// [`Engine::from_snapshot`], optionally skipping the pre-snapshot
-    /// residency-log copy. Copying that log is the dominant cost of a
-    /// restore; a pruned-window run never consumes its residencies, so the
-    /// batched executor restores lean (`with_residencies = false`). A lean
-    /// engine's `into_residencies` is truncated to the post-restore tail
-    /// and must never feed AVF analysis.
-    fn from_snapshot_inner(
+    /// Rebuilds an engine mid-run from a snapshot, with an optional fault
+    /// still to inject; the caller continues with
+    /// [`Engine::run_core`]`(snapshot.cycle)`.
+    ///
+    /// `with_residencies = false` skips copying the pre-snapshot residency
+    /// log, the dominant cost of a restore. A pruned-window run never
+    /// consumes its residencies, so the batched executor restores lean; a
+    /// lean engine's residency log holds only the post-restore tail and
+    /// must never feed AVF analysis.
+    fn restore(
         cfg: &'a PipelineConfig,
         program: &'a Program,
         trace: &'a ExecutionTrace,
@@ -433,51 +456,39 @@ impl<'a> Engine<'a> {
         engine
     }
 
-    fn run(mut self) -> PipelineResult {
-        if self.cfg.warm_caches {
-            self.warm_caches();
-        }
-        self.run_core(Cycle::ZERO, 0).0
-    }
-
-    fn run_capturing(mut self, interval: u64) -> (PipelineResult, Vec<Snapshot>) {
-        if self.cfg.warm_caches {
-            self.warm_caches();
-        }
-        let (result, snapshots, _, _) = self.run_core(Cycle::ZERO, interval);
-        (result, snapshots)
-    }
-
-    /// The cycle loop, from `start` (inclusive), capturing a snapshot at
-    /// the top of every cycle divisible by `interval` (0 = never).
-    /// Warm-up, if any, must have happened already: a resumed run's
-    /// restored hierarchy is post-warm-up state and must not be warmed
-    /// again.
-    fn run_core(
-        mut self,
-        start: Cycle,
-        interval: u64,
-    ) -> (
-        PipelineResult,
-        Vec<Snapshot>,
-        Option<StageCounters>,
-        Option<Vec<u64>>,
-    ) {
+    /// The cycle loop, from `start` (inclusive) to the end of the trace,
+    /// an early fault outcome, or the cycle budget. Warm-up, if any, must
+    /// have happened already.
+    ///
+    /// At the top of each cycle the observers run in a fixed order:
+    /// fingerprint, snapshot, then the convergence gate. The gate is the
+    /// only observer that can end the run: when it fires, the returned
+    /// result carries the decided verdict as its fault outcome and the
+    /// stop cycle as its cycle count, and the flag is `true`.
+    fn run_core(mut self, start: Cycle) -> (ObservedRun, bool) {
         let mut snapshots = Vec::new();
         let mut now = start;
         let total = self.trace.len() as u64;
         let mut budget_exhausted = false;
+        let mut converged = None;
+        let mut fingerprints = Vec::new();
+        let interval = self.observers.snapshot_interval;
         while self.committed < total && !self.stop_early {
             if now.as_u64() >= self.cfg.max_cycles {
                 budget_exhausted = true;
                 break;
             }
-            if self.fingerprints.is_some() {
-                let fp = self.overlay_fingerprint();
-                self.fingerprints.as_mut().expect("checked above").push(fp);
+            if self.observers.fingerprints {
+                fingerprints.push(self.overlay_fingerprint());
             }
             if interval > 0 && now.as_u64().is_multiple_of(interval) {
                 snapshots.push(self.capture(now));
+            }
+            if let Some(golden) = self.gate {
+                converged = self.converged_verdict(now, golden);
+                if converged.is_some() {
+                    break;
+                }
             }
             self.step_recovery(now);
             self.step_retire(now);
@@ -497,10 +508,10 @@ impl<'a> Engine<'a> {
         // deallocs only for squash/flush paths, so let finish() decide.)
         let (predictions, mispredictions) = self.frontend.predictor_stats();
         let fe_stats = self.frontend.stats();
-        let fault_outcome = if self.fault.is_some() {
-            self.detector.finish()
-        } else {
-            None
+        let fault_outcome = match converged {
+            Some(verdict) => Some(verdict),
+            None if self.fault.is_some() => self.detector.finish(),
+            None => None,
         };
         let occupied_cycle_sum = self.iq.occupied_cycle_sum();
         let residencies = self.iq.into_residencies();
@@ -528,7 +539,40 @@ impl<'a> Engine<'a> {
             budget_exhausted,
             residencies,
         };
-        (result, snapshots, self.stages, self.fingerprints)
+        let run = ObservedRun {
+            result,
+            snapshots,
+            fingerprints,
+            stages: self.stages,
+        };
+        (run, converged.is_some())
+    }
+
+    /// The convergence gate: the fault's verdict once it is decided and
+    /// the rest of the run provably replays the golden tail. It fires at
+    /// the top of the first cycle after the fault has fully landed where
+    /// the detector has quiesced ([`Detector::quiescent_verdict`]), the
+    /// struck slot carries no residual corruption or π, and the overlay
+    /// fingerprint equals the golden stream's at the same cycle.
+    fn converged_verdict(&self, now: Cycle, golden: &[u64]) -> Option<FaultOutcome> {
+        let f = self.fault?;
+        let spent = f.cycle == Cycle::new(u64::MAX);
+        let second_resolved = f
+            .second_cycle
+            .is_none_or(|c2| c2 == Cycle::new(u64::MAX) || c2 < now);
+        if !(spent && second_resolved) {
+            return None;
+        }
+        let verdict = self.detector.quiescent_verdict()?;
+        // The fault overlay is confined to the struck slot; once that slot
+        // is clean (struck entry gone, no lingering π) the fingerprint is
+        // the only state that could still differ.
+        let slot_clean = self
+            .iq
+            .get(f.slot)
+            .is_none_or(|e| !e.parity_mismatch() && !e.pi);
+        (slot_clean && golden.get(now.as_u64() as usize) == Some(&self.overlay_fingerprint()))
+            .then_some(verdict)
     }
 
     /// A cheap rolling FNV-1a hash of the machine state the fault overlay
@@ -555,93 +599,12 @@ impl<'a> Engine<'a> {
 
     /// Clones this engine's pre-run state into a fresh engine carrying
     /// `fault`. The receiver must not have stepped yet (it is the restored
-    /// base of a pruned window); the fork shares its borrowed
-    /// program/trace and starts from the identical machine state.
-    fn fork(
-        &self,
-        program: &'a Program,
-        trace: &'a ExecutionTrace,
-        fault: FaultSpec,
-    ) -> Engine<'a> {
-        let mut e = Engine::new(self.cfg, program, trace, Some(fault), DetectionModel::None);
-        e.frontend.restore_state(&self.frontend.snapshot_state());
-        e.iq = self.iq.clone();
-        e.hierarchy = self.hierarchy.clone();
-        e.reg_ready = self.reg_ready;
-        e.pred_ready = self.pred_ready;
-        e.committed = self.committed;
-        e.recovery = self.recovery;
-        e.miss_outstanding_until = self.miss_outstanding_until;
-        e.stall_until = self.stall_until;
-        e.squashes = self.squashes;
-        e.squashed_instrs = self.squashed_instrs;
-        e.detector = self.detector.clone();
-        e
-    }
-
-    /// The faulted cycle loop with convergence pruning: identical stepping
-    /// to [`Engine::run_core`], but at the top of every cycle after the
-    /// fault has fully landed it checks whether the detector has quiesced
-    /// ([`Detector::quiescent_verdict`]), the struck slot carries no
-    /// residual corruption or π, and the overlay fingerprint equals the
-    /// golden run's at the same cycle. The first cycle all four hold, the
-    /// verdict is decided and the tail is skipped.
-    fn run_pruned(mut self, start: Cycle, golden_fps: &[u64]) -> PrunedRun {
-        let mut now = start;
-        let total = self.trace.len() as u64;
-        while self.committed < total && !self.stop_early {
-            if now.as_u64() >= self.cfg.max_cycles {
-                break;
-            }
-            if let Some(f) = self.fault {
-                let spent = f.cycle == Cycle::new(u64::MAX);
-                let second_resolved = match f.second_cycle {
-                    None => true,
-                    Some(c2) => c2 == Cycle::new(u64::MAX) || c2 < now,
-                };
-                if spent && second_resolved {
-                    if let Some(verdict) = self.detector.quiescent_verdict() {
-                        // The fault overlay is confined to the struck slot;
-                        // once that slot is clean (struck entry gone, no
-                        // lingering π) the fingerprint is the only state
-                        // that could still differ.
-                        let slot_clean = self
-                            .iq
-                            .get(f.slot)
-                            .is_none_or(|e| !e.parity_mismatch() && !e.pi);
-                        let idx = now.as_u64() as usize;
-                        if slot_clean
-                            && idx < golden_fps.len()
-                            && self.overlay_fingerprint() == golden_fps[idx]
-                        {
-                            return PrunedRun {
-                                outcome: verdict,
-                                end_cycle: now.as_u64(),
-                                pruned: true,
-                            };
-                        }
-                    }
-                }
-            }
-            self.step_recovery(now);
-            self.step_retire(now);
-            self.step_issue(now);
-            self.step_insert(now);
-            self.step_fetch(now);
-            self.step_inject(now);
-            self.iq.tick_stats();
-            now = now.next();
-        }
-        // `drain_all` only logs residencies, which a pruned-window run
-        // never consumes; the detector alone decides the verdict.
-        let outcome = self
-            .detector
-            .finish()
-            .expect("a faulted run always resolves an outcome");
-        PrunedRun {
-            outcome,
-            end_cycle: now.as_u64(),
-            pruned: false,
+    /// base of a pruned window), so the fork starts from the identical
+    /// machine state.
+    fn fork(&self, fault: FaultSpec) -> Engine<'a> {
+        Engine {
+            fault: Some(fault),
+            ..self.clone()
         }
     }
 
@@ -1057,6 +1020,79 @@ mod tests {
         assert!(!snapshots.is_empty());
         assert_eq!(snapshots[0].cycle(), Cycle::ZERO);
         assert!(snapshots.windows(2).all(|w| w[0].cycle() < w[1].cycle()));
+        let every_observer = Observers {
+            snapshot_interval: 500,
+            fingerprints: true,
+            stage_bucket: Some(256),
+        };
+        let observed = pipeline.run_golden(&program, &trace, DetectionModel::None, every_observer);
+        assert_eq!(plain, observed.result, "observers must not perturb timing");
+        assert_eq!(observed.snapshots.len(), snapshots.len());
+        assert_eq!(observed.fingerprints.len() as u64, plain.cycles);
+        assert!(observed.stages.is_some());
+    }
+
+    /// The convergence gate must compare against the golden stream it is
+    /// given: a planted defect (every golden fingerprint XOR 1) must never
+    /// let it fire, and the verdict must then come from the full replay.
+    /// The same fault against the true stream must still stop early, so a
+    /// loop that ignores the gate fails as well as one that always fires.
+    #[test]
+    fn convergence_gate_fires_only_on_the_true_golden_stream() {
+        let (program, trace) = quick_run();
+        let pipeline = Pipeline::new(PipelineConfig::default());
+        let detection = DetectionModel::Parity {
+            tracking: Some(crate::TrackingConfig {
+                scope: crate::PiScope::StoreCommit,
+                anti_pi: true,
+                pet_entries: None,
+                mem_granule: 8,
+            }),
+        };
+        let golden = pipeline.run_golden(
+            &program,
+            &trace,
+            detection,
+            Observers {
+                snapshot_interval: 400,
+                fingerprints: true,
+                ..Observers::default()
+            },
+        );
+        let planted: Vec<u64> = golden.fingerprints.iter().map(|fp| fp ^ 1).collect();
+        let cycles = golden.result.cycles;
+        let stopped = (0..400u64)
+            .map(|i| {
+                FaultSpec::single(
+                    Cycle::new(i * 7919 % cycles),
+                    (i * 7 % 64) as usize,
+                    (i * 13 % 64) as u32,
+                )
+            })
+            .find_map(|fault| {
+                let idx = golden
+                    .snapshots
+                    .partition_point(|s| s.cycle() <= fault.cycle);
+                let snap = &golden.snapshots[idx - 1];
+                let window = pipeline.pruned_window(&program, &trace, Some(snap), detection);
+                let run = window.run_fault(fault, &golden.fingerprints);
+                run.pruned.then_some((fault, snap, window, run))
+            });
+        let (fault, snap, window, run) =
+            stopped.expect("some fault reconverges with the golden run");
+        let full = pipeline.resume(&program, &trace, snap, Some(fault));
+        assert!(
+            run.end_cycle < full.cycles,
+            "a pruned replay stops before the natural end"
+        );
+        assert_eq!(Some(run.outcome), full.fault);
+        let defect = window.run_fault(fault, &planted);
+        assert!(
+            !defect.pruned,
+            "the gate fired against a corrupted golden stream"
+        );
+        assert_eq!(Some(defect.outcome), full.fault);
+        assert_eq!(defect.end_cycle, full.cycles);
     }
 
     #[test]

@@ -58,6 +58,7 @@ pub struct FrontEndStats {
 }
 
 /// The fetch engine.
+#[derive(Clone)]
 pub struct FrontEnd<'a> {
     program: &'a Program,
     trace: &'a [DynInstr],

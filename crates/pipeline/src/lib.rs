@@ -53,7 +53,7 @@ pub use detect::{
     parity_detects, Corruption, DetectionModel, Detector, EccReadOutcome, FaultOutcome, FaultSpec,
     SuppressReason, TrackingConfig,
 };
-pub use engine::{Pipeline, PrunedRun, PrunedWindow, Snapshot};
+pub use engine::{ObservedRun, Observers, Pipeline, PrunedRun, PrunedWindow, Snapshot};
 pub use frontend::{FetchedInstr, FrontEnd, FrontEndStats};
 pub use iq::{InstructionQueue, IqEntry};
 pub use pet::{PetBuffer, PetEntry, PetVerdict};

@@ -31,6 +31,7 @@ use ses_core::{
     EccDomain, EccScheme, FalseDueCause, JsonValue, MetricKind, PatternClass, PatternDistribution,
     Pipeline, PipelineConfig, RegionFault, ReliabilityModel, Table, Technique, TelemetryLevel,
 };
+use ses_pipeline::Observers;
 use ses_types::Reg;
 
 /// The `--json` / `--telemetry` flags shared by every subcommand.
@@ -281,11 +282,13 @@ fn cmd_bench(name: &str, args: &[String], tel: &Telemetry) -> Result<(), String>
         // timing model with the collector attached; ~64 buckets per run.
         let stages = if tel.level == TelemetryLevel::Full {
             let bucket = (run.result.cycles / 64).max(1);
-            Some(
-                Pipeline::new(cfg.clone())
-                    .run_instrumented(&run.program, &run.trace, DetectionModel::None, bucket)
-                    .1,
-            )
+            let observers = Observers {
+                stage_bucket: Some(bucket),
+                ..Observers::default()
+            };
+            Pipeline::new(cfg.clone())
+                .run_golden(&run.program, &run.trace, DetectionModel::None, observers)
+                .stages
         } else {
             None
         };
