@@ -75,6 +75,32 @@ impl MachineSnapshot {
     }
 }
 
+/// A golden-run checkpoint a corrupted functional replay resumes from:
+/// the machine at one dynamic index, plus how many output values the
+/// golden run had emitted by then.
+///
+/// Captured by [`Emulator::run_checkpointed`] and consumed by
+/// [`Emulator::resume_with_override`]. Everything before the checkpoint is
+/// golden, so a resumed replay needs to compare only the output it emits
+/// with the golden output after [`Checkpoint::output_len`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Checkpoint {
+    snapshot: MachineSnapshot,
+    output_len: usize,
+}
+
+impl Checkpoint {
+    /// The dynamic-instruction index the checkpoint resumes at.
+    pub fn index(&self) -> u64 {
+        self.snapshot.index
+    }
+
+    /// Output values the golden run had emitted before this checkpoint.
+    pub fn output_len(&self) -> usize {
+        self.output_len
+    }
+}
+
 /// Architectural emulator for one program.
 ///
 /// See the [crate-level documentation](crate) for an example.
@@ -111,10 +137,33 @@ impl<'p> Emulator<'p> {
     /// Returns [`SesError::EmulationFault`] if control leaves the program
     /// image — for a *golden* (uncorrupted) run this indicates a broken
     /// program, so it is an error rather than an outcome.
-    pub fn run(mut self, max_instrs: u64) -> Result<ExecutionTrace, SesError> {
+    pub fn run(self, max_instrs: u64) -> Result<ExecutionTrace, SesError> {
+        self.run_checkpointed(max_instrs, 0).map(|(trace, _)| trace)
+    }
+
+    /// Like [`run`](Self::run), also capturing a [`Checkpoint`] before
+    /// every dynamic index divisible by `interval`, index 0 included
+    /// (`interval == 0` captures none). The trace is identical to
+    /// [`run`](Self::run)'s.
+    ///
+    /// # Errors
+    ///
+    /// As [`run`](Self::run).
+    pub fn run_checkpointed(
+        mut self,
+        max_instrs: u64,
+        interval: u64,
+    ) -> Result<(ExecutionTrace, Vec<Checkpoint>), SesError> {
         let mut entries = Vec::new();
+        let mut checkpoints = Vec::new();
         let mut halted = false;
         while (entries.len() as u64) < max_instrs {
+            if interval > 0 && self.index.is_multiple_of(interval) {
+                checkpoints.push(Checkpoint {
+                    snapshot: self.snapshot(),
+                    output_len: self.output.len(),
+                });
+            }
             let pc = self.state.pc();
             let instr = *self.program.instr_at(pc).ok_or_else(|| {
                 SesError::EmulationFault(format!("fetch outside program image at {pc}"))
@@ -126,7 +175,10 @@ impl<'p> Emulator<'p> {
                 break;
             }
         }
-        Ok(ExecutionTrace::new(entries, self.output, halted))
+        Ok((
+            ExecutionTrace::new(entries, self.output, halted),
+            checkpoints,
+        ))
     }
 
     /// Runs the program with corrupted instruction words substituted at the
@@ -153,13 +205,44 @@ impl<'p> Emulator<'p> {
         self.run_overridden(|idx| (idx == trace_idx).then_some(word), max_instrs)
     }
 
+    /// Resumes a corrupted replay from a golden [`Checkpoint`]: the same
+    /// run as [`run_with_override`](Self::run_with_override) from program
+    /// start, minus the golden prefix before the checkpoint. The budget
+    /// still counts from program start, so a replay times out at exactly
+    /// the same dynamic index either way. A `Completed` output holds only
+    /// the values emitted after the checkpoint; the full run's output is
+    /// the golden output's first [`Checkpoint::output_len`] values followed
+    /// by these.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `trace_idx` lies before the checkpoint, where the
+    /// override could no longer take effect.
+    pub fn resume_with_override(
+        program: &'p Program,
+        checkpoint: &Checkpoint,
+        trace_idx: u64,
+        word: u64,
+        max_instrs: u64,
+    ) -> RunOutcome {
+        assert!(
+            trace_idx >= checkpoint.index(),
+            "override at {trace_idx} precedes the checkpoint at {}",
+            checkpoint.index()
+        );
+        Emulator::from_snapshot(program, checkpoint.snapshot.clone())
+            .run_with_override(trace_idx, word, max_instrs)
+    }
+
+    /// The replay loop. `self.index` doubles as the step count: it is the
+    /// number of instructions executed since program start, also for an
+    /// emulator restored from a snapshot.
     fn run_overridden(
         mut self,
         override_at: impl Fn(u64) -> Option<u64>,
         max_instrs: u64,
     ) -> RunOutcome {
-        let mut steps: u64 = 0;
-        while steps < max_instrs {
+        while self.index < max_instrs {
             let pc = self.state.pc();
             let Some(&original) = self.program.instr_at(pc) else {
                 return RunOutcome::Crashed {
@@ -177,13 +260,11 @@ impl<'p> Emulator<'p> {
                     }
                 },
             };
-            let effect = self.exec_one(instr, pc);
-            if effect.halt {
+            if self.exec_one(instr, pc).halt {
                 return RunOutcome::Completed {
                     output: self.output,
                 };
             }
-            steps += 1;
         }
         RunOutcome::TimedOut
     }

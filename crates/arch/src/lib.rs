@@ -15,7 +15,10 @@
 //! The fault-injection engine re-runs the emulator with a corrupted
 //! instruction word substituted at one dynamic position
 //! ([`Emulator::run_with_overrides`]) and compares output streams against
-//! the golden run.
+//! the golden run. A golden run can capture [`Checkpoint`]s
+//! ([`Emulator::run_checkpointed`]) so such a replay resumes just before
+//! the corrupted index ([`Emulator::resume_with_override`]) instead of
+//! re-executing the golden prefix.
 //!
 //! # Example
 //!
@@ -44,7 +47,7 @@ mod state;
 mod stepper;
 mod trace;
 
-pub use emu::{Emulator, MachineSnapshot, RunOutcome};
+pub use emu::{Checkpoint, Emulator, MachineSnapshot, RunOutcome};
 pub use stepper::Stepper;
 pub use memory::DataMemory;
 pub use state::ArchState;

@@ -5,7 +5,11 @@
 //! golden timing simulation once, capturing pipeline [`Snapshot`]s every
 //! `checkpoint_interval` cycles, and each injection then resumes from the
 //! latest snapshot at or before its strike cycle instead of re-simulating
-//! from cycle 0.
+//! from cycle 0, and returns only its verdict and end cycle
+//! ([`Pipeline::resume_fault`]). The golden functional run likewise
+//! captures architectural [`Checkpoint`]s, and a corrupted word's
+//! functional replay resumes from the last one at or before the corrupted
+//! dynamic index.
 //!
 //! With [`CampaignConfig::prune`] the executor goes further: the golden
 //! run also records a fingerprint stream (a rolling hash of the
@@ -22,10 +26,10 @@ use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use ses_arch::{Emulator, ExecutionTrace, RunOutcome};
+use ses_arch::{Checkpoint, Emulator, ExecutionTrace, RunOutcome};
 use ses_isa::{bit_kind, encode, BitKind, Program};
 use ses_pipeline::{
-    DetectionModel, FaultOutcome, FaultSpec, ObservedRun, Observers, Occupant, Pipeline,
+    DetectionModel, FaultOutcome, FaultRun, FaultSpec, ObservedRun, Observers, Occupant, Pipeline,
     PipelineConfig, PipelineResult, PrunedRun, PrunedWindow, Snapshot, SuppressReason,
 };
 use ses_types::{Cycle, SesError};
@@ -50,11 +54,6 @@ pub struct CampaignConfig {
     /// (models one particle upsetting two neighbouring cells, the paper's
     /// §2 multi-bit caveat; physical interleaving defends against it).
     pub double_bit: bool,
-    /// With `double_bit`, land the second strike this many cycles after
-    /// the first (two independent particles accumulating in one entry —
-    /// the failure mode periodic scrubbing defends against). `0` keeps the
-    /// strikes simultaneous.
-    pub temporal_gap: u64,
     /// Spacing in cycles between the pipeline snapshots captured during
     /// [`Campaign::prepare`]. Each injection resumes from the latest
     /// snapshot at or before its strike cycle, skipping the fault-free
@@ -95,7 +94,6 @@ impl Default for CampaignConfig {
             seed: 0xFAu64,
             detection: DetectionModel::None,
             double_bit: false,
-            temporal_gap: 0,
             checkpoint_interval: None,
             pipeline: PipelineConfig::default(),
             threads: 0,
@@ -165,6 +163,10 @@ pub struct Campaign {
     /// replay fast path (corrupted word == golden word is trivially
     /// identical).
     golden_words: Vec<u64>,
+    /// Architectural checkpoints of the golden functional run, in index
+    /// order and starting at index 0; each functional replay resumes from
+    /// the last one at or before its corrupted index.
+    arch_checkpoints: Vec<Checkpoint>,
     baseline_cycles: u64,
     /// Per-slot lifetime spans of the golden timing run (`ses-avf`'s
     /// canonical interval representation), kept for the adaptive
@@ -215,7 +217,10 @@ impl Campaign {
         config: CampaignConfig,
     ) -> Result<Self, SesError> {
         let start = Instant::now();
-        let golden = Emulator::new(&program).run(max_instrs)?;
+        // `prepare` budgets four times the expected run length, so this
+        // spacing gives about 64 checkpoints.
+        let (golden, arch_checkpoints) =
+            Emulator::new(&program).run_checkpointed(max_instrs, (max_instrs / 256).max(1))?;
         if !golden.halted() {
             return Err(SesError::BudgetExceeded {
                 resource: "instructions",
@@ -251,11 +256,9 @@ impl Campaign {
             fingerprints: golden_fps,
             ..
         } = pipeline.run_golden(&program, &golden, config.detection, observers);
-        // Freed only after the observed run. Freeing the sizing run's
-        // residency log before that run changes where glibc places the large
-        // residency-log copy every checkpoint resume makes: they then come
-        // from fresh mmaps (measured on crafty: 18x the page faults, about
-        // 35% slower injection).
+        // Freed only after the observed run: freeing the sizing run's
+        // residency log before it measured about 10% slower prepare on
+        // crafty (where the allocator places the observed run's log).
         drop(sizing);
         let replay_budget = (golden.len() as u64).saturating_mul(4).max(10_000);
         let regions = match config.recovery {
@@ -272,6 +275,7 @@ impl Campaign {
             program,
             golden,
             golden_words,
+            arch_checkpoints,
             pipeline,
             snapshots,
             checkpoint_interval,
@@ -785,7 +789,8 @@ impl Campaign {
     }
 
     /// Runs the timing model for one fault, resuming from the latest
-    /// checkpoint at or before the strike when one exists. With
+    /// checkpoint at or before the strike when one exists (a lean resume:
+    /// only the verdict and end cycle come back). With
     /// [`CampaignConfig::prune`], single faults from spec-driven callers
     /// (the adaptive scheduler, the oracles) take the pruned path too,
     /// each building its own one-fault window; the batch executor uses
@@ -800,34 +805,46 @@ impl Campaign {
                 .window_fault(self.snapshot_for(fault.cycle), &mut window, fault)
                 .0;
         }
-        let result = match self.snapshot_for(fault.cycle) {
+        match self.snapshot_for(fault.cycle) {
             Some(snap) => {
-                let resumed = self.pipeline.resume(&self.program, &self.golden, snap, Some(fault));
+                let run = self
+                    .pipeline
+                    .resume_fault(&self.program, &self.golden, snap, fault);
                 self.counters
                     .cycles_skipped
                     .fetch_add(snap.cycle().as_u64(), Ordering::Relaxed);
                 self.counters.cycles_simulated.fetch_add(
-                    resumed.cycles.saturating_sub(snap.cycle().as_u64()),
+                    run.end_cycle.saturating_sub(snap.cycle().as_u64()),
                     Ordering::Relaxed,
                 );
                 if verify {
+                    let full = self
+                        .pipeline
+                        .resume(&self.program, &self.golden, snap, Some(fault));
                     let scratch = self.run_from_scratch(fault);
                     assert_eq!(
-                        resumed, scratch,
+                        full, scratch,
                         "checkpoint resume diverged from a from-scratch run for {fault:?}"
                     );
+                    let want = FaultRun {
+                        outcome: full.fault.expect("fault run resolves an outcome"),
+                        end_cycle: full.cycles,
+                    };
+                    assert_eq!(
+                        run, want,
+                        "lean resume diverged from the full resume for {fault:?}"
+                    );
                 }
-                resumed
+                run.outcome
             }
             None => {
                 let result = self.run_from_scratch(fault);
                 self.counters
                     .cycles_simulated
                     .fetch_add(result.cycles, Ordering::Relaxed);
-                result
+                result.fault.expect("fault run resolves an outcome")
             }
-        };
-        result.fault.expect("fault run resolves an outcome")
+        }
     }
 
     fn run_from_scratch(&self, fault: FaultSpec) -> PipelineResult {
@@ -896,28 +913,71 @@ impl Campaign {
     /// Re-runs the functional emulator with the corrupted word substituted
     /// at the given dynamic position and compares outputs. A corrupted
     /// word equal to the golden word short-circuits to `Identical`
-    /// without emulating at all.
+    /// without emulating at all. Otherwise the replay resumes from the
+    /// last golden checkpoint at or before `trace_idx`, and only the
+    /// output emitted after that checkpoint is compared. Debug builds
+    /// check one in eight emulated replays against a replay from program
+    /// start.
     fn replay(&self, trace_idx: u64, corrupted_word: u64) -> Replay {
         self.counters.replays.fetch_add(1, Ordering::Relaxed);
         if self.golden_words.get(trace_idx as usize) == Some(&corrupted_word) {
             self.counters.replay_fast_path.fetch_add(1, Ordering::Relaxed);
             return Replay::Identical;
         }
-        match Emulator::new(&self.program).run_with_override(
-            trace_idx,
-            corrupted_word,
-            self.replay_budget,
-        ) {
-            RunOutcome::Completed { output } => {
-                if output == self.golden.output() {
-                    Replay::Identical
-                } else {
-                    Replay::Different
-                }
-            }
-            RunOutcome::Crashed { .. } => Replay::Crashed,
-            RunOutcome::TimedOut => Replay::Hang,
+        let at = self
+            .arch_checkpoints
+            .partition_point(|c| c.index() <= trace_idx)
+            .checked_sub(1)
+            .expect("the golden run is checkpointed at index 0");
+        let ckpt = &self.arch_checkpoints[at];
+        let replay = judge(
+            Emulator::resume_with_override(
+                &self.program,
+                ckpt,
+                trace_idx,
+                corrupted_word,
+                self.replay_budget,
+            ),
+            &self.golden.output()[ckpt.output_len()..],
+        );
+        if cfg!(debug_assertions) && trace_idx.is_multiple_of(8) {
+            assert_eq!(
+                replay,
+                self.replay_from_start(trace_idx, corrupted_word),
+                "checkpointed functional replay diverged from program start \
+                 (index {trace_idx}, word {corrupted_word:#x})"
+            );
         }
+        replay
+    }
+
+    /// The functional replay from program start, the reference the
+    /// checkpointed [`Campaign::replay`] is checked against.
+    fn replay_from_start(&self, trace_idx: u64, corrupted_word: u64) -> Replay {
+        judge(
+            Emulator::new(&self.program).run_with_override(
+                trace_idx,
+                corrupted_word,
+                self.replay_budget,
+            ),
+            self.golden.output(),
+        )
+    }
+}
+
+/// Compares a corrupted functional replay with the golden output it
+/// should have reproduced.
+fn judge(outcome: RunOutcome, golden_output: &[u64]) -> Replay {
+    match outcome {
+        RunOutcome::Completed { output } => {
+            if output == golden_output {
+                Replay::Identical
+            } else {
+                Replay::Different
+            }
+        }
+        RunOutcome::Crashed { .. } => Replay::Crashed,
+        RunOutcome::TimedOut => Replay::Hang,
     }
 }
 
@@ -1155,41 +1215,81 @@ mod tests {
 
     #[test]
     fn scrubbing_restores_fail_stop_under_temporal_doubles() {
+        const FAULTS: u32 = 400;
         let spec = WorkloadSpec::quick("scrub", 77);
+        // Counts (SDC, DUE) over two strikes 30 cycles apart on each
+        // seeded coordinate: the second lands only if the struck entry is
+        // still resident, and a scrub in between repairs the first.
         let run = |scrub_period: u64| {
             let pipeline = PipelineConfig {
                 scrub_period,
                 ..PipelineConfig::default()
             };
-            Campaign::prepare(
+            let c = Campaign::prepare(
                 &spec,
                 CampaignConfig {
-                    injections: 80,
                     seed: 9,
                     detection: DetectionModel::Parity { tracking: None },
-                    double_bit: true,
-                    temporal_gap: 30,
                     threads: 2,
                     pipeline,
                     ..CampaignConfig::default()
                 },
             )
-            .unwrap()
-            .run()
+            .unwrap();
+            let outcomes = c.parallel_map(FAULTS, |i| {
+                let f = c.fault_for(i);
+                c.inject_spec(FaultSpec::temporal_double(f.cycle, f.slot, f.bit, 30))
+            });
+            let count = |want: &[Outcome]| outcomes.iter().filter(|o| want.contains(o)).count();
+            (
+                count(&[Outcome::Sdc, Outcome::Hang]),
+                count(&[Outcome::FalseDue, Outcome::TrueDue]),
+            )
         };
-        let unscrubbed = run(0);
-        let scrubbed = run(8);
+        let (sdc_unscrubbed, due_unscrubbed) = run(0);
+        let (sdc_scrubbed, due_scrubbed) = run(8);
         // Without scrubbing some accumulated doubles slip through parity;
         // with an 8-cycle scrub the window is too small.
         assert!(
-            scrubbed.count(Outcome::Sdc) + scrubbed.count(Outcome::Hang)
-                <= unscrubbed.count(Outcome::Sdc) + unscrubbed.count(Outcome::Hang),
-            "scrubbing must not increase silent corruption"
+            sdc_scrubbed < sdc_unscrubbed,
+            "scrubbing must cut silent corruption: {sdc_scrubbed} vs {sdc_unscrubbed}"
         );
         assert!(
-            scrubbed.due_avf_estimate() >= unscrubbed.due_avf_estimate(),
-            "scrubbing converts escapes into detected errors"
+            due_scrubbed > due_unscrubbed,
+            "scrubbing converts escapes into detected errors: {due_scrubbed} vs {due_unscrubbed}"
         );
+    }
+
+    /// `replay` must resume from the last checkpoint at or before the
+    /// corrupted index and judge only the output after it; checked on both
+    /// sides of every checkpoint boundary against the replay from program
+    /// start.
+    #[test]
+    fn functional_replay_resumes_from_the_right_checkpoint() {
+        let spec = WorkloadSpec::quick("replay-ckpt", 19);
+        let c = Campaign::prepare(&spec, CampaignConfig::default()).unwrap();
+        let len = c.golden().len() as u64;
+        assert!(
+            c.arch_checkpoints.len() > 16,
+            "{}",
+            c.arch_checkpoints.len()
+        );
+        let mut differ = 0;
+        for ckpt in &c.arch_checkpoints {
+            let at = ckpt.index();
+            for idx in [at.saturating_sub(1), at, at + 1]
+                .into_iter()
+                .filter(|&i| i < len)
+            {
+                for flip in [1, 1 << 20, u64::MAX] {
+                    let word = c.golden_words[idx as usize] ^ flip;
+                    let want = c.replay_from_start(idx, word);
+                    assert_eq!(c.replay(idx, word), want, "index {idx}, word {word:#x}");
+                    differ += usize::from(want != Replay::Identical);
+                }
+            }
+        }
+        assert!(differ > 0, "no corruption reached the output");
     }
 
     #[test]

@@ -72,7 +72,11 @@ pub enum LookupOutcome {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    sets: Vec<Vec<Option<Line>>>,
+    /// All lines in one allocation, set-major: way `w` of set `s` is
+    /// `lines[s * ways + w]`.
+    lines: Vec<Option<Line>>,
+    ways: usize,
+    set_bits: u32,
     set_mask: u64,
     block_shift: u32,
     hits: u64,
@@ -89,7 +93,9 @@ impl Cache {
         let sets = config.sets()?;
         Ok(Cache {
             config,
-            sets: vec![vec![None; config.associativity]; sets],
+            lines: vec![None; sets * config.associativity],
+            ways: config.associativity,
+            set_bits: sets.trailing_zeros(),
             set_mask: sets as u64 - 1,
             block_shift: config.block_bytes.trailing_zeros(),
             hits: 0,
@@ -104,16 +110,22 @@ impl Cache {
 
     fn index_tag(&self, addr: Addr) -> (usize, u64) {
         let block = addr.as_u64() >> self.block_shift;
-        ((block & self.set_mask) as usize, block >> self.sets.len().trailing_zeros())
+        ((block & self.set_mask) as usize, block >> self.set_bits)
+    }
+
+    /// Where set `set_idx`'s ways sit in `lines`.
+    fn ways_of(&self, set_idx: usize) -> std::ops::Range<usize> {
+        set_idx * self.ways..(set_idx + 1) * self.ways
     }
 
     /// Looks up `addr`, allocating on miss (write-allocate) and marking the
     /// line dirty when `is_write`. Uses true-LRU replacement.
     pub fn access(&mut self, addr: Addr, is_write: bool) -> LookupOutcome {
         let (set_idx, tag) = self.index_tag(addr);
-        let set_bits = self.sets.len().trailing_zeros();
+        let set_bits = self.set_bits;
         let block_shift = self.block_shift;
-        let set = &mut self.sets[set_idx];
+        let ways = self.ways_of(set_idx);
+        let set = &mut self.lines[ways];
 
         if let Some(pos) = set
             .iter()
@@ -162,7 +174,7 @@ impl Cache {
     /// Whether `addr`'s block is currently resident (no state change).
     pub fn probe(&self, addr: Addr) -> bool {
         let (set_idx, tag) = self.index_tag(addr);
-        self.sets[set_idx]
+        self.lines[self.ways_of(set_idx)]
             .iter()
             .any(|l| l.map(|l| l.tag == tag).unwrap_or(false))
     }
@@ -195,9 +207,7 @@ impl Cache {
 
     /// Clears contents and statistics.
     pub fn reset(&mut self) {
-        for set in &mut self.sets {
-            set.fill(None);
-        }
+        self.lines.fill(None);
         self.hits = 0;
         self.misses = 0;
     }
@@ -209,17 +219,15 @@ impl Cache {
     /// cheaper than cloning the dense way arrays.
     pub fn snapshot(&self) -> CacheSnapshot {
         let mut lines = Vec::new();
-        for (set_idx, set) in self.sets.iter().enumerate() {
-            for (way, line) in set.iter().enumerate() {
-                if let Some(l) = line {
-                    lines.push(SavedLine {
-                        set: set_idx as u32,
-                        way: way as u8,
-                        tag: l.tag,
-                        dirty: l.dirty,
-                        age: l.age,
-                    });
-                }
+        for (i, line) in self.lines.iter().enumerate() {
+            if let Some(l) = line {
+                lines.push(SavedLine {
+                    set: (i / self.ways) as u32,
+                    way: (i % self.ways) as u8,
+                    tag: l.tag,
+                    dirty: l.dirty,
+                    age: l.age,
+                });
             }
         }
         CacheSnapshot {
@@ -237,11 +245,13 @@ impl Cache {
     /// Panics if the snapshot references sets or ways outside this cache's
     /// geometry.
     pub fn restore(&mut self, snapshot: &CacheSnapshot) {
-        for set in &mut self.sets {
-            set.fill(None);
-        }
+        self.lines.fill(None);
         for l in &snapshot.lines {
-            self.sets[l.set as usize][l.way as usize] = Some(Line {
+            assert!(
+                (l.way as usize) < self.ways,
+                "snapshot way outside this cache"
+            );
+            self.lines[l.set as usize * self.ways + l.way as usize] = Some(Line {
                 tag: l.tag,
                 dirty: l.dirty,
                 age: l.age,

@@ -181,18 +181,39 @@ impl Pipeline {
         snapshot: &Snapshot,
         fault: Option<FaultSpec>,
     ) -> PipelineResult {
-        if let Some(f) = fault {
-            assert!(
-                f.cycle >= snapshot.cycle,
-                "fault at {:?} strikes before snapshot cycle {:?}",
-                f.cycle,
-                snapshot.cycle
-            );
-        }
         Engine::restore(&self.config, program, trace, snapshot, fault, true)
             .run_core(snapshot.cycle)
             .0
             .result
+    }
+
+    /// Resumes a fault run from `snapshot` and returns only what a
+    /// campaign's verdict reads: the outcome and the end cycle, equal to
+    /// [`Pipeline::resume`]'s `fault` and `cycles`. The restore skips
+    /// copying the snapshot's residency-log prefix, the dominant cost of a
+    /// resume; the partial log that leaves behind is dropped here, so it
+    /// can never reach AVF analysis.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fault` strikes before the snapshot cycle.
+    pub fn resume_fault(
+        &self,
+        program: &Program,
+        trace: &ExecutionTrace,
+        snapshot: &Snapshot,
+        fault: FaultSpec,
+    ) -> FaultRun {
+        let result = Engine::restore(&self.config, program, trace, snapshot, Some(fault), false)
+            .run_core(snapshot.cycle)
+            .0
+            .result;
+        FaultRun {
+            outcome: result
+                .fault
+                .expect("a faulted run always resolves an outcome"),
+            end_cycle: result.cycles,
+        }
     }
 
     /// Prepares a batch base for one checkpoint window: the engine state
@@ -221,6 +242,16 @@ impl Pipeline {
         };
         PrunedWindow { base, start }
     }
+}
+
+/// The outcome of one checkpoint-resumed fault replay
+/// ([`Pipeline::resume_fault`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FaultRun {
+    /// The fault's resolved outcome.
+    pub outcome: FaultOutcome,
+    /// The cycle the run ended at.
+    pub end_cycle: u64,
 }
 
 /// The outcome of one convergence-pruned fault replay.
@@ -423,10 +454,10 @@ impl<'a> Engine<'a> {
     /// [`Engine::run_core`]`(snapshot.cycle)`.
     ///
     /// `with_residencies = false` skips copying the pre-snapshot residency
-    /// log, the dominant cost of a restore. A pruned-window run never
-    /// consumes its residencies, so the batched executor restores lean; a
-    /// lean engine's residency log holds only the post-restore tail and
-    /// must never feed AVF analysis.
+    /// log, the dominant cost of a restore. Fault runs never consume their
+    /// residencies, so [`Pipeline::resume_fault`] and the pruned windows
+    /// restore lean; a lean engine's residency log holds only the
+    /// post-restore tail and must never feed AVF analysis.
     fn restore(
         cfg: &'a PipelineConfig,
         program: &'a Program,
@@ -435,6 +466,14 @@ impl<'a> Engine<'a> {
         fault: Option<FaultSpec>,
         with_residencies: bool,
     ) -> Self {
+        if let Some(f) = fault {
+            assert!(
+                f.cycle >= snapshot.cycle,
+                "fault at {:?} strikes before snapshot cycle {:?}",
+                f.cycle,
+                snapshot.cycle
+            );
+        }
         let mut engine = Engine::new(cfg, program, trace, fault, DetectionModel::None);
         engine.frontend.restore_state(&snapshot.frontend);
         engine.iq = snapshot.iq.clone_without_residencies();

@@ -1,10 +1,20 @@
 //! The checkpointed injection engine is an optimisation, not a model
 //! change: every fault must classify identically whether the timing run
-//! starts at cycle 0 or resumes from the nearest pipeline snapshot.
+//! starts at cycle 0 or resumes from the nearest pipeline snapshot, and
+//! whether the functional replay starts at instruction 0 or resumes from
+//! the nearest golden checkpoint.
+//!
+//! The fast paths compared here are checked again in debug builds by
+//! sampled guards inside the campaign; these tests carry the same
+//! evidence into release builds, where those guards are off.
 
+use ses_arch::{Checkpoint, Emulator, ExecutionTrace, RunOutcome};
 use ses_core::{
-    Campaign, CampaignConfig, Cycle, DetectionModel, FaultSpec, TrackingConfig, WorkloadSpec,
+    synthesize, Campaign, CampaignConfig, Cycle, DetectionModel, FaultSpec, TrackingConfig,
+    WorkloadSpec,
 };
+use ses_isa::{encode, Program};
+use ses_pipeline::{FaultOutcome, FaultRun, Pipeline, PipelineConfig};
 
 fn campaign_pair(detection: DetectionModel, injections: u32) -> (Campaign, Campaign) {
     let spec = WorkloadSpec::quick("ckpt-equiv", 23);
@@ -52,14 +62,7 @@ fn boundary_strikes_classify_identically() {
 
 #[test]
 fn full_campaigns_agree_across_detection_models() {
-    let models = [
-        DetectionModel::None,
-        DetectionModel::Parity { tracking: None },
-        DetectionModel::Parity {
-            tracking: Some(TrackingConfig::paper_combined()),
-        },
-    ];
-    for detection in models {
+    for detection in detection_models() {
         let (scratch, ckpt) = campaign_pair(detection, 40);
         let scratch_report = scratch.run();
         let ckpt_report = ckpt.run();
@@ -79,4 +82,146 @@ fn full_campaigns_agree_across_detection_models() {
         );
         assert!(ckpt_report.perf().checkpoints > 0);
     }
+}
+
+fn detection_models() -> [DetectionModel; 3] {
+    [
+        DetectionModel::None,
+        DetectionModel::Parity { tracking: None },
+        DetectionModel::Parity {
+            tracking: Some(TrackingConfig::paper_combined()),
+        },
+    ]
+}
+
+fn quick_program(name: &str, seed: u64) -> (Program, ExecutionTrace, u64) {
+    let spec = WorkloadSpec::quick(name, seed);
+    let program = synthesize(&spec);
+    let budget = spec.target_dynamic * 4;
+    let trace = Emulator::new(&program).run(budget).expect("golden run");
+    assert!(trace.halted());
+    (program, trace, budget)
+}
+
+/// `Pipeline::resume_fault` skips the residency-log copy; its verdict
+/// and end cycle must equal the full `resume` and the from-scratch run
+/// for a fault in every checkpoint window.
+#[test]
+fn lean_fault_runs_match_full_resume_and_scratch_in_every_window() {
+    let (program, trace, _) = quick_program("ckpt-lean", 23);
+    let pipeline = Pipeline::new(PipelineConfig::default());
+    let cycles = pipeline.run(&program, &trace).cycles;
+    let interval = (cycles / 64).max(1);
+    for detection in detection_models() {
+        let (_, snaps) = pipeline.run_with_snapshots(&program, &trace, detection, interval);
+        assert!(
+            snaps.len() > 32,
+            "about 64 windows expected, got {}",
+            snaps.len()
+        );
+        let mut struck = 0;
+        for (w, snap) in snaps.iter().enumerate() {
+            let w = w as u64;
+            let cycle = (snap.cycle().as_u64() + (w * 37) % interval).min(cycles - 1);
+            // Low slots fill first, so most of these strikes land on a
+            // resident entry.
+            let fault =
+                FaultSpec::single(Cycle::new(cycle), (w % 4) as usize, (w * 13 % 64) as u32);
+            let lean = pipeline.resume_fault(&program, &trace, snap, fault);
+            let full = pipeline.resume(&program, &trace, snap, Some(fault));
+            let scratch = pipeline.run_with_fault(&program, &trace, Some(fault), detection);
+            assert_eq!(full, scratch, "resume diverged from scratch for {fault:?}");
+            let want = FaultRun {
+                outcome: full.fault.expect("fault run resolves an outcome"),
+                end_cycle: full.cycles,
+            };
+            assert_eq!(
+                lean, want,
+                "lean resume diverged under {detection:?} for {fault:?}"
+            );
+            struck += usize::from(lean.outcome != FaultOutcome::SlotIdle);
+        }
+        assert!(
+            struck * 2 > snaps.len(),
+            "only {struck} strikes hit an entry"
+        );
+    }
+}
+
+/// Checks a resumed replay against the replay from program start: equal
+/// outcomes, where a resumed output is the golden prefix's continuation.
+/// Returns the outcome for coverage counting.
+fn assert_resume_matches(
+    program: &Program,
+    golden: &ExecutionTrace,
+    ckpt: &Checkpoint,
+    idx: u64,
+    word: u64,
+    budget: u64,
+) -> RunOutcome {
+    let from_start = Emulator::new(program).run_with_override(idx, word, budget);
+    let resumed = Emulator::resume_with_override(program, ckpt, idx, word, budget);
+    let context = format!(
+        "checkpoint {}, index {idx}, word {word:#x}, budget {budget}",
+        ckpt.index()
+    );
+    match (&from_start, resumed) {
+        (RunOutcome::Completed { output }, RunOutcome::Completed { output: tail }) => {
+            let stitched: Vec<u64> = golden.output()[..ckpt.output_len()]
+                .iter()
+                .chain(&tail)
+                .copied()
+                .collect();
+            assert_eq!(output, &stitched, "{context}");
+        }
+        (want, got) => assert_eq!(want, &got, "{context}"),
+    }
+    from_start
+}
+
+/// The functional replay resumed from any golden checkpoint equals the
+/// replay from program start: completed outputs, crashes, and timeouts
+/// at a budget that still counts from program start.
+#[test]
+fn checkpointed_functional_replay_matches_replay_from_start() {
+    let (program, golden, budget) = quick_program("ckpt-arch", 29);
+    let len = golden.len() as u64;
+    let (trace, ckpts) = Emulator::new(&program)
+        .run_checkpointed(budget, (budget / 256).max(1))
+        .expect("golden run");
+    assert_eq!(
+        trace, golden,
+        "checkpoint capture must not change the trace"
+    );
+    assert_eq!(ckpts[0].index(), 0);
+    assert!(ckpts.len() > 16, "got {} checkpoints", ckpts.len());
+    let (mut differ, mut crashed, mut timed_out) = (0, 0, 0);
+    for (k, ckpt) in ckpts.iter().enumerate() {
+        let next = ckpts.get(k + 1).map_or(len, Checkpoint::index);
+        for idx in [ckpt.index(), (ckpt.index() + next) / 2, next - 1] {
+            let golden_word = encode(&golden.entries()[idx as usize].instr);
+            let words = [
+                golden_word ^ 1,
+                golden_word ^ (1 << (k % 40 + 8)),
+                u64::MAX, // reserved bits set: undecodable
+            ];
+            for word in words {
+                // The generous campaign budget, and one that runs out one
+                // instruction before the golden run would halt.
+                for budget in [len * 4, len - 1] {
+                    match assert_resume_matches(&program, &golden, ckpt, idx, word, budget) {
+                        RunOutcome::Completed { output } => {
+                            differ += usize::from(output != golden.output());
+                        }
+                        RunOutcome::Crashed { .. } => crashed += 1,
+                        RunOutcome::TimedOut => timed_out += 1,
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        differ > 0 && crashed > 0 && timed_out > 0,
+        "{differ} {crashed} {timed_out}"
+    );
 }
