@@ -573,11 +573,7 @@ mod tests {
             } else {
                 0
             };
-            assert_eq!(
-                ace + unace,
-                if class == SpanClass::Ace { 64 } else { 64 },
-                "exposed classes account for every bit"
-            );
+            assert_eq!(ace + unace, 64, "exposed classes account for every bit");
         }
         assert_eq!(SpanClass::Unread.ace_width(), 0);
         assert_eq!(SpanClass::Unread.unace_cause(), None);

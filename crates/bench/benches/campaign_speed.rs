@@ -83,21 +83,16 @@ fn telemetry_overhead() -> (f64, f64, f64) {
     (off, on, ratios[ratios.len() / 2])
 }
 
-fn prepare_with(checkpoint_interval: Option<u64>, detection: DetectionModel, prune: bool) -> Campaign {
+fn prepare(checkpoints: bool) -> Campaign {
     let spec = WorkloadSpec::quick("campaign-speed", 7);
     let config = CampaignConfig {
         injections: INJECTIONS,
         seed: 0xBE,
-        detection,
-        checkpoint_interval,
-        prune,
+        detection: DetectionModel::Parity { tracking: None },
+        checkpoints,
         ..CampaignConfig::default()
     };
     Campaign::prepare(&spec, config).expect("campaign prepare")
-}
-
-fn prepare(checkpoint_interval: Option<u64>) -> Campaign {
-    prepare_with(checkpoint_interval, DetectionModel::Parity { tracking: None }, false)
 }
 
 /// One interleaved measurement pair plus everything the report section
@@ -124,10 +119,10 @@ struct CampaignTiming {
 /// the per-phase minima.
 fn timed_campaigns() -> CampaignTiming {
     let t = Instant::now();
-    let scratch = prepare(Some(0));
+    let scratch = prepare(false);
     let scratch_prepare = t.elapsed().as_secs_f64();
     let t = Instant::now();
-    let ckpt = prepare(None);
+    let ckpt = prepare(true);
     let ckpt_prepare = t.elapsed().as_secs_f64();
 
     let reps = reps();

@@ -849,14 +849,10 @@ impl CampaignJob {
         let spec = spec_by_name(&self.workload)
             .ok_or_else(|| JobError::bad(format!("unknown benchmark '{}'", self.workload)))?;
         let config = self.campaign_config();
-        let slot = shared.prepared(&self.prep_canonical(), || {
+        // A prepared campaign is immutable, so concurrent jobs share it.
+        let campaign = shared.prepared(&self.prep_canonical(), || {
             Campaign::prepare(&spec, config.clone()).map_err(|e| JobError::internal(e.to_string()))
         })?;
-        // Detailed runs mutate shared recovery/perf counters (delta
-        // accounting), so runs on one prepared campaign are serialised;
-        // distinct campaigns still run fully in parallel.
-        let _run = slot.run_lock.lock().unwrap();
-        let campaign = &slot.campaign;
         let workload = self.workload.clone();
         Ok(match self.strikes.pattern() {
             None => JobOutput::Campaign {
@@ -874,7 +870,7 @@ impl CampaignJob {
                 };
                 JobOutput::EccCampaign {
                     workload,
-                    report: run_ecc_campaign(campaign, &config),
+                    report: run_ecc_campaign(&campaign, &config),
                     config,
                     baseline_ipc: campaign.baseline_ipc(),
                     model: self.strikes.reliability(),
@@ -1008,14 +1004,8 @@ impl FuzzJob {
     }
 }
 
-/// A prepared campaign plus the lock that serialises detailed runs on it.
-pub struct CampaignSlot {
-    run_lock: Mutex<()>,
-    campaign: Campaign,
-}
-
 struct PrepEntry {
-    slot: Arc<CampaignSlot>,
+    campaign: Arc<Campaign>,
     stamp: u64,
 }
 
@@ -1056,24 +1046,20 @@ impl SharedRuns {
         &self,
         key: &str,
         prepare: impl FnOnce() -> Result<Campaign, JobError>,
-    ) -> Result<Arc<CampaignSlot>, JobError> {
+    ) -> Result<Arc<Campaign>, JobError> {
         {
             let mut guard = self.preps.lock().unwrap();
             let (map, stamp) = &mut *guard;
             *stamp += 1;
             if let Some(entry) = map.get_mut(key) {
                 entry.stamp = *stamp;
-                return Ok(Arc::clone(&entry.slot));
+                return Ok(Arc::clone(&entry.campaign));
             }
         }
         // Prepare outside the lock: golden emulation can take a while and
         // unrelated jobs must not stall behind it. A racing duplicate
         // prepare is deterministic, so last-write-wins is harmless.
-        let campaign = prepare()?;
-        let slot = Arc::new(CampaignSlot {
-            run_lock: Mutex::new(()),
-            campaign,
-        });
+        let campaign = Arc::new(prepare()?);
         let mut guard = self.preps.lock().unwrap();
         let (map, stamp) = &mut *guard;
         *stamp += 1;
@@ -1092,11 +1078,11 @@ impl SharedRuns {
         map.insert(
             key.to_string(),
             PrepEntry {
-                slot: Arc::clone(&slot),
+                campaign: Arc::clone(&campaign),
                 stamp: *stamp,
             },
         );
-        Ok(slot)
+        Ok(campaign)
     }
 }
 

@@ -1,27 +1,33 @@
 //! Campaign orchestration: random strikes, timing-model replay, functional
 //! outcome classification.
 //!
-//! The injection loop is checkpointed: [`Campaign::prepare`] runs the
-//! golden timing simulation once, capturing pipeline [`Snapshot`]s every
-//! `checkpoint_interval` cycles, and each injection then resumes from the
-//! latest snapshot at or before its strike cycle instead of re-simulating
-//! from cycle 0, and returns only its verdict and end cycle
-//! ([`Pipeline::resume_fault`]). The golden functional run likewise
-//! captures architectural [`Checkpoint`]s, and a corrupted word's
-//! functional replay resumes from the last one at or before the corrupted
-//! dynamic index.
+//! The injection executor is checkpointed and window-batched:
+//! [`Campaign::prepare`] runs the golden timing simulation once, capturing
+//! pipeline [`Snapshot`]s about 64 times per run. Injections are grouped
+//! by checkpoint window (the latest snapshot at or before the strike
+//! cycle); each window's snapshot is restored once, each fault replays on
+//! a fork of that base (the window's last fault on the base itself), and
+//! only the verdict and end cycle come back ([`FaultRun`]). The golden
+//! functional run likewise captures architectural [`Checkpoint`]s, and a
+//! corrupted word's functional replay resumes from the last one at or
+//! before the corrupted dynamic index.
 //!
-//! With [`CampaignConfig::prune`] the executor goes further: the golden
-//! run also records a fingerprint stream (a rolling hash of the
-//! fault-reachable machine state per cycle), injections are grouped by
-//! checkpoint window and forked off a single restored snapshot per window,
-//! each faulted replay stops the moment its fingerprint rejoins the golden
-//! stream at the same cycle, and strikes on provably idle coordinates
-//! resolve without simulating at all. Verdicts are identical either way —
-//! debug builds assert every pruned verdict against a full legacy replay.
+//! Every injection returns its verdict together with its charges (window
+//! start, timing replay, functional replay, recovery decision) by value;
+//! [`Campaign::run_detailed`] folds them in injection-index order, so a
+//! prepared campaign is immutable and its reports are independent of
+//! thread scheduling and of concurrent runs.
+//!
+//! [`CampaignConfig::prune`] switches three shortcuts on: the golden run
+//! also records a fingerprint stream (a rolling hash of the
+//! fault-reachable machine state per cycle) and a strike index; a strike
+//! on a provably idle coordinate resolves without simulating; and each
+//! replay stops the moment its fingerprint rejoins the golden stream at
+//! the same cycle. Verdicts are identical either way — debug builds
+//! assert every pruned verdict against a full replay.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -29,16 +35,14 @@ use rand::{Rng, SeedableRng};
 use ses_arch::{Checkpoint, Emulator, ExecutionTrace, RunOutcome};
 use ses_isa::{bit_kind, encode, BitKind, Program};
 use ses_pipeline::{
-    DetectionModel, FaultOutcome, FaultRun, FaultSpec, ObservedRun, Observers, Occupant, Pipeline,
-    PipelineConfig, PipelineResult, PrunedRun, PrunedWindow, Snapshot, SuppressReason,
+    DetectionModel, FaultOutcome, FaultRun, FaultSpec, FaultWindow, ObservedRun, Observers,
+    Occupant, Pipeline, PipelineConfig, PipelineResult, Snapshot, SuppressReason,
 };
 use ses_types::{Cycle, SesError};
 use ses_workloads::{synthesize, WorkloadSpec};
 
 use crate::outcome::Outcome;
-use crate::recovery::{
-    LatencyDistribution, RecoveryCounters, RecoveryDecision, RecoveryPolicy, RecoveryReport,
-};
+use crate::recovery::{LatencyDistribution, RecoveryDecision, RecoveryPolicy, RecoveryReport};
 use crate::report::{CampaignPerf, CampaignReport, PruneReport};
 
 /// Configuration of a fault-injection campaign.
@@ -54,17 +58,13 @@ pub struct CampaignConfig {
     /// (models one particle upsetting two neighbouring cells, the paper's
     /// §2 multi-bit caveat; physical interleaving defends against it).
     pub double_bit: bool,
-    /// Spacing in cycles between the pipeline snapshots captured during
-    /// [`Campaign::prepare`]. Each injection resumes from the latest
-    /// snapshot at or before its strike cycle, skipping the fault-free
-    /// prefix of the run.
-    ///
-    /// * `None` (default) — automatic: `baseline_cycles / 64`, at least 1
-    ///   (about 64 checkpoints over the run).
-    /// * `Some(0)` — disable checkpointing; every injection simulates
-    ///   from cycle 0.
-    /// * `Some(k)` — capture a snapshot every `k` cycles.
-    pub checkpoint_interval: Option<u64>,
+    /// Capture pipeline snapshots during [`Campaign::prepare`] (default),
+    /// about 64 over the run (every `baseline_cycles / 64` cycles, at
+    /// least 1). Each injection resumes from the latest snapshot at or
+    /// before its strike cycle, skipping the fault-free prefix of the
+    /// run. `false` simulates every injection from cycle 0: the reference
+    /// the checkpointed executor is tested against.
+    pub checkpoints: bool,
     /// Timing-model configuration.
     pub pipeline: PipelineConfig,
     /// Worker threads (0 = one per available core).
@@ -77,13 +77,13 @@ pub struct CampaignConfig {
     /// idempotent-region re-execution when the deferred signal still lands
     /// inside the fault's region.
     pub recovery: RecoveryPolicy,
-    /// Enable the convergence-pruned, window-batched injection executor:
-    /// prepare records a per-cycle golden fingerprint stream, injections
-    /// are grouped by checkpoint window and forked off one restored
-    /// snapshot per window, and each faulted replay stops as soon as its
-    /// state fingerprint rejoins the golden stream. Off by default.
+    /// Enable convergence pruning: prepare records a per-cycle golden
+    /// fingerprint stream and a strike index, strikes on idle coordinates
+    /// resolve without simulating, and each faulted replay stops as soon
+    /// as its state fingerprint rejoins the golden stream. Off by default.
     /// Verdicts are identical either way (asserted per injection in debug
-    /// builds); only wall-clock and the pruning telemetry stanza change.
+    /// builds); only wall-clock, the cycles simulated and the pruning
+    /// telemetry stanza change.
     pub prune: bool,
 }
 
@@ -94,7 +94,7 @@ impl Default for CampaignConfig {
             seed: 0xFAu64,
             detection: DetectionModel::None,
             double_bit: false,
-            checkpoint_interval: None,
+            checkpoints: true,
             pipeline: PipelineConfig::default(),
             threads: 0,
             detect_latency: None,
@@ -116,43 +116,31 @@ enum Replay {
     Hang,
 }
 
-/// How the pruned executor resolved one injection; folded in
-/// injection-index order into the deterministic [`PruneReport`], so the
-/// accounting is independent of thread scheduling.
+/// Which path a classifier's functional replay took.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ReplayPath {
+    /// The corrupted word equalled the golden word: no emulation.
+    FastPath,
+    /// The functional emulator ran from a golden checkpoint.
+    Emulated,
+}
+
+/// One injection's verdict plus everything it charges to the run's
+/// accounting, returned by value and folded in injection-index order by
+/// [`Campaign::run_detailed`]. The charges are a pure function of the
+/// fault, so every report is schedule-independent.
 #[derive(Debug, Clone, Copy)]
-struct PruneMeta {
-    /// Cycle the fault's checkpoint window starts at.
+struct Injection {
+    outcome: Outcome,
+    /// Cycle the fault's checkpoint window starts at, charged as skipped.
     window_start: u64,
-    /// The forked replay, or `None` when the strike hit an idle
-    /// coordinate and needed no simulation.
-    replay: Option<PrunedRun>,
-}
-
-/// Monotonic work counters shared by the injection workers.
-#[derive(Default)]
-struct PerfCounters {
-    cycles_simulated: AtomicU64,
-    cycles_skipped: AtomicU64,
-    replays: AtomicU64,
-    replay_fast_path: AtomicU64,
-}
-
-struct CounterValues {
-    cycles_simulated: u64,
-    cycles_skipped: u64,
-    replays: u64,
-    replay_fast_path: u64,
-}
-
-impl PerfCounters {
-    fn values(&self) -> CounterValues {
-        CounterValues {
-            cycles_simulated: self.cycles_simulated.load(Ordering::Relaxed),
-            cycles_skipped: self.cycles_skipped.load(Ordering::Relaxed),
-            replays: self.replays.load(Ordering::Relaxed),
-            replay_fast_path: self.replay_fast_path.load(Ordering::Relaxed),
-        }
-    }
+    /// The timing replay from the window base, or `None` when the idle
+    /// shortcut resolved the strike without simulating.
+    run: Option<FaultRun>,
+    /// The functional replay the classifier requested, if any.
+    replay: Option<ReplayPath>,
+    /// How the recovery policy resolved a detected fault, when active.
+    recovery: Option<RecoveryDecision>,
 }
 
 /// A prepared fault-injection campaign over one workload.
@@ -180,14 +168,12 @@ pub struct Campaign {
     /// Golden per-cycle fingerprint stream for the convergence gate;
     /// empty unless [`CampaignConfig::prune`] is enabled.
     golden_fps: Vec<u64>,
-    /// Per-slot residency interval index for the pruned executor's idle
-    /// shortcut; built only when pruning is enabled.
+    /// Per-slot residency interval index for the idle shortcut; built
+    /// only when pruning is enabled.
     strike_index: Option<ses_avf::StrikeIndex>,
-    counters: PerfCounters,
     /// Idempotent-region partition of the golden trace, computed only when
     /// the recovery policy is [`RecoveryPolicy::Idempotent`].
     regions: Option<ses_avf::RegionMap>,
-    recovery_counters: RecoveryCounters,
     config: CampaignConfig,
 }
 
@@ -229,22 +215,17 @@ impl Campaign {
         }
         let golden_words = golden.entries().iter().map(|d| encode(&d.instr)).collect();
         let pipeline = Pipeline::new(config.pipeline.clone());
-        // Automatic spacing needs the run length first: one plain sizing
+        // Snapshot spacing needs the run length first: one plain sizing
         // run ahead of the observed one.
-        let sizing = config
-            .checkpoint_interval
-            .is_none()
-            .then(|| pipeline.run(&program, &golden));
+        let sizing = config.checkpoints.then(|| pipeline.run(&program, &golden));
         let checkpoint_interval = sizing
             .as_ref()
-            .map_or(config.checkpoint_interval.unwrap_or_default(), |plain| {
-                (plain.cycles / 64).max(1)
-            });
+            .map_or(0, |plain| (plain.cycles / 64).max(1));
         // Snapshots are captured under the campaign's detection model:
         // detection state (PET buffer, π-bit tracker) evolves even before
         // a strike, and a resumed run must carry the same pre-strike
-        // detector state a from-scratch run would have. The pruned
-        // executor also needs the golden fingerprint stream.
+        // detector state a from-scratch run would have. Pruning also
+        // needs the golden fingerprint stream.
         let observers = Observers {
             snapshot_interval: checkpoint_interval,
             fingerprints: config.prune,
@@ -283,9 +264,7 @@ impl Campaign {
             prepare_wall: start.elapsed(),
             golden_fps,
             strike_index,
-            counters: PerfCounters::default(),
             regions,
-            recovery_counters: RecoveryCounters::default(),
             config,
         })
     }
@@ -321,49 +300,70 @@ impl Campaign {
     /// Runs the campaign recording each fault's coordinates alongside its
     /// outcome, for positional analyses (which bits and which queue slots
     /// carry the vulnerability). Samples come back in deterministic
-    /// injection-index order. The injection phase is timed and the
-    /// counter deltas it produced are attributed to this execution:
-    /// performance always, recovery accounting when the recovery policy is
-    /// active, pruning accounting when the pruned executor ran.
+    /// injection-index order. The injection phase is timed, and the
+    /// injections' charges are folded in that order into this execution's
+    /// accounting: performance always, recovery accounting when the
+    /// recovery policy is active, pruning accounting when pruning is on.
     pub fn run_detailed(&self) -> DetailedReport {
-        let before = self.counters.values();
-        let rec_before = self.recovery_counters.values();
         let start = Instant::now();
         let n = self.config.injections;
-        let (samples, prune) = if self.config.prune {
-            let (samples, report) = self.windowed_run(n);
-            (samples, Some(report))
-        } else {
-            let samples = self.parallel_map(n, |i| (self.fault_for(i), self.inject_one(i)));
-            (samples, None)
-        };
-        let inject_wall = start.elapsed();
-        let after = self.counters.values();
-        let recovery = self.regions.as_ref().map(|regions| {
-            let rec_after = self.recovery_counters.values();
-            RecoveryReport {
-                recovered: rec_after.recovered - rec_before.recovered,
-                fallback_due: rec_after.fallback_due - rec_before.fallback_due,
-                reexec_instructions: rec_after.reexec_instructions
-                    - rec_before.reexec_instructions,
-                latency_cycles: rec_after.latency_cycles - rec_before.latency_cycles,
-                regions: regions.len() as u32,
-                mean_region_len: regions.mean_len(),
-            }
-        });
-        let perf = CampaignPerf {
+        let faults: Vec<FaultSpec> = (0..n).map(|i| self.fault_for(i)).collect();
+        let injections = self.windowed_run(&faults);
+        let mut perf = CampaignPerf {
             prepare_wall: self.prepare_wall,
-            inject_wall,
-            injections: self.config.injections,
+            inject_wall: start.elapsed(),
+            injections: n,
             checkpoints: self.snapshots.len(),
             checkpoint_interval: self.checkpoint_interval,
-            cycles_simulated: after.cycles_simulated - before.cycles_simulated,
-            cycles_skipped: after.cycles_skipped - before.cycles_skipped,
-            replays: after.replays - before.replays,
-            replay_fast_path: after.replay_fast_path - before.replay_fast_path,
+            ..CampaignPerf::default()
         };
+        let mut recovery = self.regions.as_ref().map(|regions| RecoveryReport {
+            regions: regions.len() as u32,
+            mean_region_len: regions.mean_len(),
+            ..RecoveryReport::default()
+        });
+        let mut prune = self.config.prune.then(|| PruneReport {
+            injections: n,
+            ..PruneReport::default()
+        });
+        for inj in &injections {
+            // Every fault is charged its window prefix as skipped and the
+            // cycles it actually simulated (none for an idle strike); the
+            // tail a gate stop avoids shows only in the prune report.
+            perf.cycles_skipped += inj.window_start;
+            if let Some(run) = inj.run {
+                perf.cycles_simulated += run.end_cycle.saturating_sub(inj.window_start);
+            }
+            if let Some(path) = inj.replay {
+                perf.replays += 1;
+                perf.replay_fast_path += u64::from(path == ReplayPath::FastPath);
+            }
+            if let (Some(report), Some(decision)) = (recovery.as_mut(), inj.recovery) {
+                report.record(&decision);
+            }
+            if let Some(report) = prune.as_mut() {
+                match inj.run {
+                    None => {
+                        report.idle_skips += 1;
+                        report.cycles_saved +=
+                            self.baseline_cycles.saturating_sub(inj.window_start);
+                    }
+                    Some(run) => {
+                        report.replay_cycles += run.end_cycle.saturating_sub(inj.window_start);
+                        if run.pruned {
+                            report.fp_stops += 1;
+                            report.cycles_saved +=
+                                self.baseline_cycles.saturating_sub(run.end_cycle);
+                        }
+                    }
+                }
+            }
+        }
         DetailedReport {
-            samples,
+            samples: faults
+                .into_iter()
+                .zip(injections.iter().map(|inj| inj.outcome))
+                .collect(),
             perf,
             recovery,
             prune,
@@ -420,14 +420,12 @@ impl Campaign {
         indexed.into_iter().map(|(_, v)| v).collect()
     }
 
-    /// The window-batched pruned executor: group injections by checkpoint
-    /// window, restore each window's snapshot at most once, fork the
-    /// restored base per fault, and stop each replay at the fingerprint
-    /// convergence gate. Results come back in injection-index order and
-    /// the accounting fold runs in that order, so reports and artifacts
-    /// are byte-identical across thread counts.
-    fn windowed_run(&self, n: u32) -> (Vec<(FaultSpec, Outcome)>, PruneReport) {
-        let faults: Vec<FaultSpec> = (0..n).map(|i| self.fault_for(i)).collect();
+    /// The injection executor: group injections by checkpoint window,
+    /// restore each window's snapshot at most once, and replay each fault
+    /// from the restored base. Results come back in injection-index
+    /// order, so reports and artifacts are byte-identical across thread
+    /// counts.
+    fn windowed_run(&self, faults: &[FaultSpec]) -> Vec<Injection> {
         // Window id = number of snapshots at or before the strike; id 0 is
         // the from-scratch window (no snapshot precedes the strike).
         let mut windows: BTreeMap<usize, Vec<u32>> = BTreeMap::new();
@@ -435,173 +433,124 @@ impl Campaign {
             let w = self.snapshots.partition_point(|s| s.cycle() <= f.cycle);
             windows.entry(w).or_default().push(i as u32);
         }
-        let threads = self.thread_count(n as usize);
         // Split oversized windows so a campaign with few checkpoints (or
         // none) still parallelises; chunking never affects results — each
-        // chunk restores its own base, per-fault charges are pure, and the
-        // fold below runs in injection-index order.
-        let chunk = ((n as usize) / (threads * 4)).max(1);
-        let groups: Vec<(Option<&Snapshot>, Vec<u32>)> = windows
-            .into_iter()
-            .flat_map(|(w, idxs)| {
+        // chunk restores its own base and per-fault charges are pure.
+        let chunk = (faults.len() / (self.thread_count(faults.len()) * 4)).max(1);
+        let groups: Vec<(Option<&Snapshot>, &[u32])> = windows
+            .iter()
+            .flat_map(|(&w, idxs)| {
                 let snap = w.checked_sub(1).map(|j| &self.snapshots[j]);
-                idxs.chunks(chunk)
-                    .map(|c| (snap, c.to_vec()))
-                    .collect::<Vec<_>>()
+                idxs.chunks(chunk).map(move |c| (snap, c))
             })
             .collect();
-        let run_group = |(snap, idxs): &(Option<&Snapshot>, Vec<u32>),
-                         sink: &mut Vec<(u32, Outcome, PruneMeta)>| {
-            // The window base is built lazily: a chunk whose faults all
-            // resolve idle never restores its snapshot.
-            let mut window = None;
-            for &i in idxs {
-                let fault = faults[i as usize];
-                let (fo, meta) = self.window_fault(*snap, &mut window, fault);
-                sink.push((i, self.classify(&fault, fo), meta));
-            }
-        };
-        let mut indexed: Vec<(u32, Outcome, PruneMeta)> = Vec::with_capacity(n as usize);
-        let threads = threads.min(groups.len()).max(1);
-        if threads == 1 {
-            for g in &groups {
-                run_group(g, &mut indexed);
-            }
-        } else {
-            let next = AtomicU32::new(0);
-            std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for _ in 0..threads {
-                    let next = &next;
-                    let groups = &groups;
-                    let run_group = &run_group;
-                    handles.push(scope.spawn(move || {
-                        let mut local = Vec::new();
-                        loop {
-                            let g = next.fetch_add(1, Ordering::Relaxed) as usize;
-                            if g >= groups.len() {
-                                break;
-                            }
-                            run_group(&groups[g], &mut local);
-                        }
-                        local
-                    }));
-                }
-                for h in handles {
-                    indexed.extend(h.join().expect("injection worker panicked"));
-                }
-            });
-        }
-        indexed.sort_unstable_by_key(|&(i, _, _)| i);
-        let report = self.fold_prune(n, indexed.iter().map(|(_, _, m)| *m));
-        let samples = indexed
+        let mut indexed: Vec<(u32, Injection)> = self
+            .parallel_map(groups.len() as u32, |g| {
+                let (snap, idxs) = groups[g as usize];
+                // The chunk's last simulated fault runs on the window base
+                // itself instead of a fork of it.
+                let last = idxs
+                    .iter()
+                    .rposition(|&i| !self.idle_strike(&faults[i as usize]));
+                // The window base is built lazily: a chunk whose faults
+                // all resolve idle never restores its snapshot.
+                let mut window = None;
+                idxs.iter()
+                    .enumerate()
+                    .map(|(k, &i)| {
+                        let verify = cfg!(debug_assertions) && i.is_multiple_of(8);
+                        let fault = faults[i as usize];
+                        let last = Some(k) == last;
+                        (i, self.window_fault(snap, &mut window, fault, last, verify))
+                    })
+                    .collect::<Vec<_>>()
+            })
             .into_iter()
-            .map(|(i, o, _)| (faults[i as usize], o))
+            .flatten()
             .collect();
-        (samples, report)
+        indexed.sort_unstable_by_key(|&(i, _)| i);
+        indexed.into_iter().map(|(_, inj)| inj).collect()
     }
 
-    /// Resolves one fault inside its checkpoint window on the pruned
-    /// path: the idle shortcut, else a forked replay with the convergence
-    /// gate armed. Every fault is charged its window prefix as skipped and
-    /// the cycles it actually simulated (none for an idle strike); the
-    /// tail a gate stop avoids shows only in [`PruneReport::cycles_saved`].
-    /// The charges are a pure function of the fault, so [`CampaignPerf`]
-    /// stays schedule-independent.
+    /// Resolves one fault inside its checkpoint window: the idle shortcut
+    /// when it applies, else a replay from the window base — on a fork,
+    /// or on the base itself when `last` — with the convergence gate
+    /// armed when pruning.
     fn window_fault<'a>(
         &'a self,
         snap: Option<&'a Snapshot>,
-        window: &mut Option<PrunedWindow<'a>>,
+        window: &mut Option<FaultWindow<'a>>,
         fault: FaultSpec,
-    ) -> (FaultOutcome, PruneMeta) {
-        let window_start = snap.map_or(0, |s| s.cycle().as_u64());
-        let index = self
-            .strike_index
-            .as_ref()
-            .expect("pruned executor requires the strike index");
-        // With nothing occupying the struck coordinate at the strike cycle,
-        // a replay would simulate to the strike only to observe SlotIdle.
-        let replay = index.span_at(fault.slot, fault.cycle.as_u64()).map(|_| {
-            let w = window.get_or_insert_with(|| {
-                self.pipeline.pruned_window(
-                    &self.program,
-                    &self.golden,
-                    snap,
-                    self.config.detection,
-                )
-            });
-            let run = w.run_fault(fault, &self.golden_fps);
-            self.counters.cycles_simulated.fetch_add(
-                run.end_cycle.saturating_sub(window_start),
-                Ordering::Relaxed,
-            );
-            run
+        last: bool,
+        verify: bool,
+    ) -> Injection {
+        let run = (!self.idle_strike(&fault)).then(|| {
+            let gate = self.config.prune.then_some(self.golden_fps.as_slice());
+            let build = || {
+                self.pipeline
+                    .fault_window(&self.program, &self.golden, snap, self.config.detection)
+            };
+            if last {
+                window.take().unwrap_or_else(build).run_last(fault, gate)
+            } else {
+                window.get_or_insert_with(build).run_fault(fault, gate)
+            }
         });
-        self.counters
-            .cycles_skipped
-            .fetch_add(window_start, Ordering::Relaxed);
-        let outcome = replay.map_or(FaultOutcome::SlotIdle, |run| run.outcome);
-        self.cross_check(fault, outcome);
-        (
-            outcome,
-            PruneMeta {
-                window_start,
-                replay,
-            },
-        )
+        if cfg!(debug_assertions) && (verify || self.config.prune) {
+            self.cross_check(fault, run, verify);
+        }
+        self.classify(&fault, snap.map_or(0, |s| s.cycle().as_u64()), run)
     }
 
-    /// Debug-build oracle for the pruned executor: every pruned verdict
-    /// is checked against a full legacy replay of the same fault.
-    /// Deliberately counter-free (it drives the pipeline directly instead
-    /// of going through the counting resume path) so verification never
-    /// perturbs the deterministic perf accounting.
-    fn cross_check(&self, fault: FaultSpec, got: FaultOutcome) {
-        if !cfg!(debug_assertions) {
-            return;
-        }
+    /// Whether pruning's idle shortcut resolves `fault`: nothing occupies
+    /// the struck coordinate at the strike cycle, so a replay would
+    /// simulate to the strike only to observe `SlotIdle`.
+    fn idle_strike(&self, fault: &FaultSpec) -> bool {
+        self.strike_index
+            .as_ref()
+            .is_some_and(|index| index.span_at(fault.slot, fault.cycle.as_u64()).is_none())
+    }
+
+    /// Debug-build oracle for the executor: the verdict must equal a full
+    /// replay's (a checkpoint resume with the whole residency log, or a
+    /// run from scratch), and a replay that ran to its natural end must
+    /// end at the same cycle. With `verify`, the full resume is itself
+    /// checked against a from-scratch run (the checkpoint determinism
+    /// guard). It drives the pipeline directly and charges nothing.
+    fn cross_check(&self, fault: FaultSpec, run: Option<FaultRun>, verify: bool) {
         let full = match self.snapshot_for(fault.cycle) {
-            Some(snap) => self.pipeline.resume(&self.program, &self.golden, snap, Some(fault)),
+            Some(snap) => {
+                let full = self
+                    .pipeline
+                    .resume(&self.program, &self.golden, snap, Some(fault));
+                if verify {
+                    assert_eq!(
+                        full,
+                        self.run_from_scratch(fault),
+                        "checkpoint resume diverged from a from-scratch run for {fault:?}"
+                    );
+                }
+                full
+            }
             None => self.run_from_scratch(fault),
         };
         let want = full.fault.expect("fault run resolves an outcome");
+        let got = run.map_or(FaultOutcome::SlotIdle, |r| r.outcome);
         assert_eq!(
             want, got,
-            "pruned verdict diverged from the full replay for {fault:?}"
+            "executor verdict diverged from the full replay for {fault:?}"
         );
-    }
-
-    /// Folds per-injection pruning metadata (already in injection-index
-    /// order) into the deterministic [`PruneReport`].
-    fn fold_prune(&self, injections: u32, metas: impl Iterator<Item = PruneMeta>) -> PruneReport {
-        let mut report = PruneReport {
-            injections,
-            ..PruneReport::default()
-        };
-        for meta in metas {
-            match meta.replay {
-                None => {
-                    report.idle_skips += 1;
-                    report.cycles_saved += self.baseline_cycles.saturating_sub(meta.window_start);
-                }
-                Some(run) => {
-                    report.replay_cycles += run.end_cycle.saturating_sub(meta.window_start);
-                    if run.pruned {
-                        report.fp_stops += 1;
-                        report.cycles_saved += self.baseline_cycles.saturating_sub(run.end_cycle);
-                    }
-                }
-            }
+        if let Some(run) = run.filter(|r| !r.pruned) {
+            assert_eq!(
+                run.end_cycle, full.cycles,
+                "window run ended apart from the full replay for {fault:?}"
+            );
         }
-        report
     }
 
     /// The deterministic fault coordinates for injection `i`.
     pub fn fault_for(&self, i: u32) -> FaultSpec {
-        let mut rng = StdRng::seed_from_u64(self.config.seed ^ (i as u64).wrapping_mul(0x9E37));
-        let cycle = Cycle::new(rng.gen_range(0..self.baseline_cycles.max(1)));
-        let slot = rng.gen_range(0..self.config.pipeline.iq_entries);
-        let bit = rng.gen_range(0..64);
+        let (cycle, slot, bit, _) = self.strike(self.config.seed, i);
         if self.config.double_bit {
             FaultSpec::adjacent_double(cycle, slot, bit)
         } else {
@@ -609,19 +558,30 @@ impl Campaign {
         }
     }
 
+    /// Draws injection `i`'s strike coordinates (cycle, queue slot, bit)
+    /// from the stream seeded by `seed` and `i`, and returns the stream
+    /// for any further draws. Every seeded campaign samples its strikes
+    /// here, in this draw order.
+    pub(crate) fn strike(&self, seed: u64, i: u32) -> (Cycle, usize, u32, StdRng) {
+        let mut rng = StdRng::seed_from_u64(seed ^ u64::from(i).wrapping_mul(0x9E37));
+        let cycle = Cycle::new(rng.gen_range(0..self.baseline_cycles.max(1)));
+        let slot = rng.gen_range(0..self.config.pipeline.iq_entries);
+        let bit = rng.gen_range(0..64u32);
+        (cycle, slot, bit, rng)
+    }
+
     /// Injects the `i`-th fault (deterministic in `seed` and `i`).
     pub fn inject_one(&self, i: u32) -> Outcome {
-        let fault = self.fault_for(i);
         // In debug/test builds, periodically cross-check a resumed run
         // against a from-scratch run (the checkpoint determinism guard).
         let verify = cfg!(debug_assertions) && i.is_multiple_of(8);
-        self.classify(&fault, self.fault_outcome(fault, verify))
+        self.inject(self.fault_for(i), verify)
     }
 
     /// Injects a caller-chosen fault instead of the seeded sequence,
     /// classified exactly like [`Campaign::inject_one`].
     pub fn inject_spec(&self, fault: FaultSpec) -> Outcome {
-        self.classify(&fault, self.fault_outcome(fault, cfg!(debug_assertions)))
+        self.inject(fault, cfg!(debug_assertions))
     }
 
     /// Like [`Campaign::inject_spec`] but without the debug-build
@@ -629,7 +589,14 @@ impl Campaign {
     /// adaptive scheduler's exhaustive strata, property tests) that
     /// verify a deterministic subsample themselves.
     pub fn inject_spec_quiet(&self, fault: FaultSpec) -> Outcome {
-        self.classify(&fault, self.fault_outcome(fault, false))
+        self.inject(fault, false)
+    }
+
+    /// Resolves a single fault through a one-fault window.
+    fn inject(&self, fault: FaultSpec, verify: bool) -> Outcome {
+        let snap = self.snapshot_for(fault.cycle);
+        self.window_fault(snap, &mut None, fault, true, verify)
+            .outcome
     }
 
     /// Fault-free IPC of the golden timing run (committed instructions
@@ -647,22 +614,6 @@ impl Campaign {
     /// the recovery policy is [`RecoveryPolicy::Idempotent`].
     pub fn regions(&self) -> Option<&ses_avf::RegionMap> {
         self.regions.as_ref()
-    }
-
-    /// Cumulative recovery accounting since prepare, present when the
-    /// recovery policy is active. [`DetailedReport::recovery`] carries the
-    /// per-execution delta instead.
-    pub fn recovery_report(&self) -> Option<RecoveryReport> {
-        let regions = self.regions.as_ref()?;
-        let v = self.recovery_counters.values();
-        Some(RecoveryReport {
-            recovered: v.recovered,
-            fallback_due: v.fallback_due,
-            reexec_instructions: v.reexec_instructions,
-            latency_cycles: v.latency_cycles,
-            regions: regions.len() as u32,
-            mean_region_len: regions.mean_len(),
-        })
     }
 
     /// The detection latency (in cycles) the configured distribution
@@ -788,65 +739,6 @@ impl Campaign {
         }
     }
 
-    /// Runs the timing model for one fault, resuming from the latest
-    /// checkpoint at or before the strike when one exists (a lean resume:
-    /// only the verdict and end cycle come back). With
-    /// [`CampaignConfig::prune`], single faults from spec-driven callers
-    /// (the adaptive scheduler, the oracles) take the pruned path too,
-    /// each building its own one-fault window; the batch executor uses
-    /// [`Campaign::windowed_run`] instead.
-    fn fault_outcome(&self, fault: FaultSpec, verify: bool) -> FaultOutcome {
-        if self.config.prune {
-            // The pruned path cross-checks every injection in debug
-            // builds, subsuming `verify`'s sampled resume-vs-scratch
-            // guard.
-            let mut window = None;
-            return self
-                .window_fault(self.snapshot_for(fault.cycle), &mut window, fault)
-                .0;
-        }
-        match self.snapshot_for(fault.cycle) {
-            Some(snap) => {
-                let run = self
-                    .pipeline
-                    .resume_fault(&self.program, &self.golden, snap, fault);
-                self.counters
-                    .cycles_skipped
-                    .fetch_add(snap.cycle().as_u64(), Ordering::Relaxed);
-                self.counters.cycles_simulated.fetch_add(
-                    run.end_cycle.saturating_sub(snap.cycle().as_u64()),
-                    Ordering::Relaxed,
-                );
-                if verify {
-                    let full = self
-                        .pipeline
-                        .resume(&self.program, &self.golden, snap, Some(fault));
-                    let scratch = self.run_from_scratch(fault);
-                    assert_eq!(
-                        full, scratch,
-                        "checkpoint resume diverged from a from-scratch run for {fault:?}"
-                    );
-                    let want = FaultRun {
-                        outcome: full.fault.expect("fault run resolves an outcome"),
-                        end_cycle: full.cycles,
-                    };
-                    assert_eq!(
-                        run, want,
-                        "lean resume diverged from the full resume for {fault:?}"
-                    );
-                }
-                run.outcome
-            }
-            None => {
-                let result = self.run_from_scratch(fault);
-                self.counters
-                    .cycles_simulated
-                    .fetch_add(result.cycles, Ordering::Relaxed);
-                result.fault.expect("fault run resolves an outcome")
-            }
-        }
-    }
-
     fn run_from_scratch(&self, fault: FaultSpec) -> PipelineResult {
         self.pipeline
             .run_with_fault(&self.program, &self.golden, Some(fault), self.config.detection)
@@ -858,13 +750,23 @@ impl Campaign {
         idx.checked_sub(1).map(|i| &self.snapshots[i])
     }
 
-    fn classify(&self, fault: &FaultSpec, outcome: FaultOutcome) -> Outcome {
-        match outcome {
+    /// Classifies one fault's timing outcome into the paper's taxonomy
+    /// (functionally replaying a corrupted correct-path word when the
+    /// verdict depends on it) and gathers the injection's charges.
+    fn classify(&self, fault: &FaultSpec, window_start: u64, run: Option<FaultRun>) -> Injection {
+        let mut path = None;
+        let mut recovery = None;
+        let mut replay = |trace_idx: u64, word: u64| {
+            let (replay, taken) = self.replay(trace_idx, word);
+            path = Some(taken);
+            replay
+        };
+        let outcome = match run.map_or(FaultOutcome::SlotIdle, |r| r.outcome) {
             FaultOutcome::SlotIdle | FaultOutcome::NeverRead { .. } => Outcome::Benign,
             FaultOutcome::CorruptIssued { corruption } => match corruption.occupant {
                 Occupant::WrongPath => Outcome::Benign,
                 Occupant::CorrectPath { trace_idx } => {
-                    match self.replay(trace_idx, corruption.corrupted_word) {
+                    match replay(trace_idx, corruption.corrupted_word) {
                         Replay::Identical => Outcome::Benign,
                         Replay::Different | Replay::Crashed => Outcome::Sdc,
                         Replay::Hang => Outcome::Hang,
@@ -872,21 +774,22 @@ impl Campaign {
                 }
             },
             FaultOutcome::Signalled { corruption, .. } => {
-                if let Some(decision) = self.recovery_decision(fault, corruption.occupant) {
-                    self.recovery_counters.record(&decision);
-                    if decision.recovered {
-                        return Outcome::Recovered;
-                    }
-                    // The deferred signal escaped the fault's region:
-                    // fall back to the machine-check DUE below.
-                }
-                match corruption.occupant {
-                    // A wrong-path corruption can never affect output.
-                    Occupant::WrongPath => Outcome::FalseDue,
-                    Occupant::CorrectPath { trace_idx } => {
-                        match self.replay(trace_idx, corruption.corrupted_word) {
-                            Replay::Identical => Outcome::FalseDue,
-                            Replay::Different | Replay::Crashed | Replay::Hang => Outcome::TrueDue,
+                recovery = self.recovery_decision(fault, corruption.occupant);
+                if recovery.is_some_and(|d| d.recovered) {
+                    Outcome::Recovered
+                } else {
+                    // Machine-check DUE, also when the deferred signal
+                    // escaped the fault's region.
+                    match corruption.occupant {
+                        // A wrong-path corruption can never affect output.
+                        Occupant::WrongPath => Outcome::FalseDue,
+                        Occupant::CorrectPath { trace_idx } => {
+                            match replay(trace_idx, corruption.corrupted_word) {
+                                Replay::Identical => Outcome::FalseDue,
+                                Replay::Different | Replay::Crashed | Replay::Hang => {
+                                    Outcome::TrueDue
+                                }
+                            }
                         }
                     }
                 }
@@ -899,7 +802,7 @@ impl Campaign {
                 }
                 (_, Occupant::WrongPath) => Outcome::SuppressedSafe,
                 (_, Occupant::CorrectPath { trace_idx }) => {
-                    match self.replay(trace_idx, corruption.corrupted_word) {
+                    match replay(trace_idx, corruption.corrupted_word) {
                         Replay::Identical => Outcome::SuppressedSafe,
                         Replay::Different | Replay::Crashed | Replay::Hang => {
                             Outcome::SuppressedSdc
@@ -907,22 +810,27 @@ impl Campaign {
                     }
                 }
             },
+        };
+        Injection {
+            outcome,
+            window_start,
+            run,
+            replay: path,
+            recovery,
         }
     }
 
     /// Re-runs the functional emulator with the corrupted word substituted
-    /// at the given dynamic position and compares outputs. A corrupted
-    /// word equal to the golden word short-circuits to `Identical`
-    /// without emulating at all. Otherwise the replay resumes from the
-    /// last golden checkpoint at or before `trace_idx`, and only the
-    /// output emitted after that checkpoint is compared. Debug builds
-    /// check one in eight emulated replays against a replay from program
-    /// start.
-    fn replay(&self, trace_idx: u64, corrupted_word: u64) -> Replay {
-        self.counters.replays.fetch_add(1, Ordering::Relaxed);
+    /// at the given dynamic position and compares outputs, returning the
+    /// comparison and the path it took. A corrupted word equal to the
+    /// golden word short-circuits to `Identical` without emulating at all.
+    /// Otherwise the replay resumes from the last golden checkpoint at or
+    /// before `trace_idx`, and only the output emitted after that
+    /// checkpoint is compared. Debug builds check one in eight emulated
+    /// replays against a replay from program start.
+    fn replay(&self, trace_idx: u64, corrupted_word: u64) -> (Replay, ReplayPath) {
         if self.golden_words.get(trace_idx as usize) == Some(&corrupted_word) {
-            self.counters.replay_fast_path.fetch_add(1, Ordering::Relaxed);
-            return Replay::Identical;
+            return (Replay::Identical, ReplayPath::FastPath);
         }
         let at = self
             .arch_checkpoints
@@ -948,7 +856,7 @@ impl Campaign {
                  (index {trace_idx}, word {corrupted_word:#x})"
             );
         }
-        replay
+        (replay, ReplayPath::Emulated)
     }
 
     /// The functional replay from program start, the reference the
@@ -1284,7 +1192,7 @@ mod tests {
                 for flip in [1, 1 << 20, u64::MAX] {
                     let word = c.golden_words[idx as usize] ^ flip;
                     let want = c.replay_from_start(idx, word);
-                    assert_eq!(c.replay(idx, word), want, "index {idx}, word {word:#x}");
+                    assert_eq!(c.replay(idx, word).0, want, "index {idx}, word {word:#x}");
                     differ += usize::from(want != Replay::Identical);
                 }
             }
@@ -1321,7 +1229,7 @@ mod tests {
         let scratch = Campaign::prepare(
             &spec,
             CampaignConfig {
-                checkpoint_interval: Some(0),
+                checkpoints: false,
                 ..base.clone()
             },
         )
@@ -1552,6 +1460,50 @@ mod tests {
         }
     }
 
+    /// With pruning off, the executor charges exactly what one full replay
+    /// per fault costs: its window prefix as skipped and the rest of that
+    /// replay as simulated. No idle shortcut and no gate stop may shave
+    /// a cycle off.
+    #[test]
+    fn unpruned_charges_equal_one_full_replay_per_fault() {
+        let spec = WorkloadSpec::quick("charges", 21);
+        let tracking = TrackingConfig {
+            scope: PiScope::StoreCommit,
+            anti_pi: true,
+            pet_entries: None,
+            mem_granule: 8,
+        };
+        let c = Campaign::prepare(
+            &spec,
+            CampaignConfig {
+                injections: 60,
+                seed: 17,
+                detection: DetectionModel::Parity {
+                    tracking: Some(tracking),
+                },
+                threads: 2,
+                ..CampaignConfig::default()
+            },
+        )
+        .unwrap();
+        let (mut skipped, mut simulated) = (0, 0);
+        for i in 0..60 {
+            let fault = c.fault_for(i);
+            let (from, cycles) = match c.snapshot_for(fault.cycle) {
+                Some(snap) => (
+                    snap.cycle().as_u64(),
+                    c.pipeline.resume(&c.program, &c.golden, snap, Some(fault)).cycles,
+                ),
+                None => (0, c.run_from_scratch(fault).cycles),
+            };
+            skipped += from;
+            simulated += cycles - from;
+        }
+        let perf = c.run().perf();
+        assert_eq!(perf.cycles_skipped, skipped);
+        assert_eq!(perf.cycles_simulated, simulated);
+    }
+
     #[test]
     fn pruned_run_matches_across_checkpoint_geometries() {
         let spec = WorkloadSpec::quick("prune-ckpt", 13);
@@ -1566,7 +1518,7 @@ mod tests {
         let scratch = Campaign::prepare(
             &spec,
             CampaignConfig {
-                checkpoint_interval: Some(0),
+                checkpoints: false,
                 ..base.clone()
             },
         )

@@ -19,12 +19,10 @@
 //! [`ResidualModel`] — which the integration tests verify within
 //! binomial confidence bounds.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 use ses_mem::{EccDomain, EccScheme, WordVerdict};
 use ses_pipeline::{EccReadOutcome, FaultSpec};
-use ses_types::Cycle;
 use ses_sampler::PatternClass;
 
 use crate::campaign::Campaign;
@@ -108,13 +106,8 @@ impl EccCampaignReport {
 /// [`Campaign`]. Deterministic in `cfg.seed` regardless of worker-thread
 /// count.
 pub fn run_ecc_campaign(campaign: &Campaign, cfg: &EccCampaignConfig) -> EccCampaignReport {
-    let cycles = campaign.baseline_cycles().max(1);
-    let iq = campaign.iq_entries();
     let results = campaign.parallel_map(cfg.injections, |i| {
-        let mut rng = StdRng::seed_from_u64(cfg.seed ^ u64::from(i).wrapping_mul(0x9E37));
-        let cycle = rng.gen_range(0..cycles);
-        let slot = rng.gen_range(0..iq);
-        let bit = rng.gen_range(0..64u32);
+        let (cycle, slot, bit, mut rng) = campaign.strike(cfg.seed, i);
         let class_draw: u64 = rng.gen();
         let aux: u64 = rng.gen();
         let strike = StrikePattern::generate(cfg.distribution.class_for(class_draw), bit, aux);
@@ -125,24 +118,16 @@ pub fn run_ecc_campaign(campaign: &Campaign, cfg: &EccCampaignConfig) -> EccCamp
         let (disposition, outcome) = match cfg.domain.classify_word(strike.mask) {
             WordVerdict::Corrected => (Disposition::Corrected, Outcome::Benign),
             WordVerdict::Signalled => {
-                let fault = FaultSpec::with_pattern(
-                    Cycle::new(cycle),
-                    slot,
-                    strike.mask,
-                    Some(EccReadOutcome::Signal),
-                );
+                let fault =
+                    FaultSpec::with_pattern(cycle, slot, strike.mask, Some(EccReadOutcome::Signal));
                 (Disposition::Detected, campaign.inject_spec_quiet(fault))
             }
             WordVerdict::Silent { effective } => {
                 // The consumer sees the decoder's residual, not the raw
                 // strike: inject the effective mask so the replayed word
                 // matches what a miscorrecting decoder would hand on.
-                let fault = FaultSpec::with_pattern(
-                    Cycle::new(cycle),
-                    slot,
-                    effective,
-                    Some(EccReadOutcome::Silent),
-                );
+                let fault =
+                    FaultSpec::with_pattern(cycle, slot, effective, Some(EccReadOutcome::Silent));
                 (Disposition::Silent, campaign.inject_spec_quiet(fault))
             }
         };
@@ -181,19 +166,9 @@ pub fn run_ecc_campaign(campaign: &Campaign, cfg: &EccCampaignConfig) -> EccCamp
 /// the read probability. This is the workload-dependent factor that
 /// multiplies the scheme's analytic residual fractions.
 pub fn read_probability(campaign: &Campaign, n: u32, seed: u64) -> f64 {
-    let cycles = campaign.baseline_cycles().max(1);
-    let iq = campaign.iq_entries();
     let outcomes = campaign.parallel_map(n, |i| {
-        let mut rng = StdRng::seed_from_u64(seed ^ u64::from(i).wrapping_mul(0x9E37));
-        let cycle = rng.gen_range(0..cycles);
-        let slot = rng.gen_range(0..iq);
-        let bit = rng.gen_range(0..64u32);
-        let fault = FaultSpec::with_pattern(
-            Cycle::new(cycle),
-            slot,
-            1u64 << bit,
-            Some(EccReadOutcome::Signal),
-        );
+        let (cycle, slot, bit, _) = campaign.strike(seed, i);
+        let fault = FaultSpec::with_pattern(cycle, slot, 1u64 << bit, Some(EccReadOutcome::Signal));
         campaign.inject_spec_quiet(fault)
     });
     let due = outcomes.iter().filter(|o| o.is_due()).count();

@@ -17,7 +17,6 @@
 
 use std::fmt;
 use std::str::FromStr;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -218,48 +217,6 @@ pub struct RecoveryDecision {
     pub reexec_instructions: u64,
 }
 
-/// Monotonic recovery counters shared by the injection workers. All
-/// updates are order-independent sums, so aggregates are deterministic
-/// across thread schedules.
-#[derive(Debug, Default)]
-pub(crate) struct RecoveryCounters {
-    pub(crate) recovered: AtomicU32,
-    pub(crate) fallback_due: AtomicU32,
-    pub(crate) reexec_instructions: AtomicU64,
-    pub(crate) latency_cycles: AtomicU64,
-}
-
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct RecoveryCounterValues {
-    pub(crate) recovered: u32,
-    pub(crate) fallback_due: u32,
-    pub(crate) reexec_instructions: u64,
-    pub(crate) latency_cycles: u64,
-}
-
-impl RecoveryCounters {
-    pub(crate) fn values(&self) -> RecoveryCounterValues {
-        RecoveryCounterValues {
-            recovered: self.recovered.load(Ordering::Relaxed),
-            fallback_due: self.fallback_due.load(Ordering::Relaxed),
-            reexec_instructions: self.reexec_instructions.load(Ordering::Relaxed),
-            latency_cycles: self.latency_cycles.load(Ordering::Relaxed),
-        }
-    }
-
-    pub(crate) fn record(&self, decision: &RecoveryDecision) {
-        self.latency_cycles
-            .fetch_add(decision.latency_cycles, Ordering::Relaxed);
-        if decision.recovered {
-            self.recovered.fetch_add(1, Ordering::Relaxed);
-            self.reexec_instructions
-                .fetch_add(decision.reexec_instructions, Ordering::Relaxed);
-        } else {
-            self.fallback_due.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
-
 /// Aggregated recovery accounting for one campaign execution, surfaced as
 /// the schema-versioned `recovery` telemetry stanza.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -280,6 +237,17 @@ pub struct RecoveryReport {
 }
 
 impl RecoveryReport {
+    /// Adds one detected fault's resolution to the totals.
+    pub(crate) fn record(&mut self, decision: &RecoveryDecision) {
+        self.latency_cycles += decision.latency_cycles;
+        if decision.recovered {
+            self.recovered += 1;
+            self.reexec_instructions += decision.reexec_instructions;
+        } else {
+            self.fallback_due += 1;
+        }
+    }
+
     /// Detected faults (recovered + fallback).
     pub fn detected(&self) -> u32 {
         self.recovered + self.fallback_due

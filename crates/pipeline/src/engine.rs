@@ -43,8 +43,8 @@ struct Recovery {
 /// See the [crate-level documentation](crate) for an end-to-end example.
 ///
 /// Every entry point drives one cycle loop; they differ only in the
-/// starting state (fresh, restored from a [`Snapshot`], or forked off a
-/// [`PrunedWindow`] base) and in which [`Observers`] ride along.
+/// starting state (fresh, restored from a [`Snapshot`], or a
+/// [`FaultWindow`] base) and in which [`Observers`] ride along.
 pub struct Pipeline {
     config: PipelineConfig,
 }
@@ -58,7 +58,7 @@ pub struct Observers {
     /// by this interval, cycle 0 included (0 = none).
     pub snapshot_interval: u64,
     /// Record the per-cycle overlay fingerprint stream consumed by
-    /// convergence pruning ([`PrunedWindow::run_fault`]).
+    /// convergence pruning ([`FaultWindow::run_fault`]).
     pub fingerprints: bool,
     /// Collect [`StageCounters`] bucketed by this many cycles.
     pub stage_bucket: Option<u64>,
@@ -187,49 +187,26 @@ impl Pipeline {
             .result
     }
 
-    /// Resumes a fault run from `snapshot` and returns only what a
-    /// campaign's verdict reads: the outcome and the end cycle, equal to
-    /// [`Pipeline::resume`]'s `fault` and `cycles`. The restore skips
-    /// copying the snapshot's residency-log prefix, the dominant cost of a
-    /// resume; the partial log that leaves behind is dropped here, so it
-    /// can never reach AVF analysis.
+    /// Prepares the base of one checkpoint window: the engine state at
+    /// the window's start, restored **once** and then run once per fault
+    /// by [`FaultWindow::run_fault`] (a fork of the base) or
+    /// [`FaultWindow::run_last`] (the base itself). `snapshot = None`
+    /// means the window starts at cycle 0 from a fresh (cache-warmed)
+    /// engine under `detection`; with a snapshot, the detector state (and
+    /// with it the detection model) comes from the snapshot and
+    /// `detection` is ignored, mirroring [`Pipeline::resume`].
     ///
-    /// # Panics
-    ///
-    /// Panics if `fault` strikes before the snapshot cycle.
-    pub fn resume_fault(
-        &self,
-        program: &Program,
-        trace: &ExecutionTrace,
-        snapshot: &Snapshot,
-        fault: FaultSpec,
-    ) -> FaultRun {
-        let result = Engine::restore(&self.config, program, trace, snapshot, Some(fault), false)
-            .run_core(snapshot.cycle)
-            .0
-            .result;
-        FaultRun {
-            outcome: result
-                .fault
-                .expect("a faulted run always resolves an outcome"),
-            end_cycle: result.cycles,
-        }
-    }
-
-    /// Prepares a batch base for one checkpoint window: the engine state
-    /// at the window's start, restored **once** and then forked per fault
-    /// by [`PrunedWindow::run_fault`]. `snapshot = None` means the window
-    /// starts at cycle 0 from a fresh (cache-warmed) engine under
-    /// `detection`; with a snapshot, the detector state (and with it the
-    /// detection model) comes from the snapshot and `detection` is
-    /// ignored, mirroring [`Pipeline::resume`].
-    pub fn pruned_window<'a>(
+    /// The restore is lean: it skips copying the snapshot's residency-log
+    /// prefix, the dominant cost of a resume. A fault run returns only its
+    /// verdict and end cycle ([`FaultRun`]), so the partial log that
+    /// leaves behind can never reach AVF analysis.
+    pub fn fault_window<'a>(
         &'a self,
         program: &'a Program,
         trace: &'a ExecutionTrace,
         snapshot: Option<&Snapshot>,
         detection: DetectionModel,
-    ) -> PrunedWindow<'a> {
+    ) -> FaultWindow<'a> {
         let (base, start) = match snapshot {
             Some(s) => (
                 Engine::restore(&self.config, program, trace, s, None, false),
@@ -240,81 +217,97 @@ impl Pipeline {
                 Cycle::ZERO,
             ),
         };
-        PrunedWindow { base, start }
+        FaultWindow { base, start }
     }
 }
 
-/// The outcome of one checkpoint-resumed fault replay
-/// ([`Pipeline::resume_fault`]).
+/// The outcome of one fault replay from a [`FaultWindow`]: what a
+/// campaign's verdict and accounting read, nothing more.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultRun {
-    /// The fault's resolved outcome.
-    pub outcome: FaultOutcome,
-    /// The cycle the run ended at.
-    pub end_cycle: u64,
-}
-
-/// The outcome of one convergence-pruned fault replay.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PrunedRun {
     /// The fault's resolved outcome — identical to what a full replay
-    /// would report (the pruning gate only fires when the verdict is
+    /// would report (the convergence gate only fires when the verdict is
     /// already decided).
     pub outcome: FaultOutcome,
     /// The cycle the replay stopped: the reconvergence cycle when
-    /// `pruned`, otherwise the run's natural end.
+    /// `pruned`, otherwise the run's natural end (equal to
+    /// [`Pipeline::resume`]'s `cycles`).
     pub end_cycle: u64,
-    /// Whether the replay stopped at the reconvergence gate rather than
+    /// Whether the replay stopped at the convergence gate rather than
     /// running to completion.
     pub pruned: bool,
 }
 
-/// A restored-once, forked-per-fault batch base for all injections whose
-/// strike cycle falls in one checkpoint window.
+/// A restored-once base for all injections whose strike cycle falls in
+/// one checkpoint window.
 ///
-/// Built by [`Pipeline::pruned_window`]; each [`PrunedWindow::run_fault`]
-/// clones the base state (cheap: the base has an empty residency log) and
-/// replays with the convergence gate armed. Restoring the snapshot once
+/// Built by [`Pipeline::fault_window`]. [`FaultWindow::run_fault`] clones
+/// the base state (cheap: the base has an empty residency log) and
+/// replays one fault; [`FaultWindow::run_last`] replays the window's last
+/// fault on the base itself, saving the clone. Restoring the snapshot once
 /// per window instead of once per fault amortizes the dominant restore
 /// cost across the whole batch.
-pub struct PrunedWindow<'a> {
+pub struct FaultWindow<'a> {
     base: Engine<'a>,
     start: Cycle,
 }
 
-impl PrunedWindow<'_> {
-    /// The cycle this window's base state corresponds to; every fault run
-    /// from this window replays `[start_cycle, end_cycle)`.
-    pub fn start_cycle(&self) -> u64 {
-        self.start.as_u64()
-    }
-
-    /// Replays `fault` from the window base, stopping at the first cycle
-    /// the convergence gate fires against the golden fingerprint stream
-    /// `golden_fps` (as recorded by [`Pipeline::run_golden`] with
-    /// [`Observers::fingerprints`]).
+impl FaultWindow<'_> {
+    /// Replays `fault` on a fork of the window base, leaving the base
+    /// intact for the window's next fault. With `gate` set, the replay
+    /// stops at the first cycle the convergence gate fires against that
+    /// golden fingerprint stream (as recorded by [`Pipeline::run_golden`]
+    /// with [`Observers::fingerprints`]); without it, the replay runs to
+    /// its natural end.
     ///
     /// # Panics
     ///
-    /// Panics if `fault` strikes before the window's start cycle.
-    pub fn run_fault(&self, fault: FaultSpec, golden_fps: &[u64]) -> PrunedRun {
-        assert!(
-            fault.cycle >= self.start,
-            "fault at {:?} strikes before window start {:?}",
-            fault.cycle,
-            self.start
-        );
-        let mut engine = self.base.fork(fault);
-        engine.gate = Some(golden_fps);
-        let (run, pruned) = engine.run_core(self.start);
-        PrunedRun {
-            outcome: run
-                .result
-                .fault
-                .expect("a faulted run always resolves an outcome"),
-            end_cycle: run.result.cycles,
-            pruned,
-        }
+    /// Panics if `fault` strikes before the window's start cycle, or if
+    /// `gate` does not cover the window's start cycle.
+    pub fn run_fault(&self, fault: FaultSpec, gate: Option<&[u64]>) -> FaultRun {
+        run_window_fault(self.base.clone(), self.start, fault, gate)
+    }
+
+    /// Like [`FaultWindow::run_fault`], but replays on the window base
+    /// itself, consuming the window: the cheaper run for a window's last
+    /// fault.
+    ///
+    /// # Panics
+    ///
+    /// As [`FaultWindow::run_fault`].
+    pub fn run_last(self, fault: FaultSpec, gate: Option<&[u64]>) -> FaultRun {
+        run_window_fault(self.base, self.start, fault, gate)
+    }
+}
+
+/// Runs `fault` on an unstepped window base from `start`.
+fn run_window_fault<'a>(
+    mut engine: Engine<'a>,
+    start: Cycle,
+    fault: FaultSpec,
+    gate: Option<&'a [u64]>,
+) -> FaultRun {
+    assert!(
+        fault.cycle >= start,
+        "fault at {:?} strikes before window start {:?}",
+        fault.cycle,
+        start
+    );
+    // A stream that ends before the window would silently never fire.
+    assert!(
+        gate.is_none_or(|golden| golden.len() as u64 > start.as_u64()),
+        "convergence gate armed without a golden fingerprint stream covering {start:?}"
+    );
+    engine.fault = Some(fault);
+    engine.gate = gate;
+    let (run, pruned) = engine.run_core(start);
+    FaultRun {
+        outcome: run
+            .result
+            .fault
+            .expect("a faulted run always resolves an outcome"),
+        end_cycle: run.result.cycles,
+        pruned,
     }
 }
 
@@ -455,9 +448,9 @@ impl<'a> Engine<'a> {
     ///
     /// `with_residencies = false` skips copying the pre-snapshot residency
     /// log, the dominant cost of a restore. Fault runs never consume their
-    /// residencies, so [`Pipeline::resume_fault`] and the pruned windows
-    /// restore lean; a lean engine's residency log holds only the
-    /// post-restore tail and must never feed AVF analysis.
+    /// residencies, so [`Pipeline::fault_window`] restores lean; a lean
+    /// engine's residency log holds only the post-restore tail and must
+    /// never feed AVF analysis.
     fn restore(
         cfg: &'a PipelineConfig,
         program: &'a Program,
@@ -634,17 +627,6 @@ impl<'a> Engine<'a> {
             h = fnv1a(h, e.pi as u64);
         }
         h
-    }
-
-    /// Clones this engine's pre-run state into a fresh engine carrying
-    /// `fault`. The receiver must not have stepped yet (it is the restored
-    /// base of a pruned window), so the fork starts from the identical
-    /// machine state.
-    fn fork(&self, fault: FaultSpec) -> Engine<'a> {
-        Engine {
-            fault: Some(fault),
-            ..self.clone()
-        }
     }
 
     /// Captures the engine's full state at the top of cycle `now`.
@@ -1113,8 +1095,8 @@ mod tests {
                     .snapshots
                     .partition_point(|s| s.cycle() <= fault.cycle);
                 let snap = &golden.snapshots[idx - 1];
-                let window = pipeline.pruned_window(&program, &trace, Some(snap), detection);
-                let run = window.run_fault(fault, &golden.fingerprints);
+                let window = pipeline.fault_window(&program, &trace, Some(snap), detection);
+                let run = window.run_fault(fault, Some(&golden.fingerprints));
                 run.pruned.then_some((fault, snap, window, run))
             });
         let (fault, snap, window, run) =
@@ -1125,13 +1107,28 @@ mod tests {
             "a pruned replay stops before the natural end"
         );
         assert_eq!(Some(run.outcome), full.fault);
-        let defect = window.run_fault(fault, &planted);
+        let defect = window.run_fault(fault, Some(&planted));
         assert!(
             !defect.pruned,
             "the gate fired against a corrupted golden stream"
         );
         assert_eq!(Some(defect.outcome), full.fault);
         assert_eq!(defect.end_cycle, full.cycles);
+    }
+
+    /// A gate against a stream that ends before the window starts could
+    /// never fire; arming one is a caller bug, not a silent no-op.
+    #[test]
+    #[should_panic(expected = "convergence gate armed")]
+    fn gate_without_a_covering_stream_is_rejected() {
+        let (program, trace) = quick_run();
+        let pipeline = Pipeline::new(PipelineConfig::default());
+        let (_, snapshots) =
+            pipeline.run_with_snapshots(&program, &trace, DetectionModel::None, 600);
+        let late = snapshots.last().unwrap();
+        let fault = FaultSpec::single(late.cycle(), 0, 0);
+        let window = pipeline.fault_window(&program, &trace, Some(late), DetectionModel::None);
+        window.run_last(fault, Some(&[]));
     }
 
     #[test]

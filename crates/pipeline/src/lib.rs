@@ -53,9 +53,7 @@ pub use detect::{
     parity_detects, Corruption, DetectionModel, Detector, EccReadOutcome, FaultOutcome, FaultSpec,
     SuppressReason, TrackingConfig,
 };
-pub use engine::{
-    FaultRun, ObservedRun, Observers, Pipeline, PrunedRun, PrunedWindow, Snapshot,
-};
+pub use engine::{FaultRun, FaultWindow, ObservedRun, Observers, Pipeline, Snapshot};
 pub use frontend::{FetchedInstr, FrontEnd, FrontEndStats};
 pub use iq::{InstructionQueue, IqEntry};
 pub use pet::{PetBuffer, PetEntry, PetVerdict};

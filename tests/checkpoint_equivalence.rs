@@ -28,7 +28,7 @@ fn campaign_pair(detection: DetectionModel, injections: u32) -> (Campaign, Campa
     let scratch = Campaign::prepare(
         &spec,
         CampaignConfig {
-            checkpoint_interval: Some(0),
+            checkpoints: false,
             ..base.clone()
         },
     )
@@ -103,9 +103,11 @@ fn quick_program(name: &str, seed: u64) -> (Program, ExecutionTrace, u64) {
     (program, trace, budget)
 }
 
-/// `Pipeline::resume_fault` skips the residency-log copy; its verdict
-/// and end cycle must equal the full `resume` and the from-scratch run
-/// for a fault in every checkpoint window.
+/// A fault window restores its snapshot lean (no residency-log copy).
+/// With the convergence gate off, both of its runs — on a fork of the
+/// base and on the base itself — must report the verdict and end cycle
+/// of the full `resume` and of the from-scratch run, for a fault in
+/// every checkpoint window and in the from-scratch window.
 #[test]
 fn lean_fault_runs_match_full_resume_and_scratch_in_every_window() {
     let (program, trace, _) = quick_program("ckpt-lean", 23);
@@ -120,26 +122,39 @@ fn lean_fault_runs_match_full_resume_and_scratch_in_every_window() {
             snaps.len()
         );
         let mut struck = 0;
-        for (w, snap) in snaps.iter().enumerate() {
+        for (w, snap) in std::iter::once(None)
+            .chain(snaps.iter().map(Some))
+            .enumerate()
+        {
             let w = w as u64;
-            let cycle = (snap.cycle().as_u64() + (w * 37) % interval).min(cycles - 1);
+            let start = snap.map_or(0, |s| s.cycle().as_u64());
+            let cycle = (start + (w * 37) % interval).min(cycles - 1);
             // Low slots fill first, so most of these strikes land on a
             // resident entry.
             let fault =
                 FaultSpec::single(Cycle::new(cycle), (w % 4) as usize, (w * 13 % 64) as u32);
-            let lean = pipeline.resume_fault(&program, &trace, snap, fault);
-            let full = pipeline.resume(&program, &trace, snap, Some(fault));
             let scratch = pipeline.run_with_fault(&program, &trace, Some(fault), detection);
-            assert_eq!(full, scratch, "resume diverged from scratch for {fault:?}");
+            if let Some(s) = snap {
+                let full = pipeline.resume(&program, &trace, s, Some(fault));
+                assert_eq!(full, scratch, "resume diverged from scratch for {fault:?}");
+            }
             let want = FaultRun {
-                outcome: full.fault.expect("fault run resolves an outcome"),
-                end_cycle: full.cycles,
+                outcome: scratch.fault.expect("fault run resolves an outcome"),
+                end_cycle: scratch.cycles,
+                pruned: false,
             };
+            let window = pipeline.fault_window(&program, &trace, snap, detection);
+            let forked = window.run_fault(fault, None);
             assert_eq!(
-                lean, want,
-                "lean resume diverged under {detection:?} for {fault:?}"
+                forked, want,
+                "forked window run diverged under {detection:?} for {fault:?}"
             );
-            struck += usize::from(lean.outcome != FaultOutcome::SlotIdle);
+            let consumed = window.run_last(fault, None);
+            assert_eq!(
+                consumed, want,
+                "consuming window run diverged under {detection:?} for {fault:?}"
+            );
+            struck += usize::from(want.outcome != FaultOutcome::SlotIdle);
         }
         assert!(
             struck * 2 > snaps.len(),

@@ -337,6 +337,66 @@ fn recovery_artifact_is_thread_count_invariant() {
     assert!(one.contains("\"recovery\""), "artifact must carry the recovery stanza");
 }
 
+/// A prepared campaign is immutable: two detailed runs on one shared
+/// campaign, racing each other and a stream of single-fault injections,
+/// each report exactly what a lone run reports — samples, perf counters,
+/// recovery and pruning stanzas — and each single injection classifies
+/// as its sample did.
+#[test]
+fn concurrent_runs_on_one_campaign_match_a_lone_run() {
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    use ses_core::{
+        Campaign, CampaignConfig, CampaignPerf, DetectionModel, LatencyDistribution, RecoveryPolicy,
+    };
+    let spec = WorkloadSpec::quick("concurrent-runs", 19);
+    let campaign = Arc::new(
+        Campaign::prepare(
+            &spec,
+            CampaignConfig {
+                injections: 80,
+                seed: 29,
+                detection: DetectionModel::Parity { tracking: None },
+                detect_latency: Some(LatencyDistribution::Fixed(6)),
+                recovery: RecoveryPolicy::Idempotent,
+                prune: true,
+                threads: 2,
+                ..CampaignConfig::default()
+            },
+        )
+        .unwrap(),
+    );
+    let counters = |perf: CampaignPerf| CampaignPerf {
+        inject_wall: Duration::ZERO,
+        ..perf
+    };
+    let lone = campaign.run_detailed();
+    assert!(lone.recovery().is_some_and(|r| r.detected() > 0));
+    assert!(lone.prune().is_some_and(|p| p.idle_skips > 0));
+    let runs: Vec<_> = (0..2)
+        .map(|_| {
+            let c = Arc::clone(&campaign);
+            std::thread::spawn(move || c.run_detailed())
+        })
+        .collect();
+    let c = Arc::clone(&campaign);
+    let singles = std::thread::spawn(move || {
+        (0..80)
+            .map(|i| c.inject_spec(c.fault_for(i)))
+            .collect::<Vec<_>>()
+    });
+    for run in runs {
+        let report = run.join().unwrap();
+        assert_eq!(report.samples(), lone.samples());
+        assert_eq!(counters(report.perf()), counters(lone.perf()));
+        assert_eq!(report.recovery(), lone.recovery());
+        assert_eq!(report.prune(), lone.prune());
+    }
+    let want: Vec<_> = lone.samples().iter().map(|&(_, o)| o).collect();
+    assert_eq!(singles.join().unwrap(), want);
+}
+
 /// Checkpointed injection replay must not perturb recovery accounting:
 /// the per-fault outcomes and the whole recovery stanza are identical
 /// between a from-scratch campaign and one that resumes from pipeline
@@ -348,20 +408,20 @@ fn recovery_survives_checkpoint_resume() {
         Campaign, CampaignConfig, DetectionModel, LatencyDistribution, RecoveryPolicy,
     };
     let spec = WorkloadSpec::quick("recovery-ckpt", 23);
-    let run = |checkpoint_interval: Option<u64>| {
+    let run = |checkpoints: bool| {
         let config = CampaignConfig {
             injections: 120,
             seed: 41,
             detection: DetectionModel::Parity { tracking: None },
             detect_latency: Some(LatencyDistribution::Fixed(6)),
             recovery: RecoveryPolicy::Idempotent,
-            checkpoint_interval,
+            checkpoints,
             ..CampaignConfig::default()
         };
         Campaign::prepare(&spec, config).unwrap().run_detailed()
     };
-    let scratch = run(Some(0));
-    let checkpointed = run(None);
+    let scratch = run(false);
+    let checkpointed = run(true);
     assert!(
         checkpointed.perf().cycles_skipped > 0,
         "the checkpointed run must actually exercise snapshot resume"

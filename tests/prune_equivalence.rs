@@ -43,7 +43,7 @@ fn fuzzed_corpus_verdicts_match_full_replay() {
             let base = CampaignConfig {
                 injections: 40,
                 seed: *seed ^ (m as u64) << 8,
-                detection: detection.clone(),
+                detection: *detection,
                 double_bit: *double_bit,
                 threads: 2,
                 ..CampaignConfig::default()
@@ -170,16 +170,16 @@ fn pruned_artifact_is_thread_count_invariant() {
     assert!(one.contains("\"pruning\""), "artifact must carry the pruning stanza");
 }
 
-/// Checkpoint/resume with pruning on: from-scratch (`Some(0)`) and
-/// checkpointed (default interval) geometries agree on every verdict and
-/// on the outcome histogram. (Pruning-stanza bytes legitimately differ —
+/// Checkpoint/resume with pruning on: from-scratch (`checkpoints: false`)
+/// and checkpointed (default) geometries agree on every verdict and on
+/// the outcome histogram. (Pruning-stanza bytes legitimately differ —
 /// replay-cycle and idle-skip savings are measured from each window's
 /// start — so equality is on samples and counts, mirroring the
 /// checkpointed-recovery guard.)
 #[test]
 fn pruned_run_survives_checkpoint_resume() {
     let spec = WorkloadSpec::quick("prune-ckpt-resume", 37);
-    let run = |checkpoint_interval: Option<u64>| {
+    let run = |checkpoints: bool| {
         let config = CampaignConfig {
             injections: 80,
             seed: 11,
@@ -187,13 +187,13 @@ fn pruned_run_survives_checkpoint_resume() {
                 tracking: Some(tracking()),
             },
             prune: true,
-            checkpoint_interval,
+            checkpoints,
             ..CampaignConfig::default()
         };
         Campaign::prepare(&spec, config).unwrap().run_detailed()
     };
-    let scratch = run(Some(0));
-    let checkpointed = run(None);
+    let scratch = run(false);
+    let checkpointed = run(true);
     assert_eq!(
         scratch.samples(),
         checkpointed.samples(),
