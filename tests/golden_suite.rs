@@ -11,7 +11,8 @@
 //! ```
 //!
 //! The campaign goldens regenerate from the command lines in `ECC_GRID`,
-//! `RECOVERY` and `PRUNE` below, with `--json tests/golden/<file>`.
+//! `ECC_CAMPAIGN`, `RECOVERY` and `PRUNE` below, with
+//! `--json tests/golden/<file>`.
 
 use std::path::Path;
 
@@ -87,6 +88,7 @@ fn perturbed_config_is_caught() {
 /// campaign job), so the "regenerate with" hint is exactly what the test
 /// checks.
 const ECC_GRID: &str = "ecc-grid cc gzip";
+const ECC_CAMPAIGN: &str = "campaign crafty --ecc sec-ded --injections 400";
 const RECOVERY: &str =
     "campaign crafty --detect-latency fixed:8 --recovery idempotent --injections 150";
 const PRUNE: &str = "inject crafty --injections 300 --model tracking --prune";
@@ -161,6 +163,31 @@ fn perturbed_ecc_grid_is_caught() {
     assert!(
         golden_text.contains("\"read_probability\": 0.655,"),
         "golden must pin the measured cc read probability"
+    );
+}
+
+/// The multi-bit ECC campaign artifact is pinned byte-for-byte: strike
+/// classes, the decoder's corrected/detected/silent dispositions, and the
+/// outcomes of the detected and silent strikes the pipeline classifies.
+#[test]
+fn ecc_campaign_artifact_matches_golden() {
+    assert_golden(ECC_CAMPAIGN, "campaign_ecc_crafty.json");
+}
+
+/// The ECC campaign pin must be falsifiable in its results: a different
+/// strike sequence must move the bytes, and the golden must carry both
+/// injected dispositions (detected and silent strikes run the pipeline).
+#[test]
+fn perturbed_ecc_campaign_is_caught() {
+    let golden_text = golden("campaign_ecc_crafty.json");
+    assert!(
+        golden_text.contains("\"detected\": 56,") && golden_text.contains("\"silent\": 2\n"),
+        "golden must pin both injected dispositions"
+    );
+    assert_ne!(
+        job_artifact(&format!("{ECC_CAMPAIGN} --seed 2027")),
+        golden_text,
+        "a different strike sequence must move the ECC campaign artifact"
     );
 }
 
