@@ -48,12 +48,12 @@ pub use ses_avf::{
     RegionFault, RegionMap, StateFractions, Technique, TimelinePoint,
 };
 pub use ses_faults::{
-    build_strata, build_strata_with, class_instances, mask_for_class, read_probability,
-    run_ecc_campaign, AdaptiveCampaignConfig, AdaptiveCampaignReport, AdaptiveSession, Campaign,
-    CampaignConfig, CampaignPerf, CampaignReport, DetailedReport, EccCampaignConfig,
-    EccCampaignReport, LatencyDistribution, MetricKind, Outcome, PatternDistribution,
-    PatternModel, PruneReport, RecoveryDecision, RecoveryPolicy, RecoveryReport, ResidualModel,
-    StratumReport, StrikePattern, UniformRun,
+    build_strata, build_strata_with, class_instances, ecc_fault, mask_for_class,
+    read_probability, run_ecc_campaign, AdaptiveCampaignConfig, AdaptiveCampaignReport,
+    AdaptiveSession, Campaign, CampaignConfig, CampaignPerf, CampaignReport, DetailedReport,
+    EccCampaignConfig, EccCampaignReport, LatencyDistribution, MetricKind, Outcome,
+    PatternDistribution, PatternModel, PruneReport, RecoveryDecision, RecoveryPolicy,
+    RecoveryReport, ResidualModel, StratumReport, UniformRun,
 };
 pub use ses_sampler::{
     AdaptiveCheckpoint, AdaptiveConfig, AdaptiveScheduler, BitClass, FaultCoord,

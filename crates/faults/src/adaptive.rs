@@ -4,7 +4,7 @@
 //! An [`AdaptiveSession`] binds an [`AdaptiveScheduler`] to a prepared
 //! [`Campaign`]: the scheduler plans each round (which strata get how
 //! many trials, at which exact coordinates), the session evaluates the
-//! round on the campaign's work-sharded parallel path, and the observed
+//! round as one [`Campaign::inject_batch`], and the observed
 //! outcomes flow back as Bernoulli events of the chosen [`MetricKind`].
 //! Because planning is single-threaded and evaluation preserves trial
 //! order, the whole campaign — trajectory, per-stratum counts, final
@@ -12,9 +12,9 @@
 //! [`AdaptiveSession::checkpoint`] / [`AdaptiveSession::resume`] make a
 //! mid-campaign stop invisible in the artifact.
 
-use ses_mem::{EccDomain, WordVerdict};
+use ses_mem::EccDomain;
 use ses_metrics::{RateInterval, ReliabilityModel};
-use ses_pipeline::{EccReadOutcome, FaultSpec};
+use ses_pipeline::FaultSpec;
 use ses_sampler::{
     lifetime_cells, splitmix64, AdaptiveCheckpoint, AdaptiveConfig, AdaptiveScheduler,
     OccupancyProfile, RoundRecord, Strata, StratifiedEstimate, StratumState, Trial,
@@ -23,7 +23,7 @@ use ses_types::{Cycle, Ipc};
 
 use crate::campaign::Campaign;
 use crate::outcome::Outcome;
-use crate::pattern::{mask_for_class, PatternDistribution};
+use crate::pattern::{ecc_fault, mask_for_class, PatternDistribution};
 
 /// Cycle windows the occupancy profile buckets the run into.
 const OCC_WINDOWS: usize = 16;
@@ -187,77 +187,43 @@ impl<'c> AdaptiveSession<'c> {
         }
     }
 
-    /// Plans and evaluates one round on the campaign's parallel path.
-    /// Returns `false` when the campaign had already stopped (no round
-    /// was run).
+    /// Plans one round and evaluates it as one injection batch, with the
+    /// ECC verdict precomputed per trial. Returns `false` when the
+    /// campaign had already stopped (no round was run).
     pub fn step_round(&mut self) -> bool {
         let plan: Vec<Trial> = self.scheduler.plan_round();
         if plan.is_empty() {
             return false;
         }
-        let campaign = self.campaign;
         let strata = self.scheduler.strata();
-        let events: Vec<bool> = campaign
-            .parallel_map(plan.len() as u32, |i| {
-                let t = &plan[i as usize];
-                // The resume-vs-scratch determinism guard runs on a fixed
-                // subsample; running it on every trial of an exhaustive
-                // stratum would double debug-build cost for no coverage.
-                let verify = cfg!(debug_assertions) && i.is_multiple_of(64);
-                let inject = |spec: FaultSpec| {
-                    if verify {
-                        campaign.inject_spec(spec)
-                    } else {
-                        campaign.inject_spec_quiet(spec)
-                    }
+        let strikes: Vec<Option<FaultSpec>> = plan
+            .iter()
+            .map(|t| {
+                let cycle = Cycle::new(t.coord.cycle);
+                let Some(class) = strata.strata()[t.stratum].key.pattern else {
+                    return Some(FaultSpec::single(cycle, t.coord.slot, t.coord.bit));
                 };
-                let outcome = match strata.strata()[t.stratum].key.pattern {
-                    None => inject(FaultSpec::single(
-                        Cycle::new(t.coord.cycle),
-                        t.coord.slot,
-                        t.coord.bit,
-                    )),
-                    Some(class) => {
-                        let model = self
-                            .pattern
-                            .expect("pattern-stratified partition implies a pattern model");
-                        // Extra placement randomness (only random doubles
-                        // consume it), derived from the coordinate so it is
-                        // identical across thread counts and resume.
-                        let aux = splitmix64(
-                            self.seed
-                                ^ t.coord.cycle.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                                ^ (t.coord.slot as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9)
-                                ^ u64::from(t.coord.bit),
-                        );
-                        let mask = mask_for_class(class, t.coord.bit, aux);
-                        match model.domain.classify_word(mask) {
-                            // Absorbed at the decoder: benign with no
-                            // pipeline run — the cost saving ECC campaigns
-                            // get for free.
-                            WordVerdict::Corrected => Outcome::Benign,
-                            WordVerdict::Signalled => {
-                                inject(FaultSpec::with_pattern(
-                                    Cycle::new(t.coord.cycle),
-                                    t.coord.slot,
-                                    mask,
-                                    Some(EccReadOutcome::Signal),
-                                ))
-                            }
-                            WordVerdict::Silent { effective } => {
-                                inject(FaultSpec::with_pattern(
-                                    Cycle::new(t.coord.cycle),
-                                    t.coord.slot,
-                                    effective,
-                                    Some(EccReadOutcome::Silent),
-                                ))
-                            }
-                        }
-                    }
-                };
-                self.metric.is_event(outcome)
+                let model = self
+                    .pattern
+                    .expect("pattern-stratified partition implies a pattern model");
+                // Extra placement randomness (only random doubles consume
+                // it), derived from the coordinate so it is identical
+                // across thread counts and resume.
+                let aux = splitmix64(
+                    self.seed
+                        ^ t.coord.cycle.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                        ^ (t.coord.slot as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9)
+                        ^ u64::from(t.coord.bit),
+                );
+                let mask = mask_for_class(class, t.coord.bit, aux);
+                ecc_fault(&model.domain, cycle, t.coord.slot, mask)
             })
+            .collect();
+        let events: Vec<bool> = self
+            .campaign
+            .inject_strikes(&strikes)
             .into_iter()
+            .map(|outcome| self.metric.is_event(outcome))
             .collect();
         self.scheduler.record_round(&plan, &events);
         true
@@ -503,31 +469,29 @@ mod tests {
         // Scan for idle coordinates and check the engine agrees they
         // resolve benign — the soundness condition for excluding them
         // from sampling.
-        let mut checked = 0;
-        'outer: for cycle in 0..c.baseline_cycles() {
-            for slot in 0..c.iq_entries() {
-                let coord = ses_sampler::FaultCoord { cycle, slot, bit: 0 };
-                if strata.stratum_of(&coord).is_none() {
-                    for bit in [0u32, 31, 63] {
-                        let spec = ses_pipeline::FaultSpec::single(
-                            ses_types::Cycle::new(cycle),
-                            slot,
-                            bit,
-                        );
-                        assert_eq!(
-                            c.inject_spec(spec),
-                            Outcome::Benign,
-                            "masked coordinate {cycle}/{slot}/{bit} must be idle"
-                        );
-                    }
-                    checked += 1;
-                    if checked >= 25 {
-                        break 'outer;
-                    }
-                }
-            }
+        let masked: Vec<FaultSpec> = (0..c.baseline_cycles())
+            .flat_map(|cycle| (0..c.iq_entries()).map(move |slot| (cycle, slot)))
+            .filter(|&(cycle, slot)| {
+                let coord = ses_sampler::FaultCoord {
+                    cycle,
+                    slot,
+                    bit: 0,
+                };
+                strata.stratum_of(&coord).is_none()
+            })
+            .take(25)
+            .flat_map(|(cycle, slot)| {
+                [0u32, 31, 63].map(|bit| FaultSpec::single(Cycle::new(cycle), slot, bit))
+            })
+            .collect();
+        assert!(!masked.is_empty(), "no masked coordinate found to check");
+        for &(fault, outcome) in c.inject_batch(&masked).samples() {
+            assert_eq!(
+                outcome,
+                Outcome::Benign,
+                "masked coordinate {fault:?} must be idle"
+            );
         }
-        assert!(checked > 0, "no masked coordinate found to check");
     }
 
     #[test]

@@ -12,11 +12,12 @@
 //! corrupted word's functional replay resumes from the last one at or
 //! before the corrupted dynamic index.
 //!
-//! Every injection returns its verdict together with its charges (window
-//! start, timing replay, functional replay, recovery decision) by value;
-//! [`Campaign::run_detailed`] folds them in injection-index order, so a
-//! prepared campaign is immutable and its reports are independent of
-//! thread scheduling and of concurrent runs.
+//! Every caller injects through one entry, [`Campaign::inject_batch`].
+//! Each injection returns its verdict together with its charges (window
+//! start, timing replay, functional replay, recovery decision) by value,
+//! and the batch folds them in batch order, so a prepared campaign is
+//! immutable and its reports are independent of thread scheduling and of
+//! concurrent runs.
 //!
 //! [`CampaignConfig::prune`] switches three shortcuts on: the golden run
 //! also records a fingerprint stream (a rolling hash of the
@@ -126,8 +127,8 @@ enum ReplayPath {
 }
 
 /// One injection's verdict plus everything it charges to the run's
-/// accounting, returned by value and folded in injection-index order by
-/// [`Campaign::run_detailed`]. The charges are a pure function of the
+/// accounting, returned by value and folded in batch order by
+/// [`Campaign::inject_batch`]. The charges are a pure function of the
 /// fault, so every report is schedule-independent.
 #[derive(Debug, Clone, Copy)]
 struct Injection {
@@ -299,16 +300,26 @@ impl Campaign {
 
     /// Runs the campaign recording each fault's coordinates alongside its
     /// outcome, for positional analyses (which bits and which queue slots
-    /// carry the vulnerability). Samples come back in deterministic
-    /// injection-index order. The injection phase is timed, and the
-    /// injections' charges are folded in that order into this execution's
-    /// accounting: performance always, recovery accounting when the
-    /// recovery policy is active, pruning accounting when pruning is on.
+    /// carry the vulnerability): the seeded faults `0..injections` as one
+    /// [`Campaign::inject_batch`].
     pub fn run_detailed(&self) -> DetailedReport {
+        let faults: Vec<FaultSpec> = (0..self.config.injections)
+            .map(|i| self.fault_for(i))
+            .collect();
+        self.inject_batch(&faults)
+    }
+
+    /// The one injection entry: runs a caller-chosen batch of faults
+    /// through the window-batched executor. Samples come back in batch
+    /// order, and the injections' charges are folded in that order into
+    /// this execution's accounting: performance always, recovery
+    /// accounting when the recovery policy is active, pruning accounting
+    /// when pruning is on. Each verdict is a pure function of its fault,
+    /// so a fault's outcome does not depend on the batch it rides in.
+    pub fn inject_batch(&self, faults: &[FaultSpec]) -> DetailedReport {
         let start = Instant::now();
-        let n = self.config.injections;
-        let faults: Vec<FaultSpec> = (0..n).map(|i| self.fault_for(i)).collect();
-        let injections = self.windowed_run(&faults);
+        let injections = self.windowed_run(faults);
+        let n = faults.len() as u32;
         let mut perf = CampaignPerf {
             prepare_wall: self.prepare_wall,
             inject_wall: start.elapsed(),
@@ -361,13 +372,30 @@ impl Campaign {
         }
         DetailedReport {
             samples: faults
-                .into_iter()
+                .iter()
+                .copied()
                 .zip(injections.iter().map(|inj| inj.outcome))
                 .collect(),
             perf,
             recovery,
             prune,
         }
+    }
+
+    /// Resolves ECC-precomputed strikes in trial order: `None` is a strike
+    /// the decoder corrected, benign without a pipeline run; the rest run
+    /// as one [`Campaign::inject_batch`].
+    pub(crate) fn inject_strikes(&self, strikes: &[Option<FaultSpec>]) -> Vec<Outcome> {
+        let batch: Vec<FaultSpec> = strikes.iter().flatten().copied().collect();
+        let report = self.inject_batch(&batch);
+        let mut injected = report.samples().iter().map(|&(_, outcome)| outcome);
+        strikes
+            .iter()
+            .map(|strike| match strike {
+                None => Outcome::Benign,
+                Some(_) => injected.next().expect("one outcome per injected strike"),
+            })
+            .collect()
     }
 
     /// Worker-thread count for a job of `n` independent units.
@@ -384,7 +412,7 @@ impl Campaign {
 
     /// Maps `f` over `0..n` on the configured worker threads, returning
     /// results in index order.
-    pub(crate) fn parallel_map<T, F>(&self, n: u32, f: F) -> Vec<T>
+    fn parallel_map<T, F>(&self, n: u32, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(u32) -> T + Sync,
@@ -422,9 +450,8 @@ impl Campaign {
 
     /// The injection executor: group injections by checkpoint window,
     /// restore each window's snapshot at most once, and replay each fault
-    /// from the restored base. Results come back in injection-index
-    /// order, so reports and artifacts are byte-identical across thread
-    /// counts.
+    /// from the restored base. Results come back in batch order, so
+    /// reports and artifacts are byte-identical across thread counts.
     fn windowed_run(&self, faults: &[FaultSpec]) -> Vec<Injection> {
         // Window id = number of snapshots at or before the strike; id 0 is
         // the from-scratch window (no snapshot precedes the strike).
@@ -458,6 +485,9 @@ impl Campaign {
                 idxs.iter()
                     .enumerate()
                     .map(|(k, &i)| {
+                        // The one debug-guard rule: every eighth fault of
+                        // the batch (a one-fault batch's only fault) also
+                        // gets the resume-vs-scratch check.
                         let verify = cfg!(debug_assertions) && i.is_multiple_of(8);
                         let fault = faults[i as usize];
                         let last = Some(k) == last;
@@ -568,35 +598,6 @@ impl Campaign {
         let slot = rng.gen_range(0..self.config.pipeline.iq_entries);
         let bit = rng.gen_range(0..64u32);
         (cycle, slot, bit, rng)
-    }
-
-    /// Injects the `i`-th fault (deterministic in `seed` and `i`).
-    pub fn inject_one(&self, i: u32) -> Outcome {
-        // In debug/test builds, periodically cross-check a resumed run
-        // against a from-scratch run (the checkpoint determinism guard).
-        let verify = cfg!(debug_assertions) && i.is_multiple_of(8);
-        self.inject(self.fault_for(i), verify)
-    }
-
-    /// Injects a caller-chosen fault instead of the seeded sequence,
-    /// classified exactly like [`Campaign::inject_one`].
-    pub fn inject_spec(&self, fault: FaultSpec) -> Outcome {
-        self.inject(fault, cfg!(debug_assertions))
-    }
-
-    /// Like [`Campaign::inject_spec`] but without the debug-build
-    /// resume-vs-scratch cross-check, for high-volume callers (the
-    /// adaptive scheduler's exhaustive strata, property tests) that
-    /// verify a deterministic subsample themselves.
-    pub fn inject_spec_quiet(&self, fault: FaultSpec) -> Outcome {
-        self.inject(fault, false)
-    }
-
-    /// Resolves a single fault through a one-fault window.
-    fn inject(&self, fault: FaultSpec, verify: bool) -> Outcome {
-        let snap = self.snapshot_for(fault.cycle);
-        self.window_fault(snap, &mut None, fault, true, verify)
-            .outcome
     }
 
     /// Fault-free IPC of the golden timing run (committed instructions
@@ -721,9 +722,13 @@ impl Campaign {
         let mut events = 0u64;
         while n < max {
             let batch = 256.min(max - n);
-            let start = n;
-            let outcomes = self.parallel_map(batch, |i| self.inject_one(start + i));
-            events += outcomes.iter().filter(|&&o| metric.is_event(o)).count() as u64;
+            let faults: Vec<FaultSpec> = (n..n + batch).map(|i| self.fault_for(i)).collect();
+            let report = self.inject_batch(&faults);
+            events += report
+                .samples()
+                .iter()
+                .filter(|&&(_, o)| metric.is_event(o))
+                .count() as u64;
             n += batch;
             let p = f64::from(events as u32) / f64::from(n);
             if n >= min && ses_metrics::binomial_ci95(p, u64::from(n)) <= target_halfwidth {
@@ -1013,7 +1018,7 @@ impl DetailedReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ses_pipeline::{PiScope, TrackingConfig};
+    use ses_pipeline::{EccReadOutcome, PiScope, TrackingConfig};
 
     fn quick_campaign(detection: DetectionModel, injections: u32) -> CampaignReport {
         let spec = WorkloadSpec::quick("campaign-test", 21);
@@ -1144,11 +1149,20 @@ mod tests {
                 },
             )
             .unwrap();
-            let outcomes = c.parallel_map(FAULTS, |i| {
-                let f = c.fault_for(i);
-                c.inject_spec(FaultSpec::temporal_double(f.cycle, f.slot, f.bit, 30))
-            });
-            let count = |want: &[Outcome]| outcomes.iter().filter(|o| want.contains(o)).count();
+            let faults: Vec<FaultSpec> = (0..FAULTS)
+                .map(|i| {
+                    let f = c.fault_for(i);
+                    FaultSpec::temporal_double(f.cycle, f.slot, f.bit, 30)
+                })
+                .collect();
+            let report = c.inject_batch(&faults);
+            let count = |want: &[Outcome]| {
+                report
+                    .samples()
+                    .iter()
+                    .filter(|(_, o)| want.contains(o))
+                    .count()
+            };
             (
                 count(&[Outcome::Sdc, Outcome::Hang]),
                 count(&[Outcome::FalseDue, Outcome::TrueDue]),
@@ -1211,9 +1225,7 @@ mod tests {
             ..CampaignConfig::default()
         };
         let c = Campaign::prepare(&spec, config).unwrap();
-        let a: Vec<Outcome> = (0..10).map(|i| c.inject_one(i)).collect();
-        let b: Vec<Outcome> = (0..10).map(|i| c.inject_one(i)).collect();
-        assert_eq!(a, b);
+        assert_eq!(c.run_detailed().samples(), c.run_detailed().samples());
     }
 
     #[test]
@@ -1526,6 +1538,124 @@ mod tests {
         .run();
         let ckpt = Campaign::prepare(&spec, base).unwrap().run();
         assert_eq!(scratch, ckpt);
+    }
+
+    /// A caller-chosen batch resolves every fault exactly as a one-fault
+    /// batch and a from-scratch campaign do, and its charges are the sums
+    /// of the one-fault charges: window grouping, chunking, forks versus
+    /// the consumed base and worker threads never move a verdict or a
+    /// counter.
+    #[test]
+    fn batching_never_changes_a_verdict_or_a_charge() {
+        let spec = WorkloadSpec::quick("batch-eq", 21);
+        let tracking = TrackingConfig {
+            scope: PiScope::StoreCommit,
+            anti_pi: true,
+            pet_entries: None,
+            mem_granule: 8,
+        };
+        let config = |threads, prune, checkpoints| CampaignConfig {
+            injections: 0,
+            seed: 17,
+            detection: DetectionModel::Parity {
+                tracking: Some(tracking),
+            },
+            threads,
+            prune,
+            checkpoints,
+            ..CampaignConfig::default()
+        };
+        // The batch is chosen on a pruned campaign, whose strike index
+        // knows which coordinates are idle.
+        let probe = Campaign::prepare(&spec, config(1, true, true)).unwrap();
+        let iq = probe.iq_entries();
+        // Seeded strikes in reverse, so the strike cycles are unsorted,
+        // plus one duplicate.
+        let mut faults: Vec<FaultSpec> = (0..12).rev().map(|i| probe.fault_for(i)).collect();
+        faults.push(faults[5]);
+        // Strikes in the cycle-0 snapshot's window, which is the
+        // from-scratch window when checkpoints are off.
+        let early = probe.checkpoint_interval() / 2;
+        faults
+            .extend((0..3).map(|k| FaultSpec::single(Cycle::new(early), k * 5 % iq, 7 * k as u32)));
+        // Idle strikes, which pruning's shortcut resolves unsimulated.
+        let idle: Vec<FaultSpec> = (0..probe.baseline_cycles())
+            .step_by(97)
+            .flat_map(|cycle| {
+                (0..iq).map(move |slot| FaultSpec::single(Cycle::new(cycle), slot, 3))
+            })
+            .filter(|f| probe.idle_strike(f))
+            .take(3)
+            .collect();
+        assert_eq!(idle.len(), 3, "the quick run leaves idle coordinates");
+        faults.extend(idle);
+        // A double-bit fault and an ECC-pattern fault of each kind.
+        let at = faults[2];
+        faults.push(FaultSpec::adjacent_double(at.cycle, at.slot, at.bit));
+        for (k, mask, read) in [
+            (1, 0b111 << 8, EccReadOutcome::Signal),
+            (2, 0b11 << 40, EccReadOutcome::Silent),
+        ] {
+            faults.push(FaultSpec::with_pattern(
+                at.cycle,
+                (at.slot + k) % iq,
+                mask,
+                Some(read),
+            ));
+        }
+        // A crowd in one window: more faults than one chunk holds at any
+        // thread count (the batch splits windows into len / (threads × 4)).
+        let crowd = faults[0];
+        faults.extend(
+            (1..10).map(|k| FaultSpec::single(crowd.cycle, (crowd.slot + k) % iq, 4 * k as u32)),
+        );
+        assert!(10 > faults.len() / 4);
+
+        for prune in [false, true] {
+            // Without checkpoints the whole batch is one from-scratch
+            // window, split into chunks across the workers.
+            let scratch = Campaign::prepare(&spec, config(4, prune, false))
+                .unwrap()
+                .inject_batch(&faults);
+            let one = Campaign::prepare(&spec, config(1, prune, true)).unwrap();
+            let singles: Vec<DetailedReport> =
+                faults.iter().map(|&f| one.inject_batch(&[f])).collect();
+            let sum = |field: fn(&CampaignPerf) -> u64| -> u64 {
+                singles.iter().map(|r| field(&r.perf())).sum()
+            };
+            let prune_sum = singles.iter().filter_map(|r| r.prune()).fold(
+                prune.then_some(PruneReport::default()),
+                |acc, p| {
+                    acc.map(|a| PruneReport {
+                        injections: a.injections + p.injections,
+                        idle_skips: a.idle_skips + p.idle_skips,
+                        fp_stops: a.fp_stops + p.fp_stops,
+                        replay_cycles: a.replay_cycles + p.replay_cycles,
+                        cycles_saved: a.cycles_saved + p.cycles_saved,
+                    })
+                },
+            );
+            if let Some(p) = prune_sum {
+                assert!(p.idle_skips >= 3 && p.fp_stops > 0, "{p:?}");
+            }
+            let outcomes: Vec<(FaultSpec, Outcome)> =
+                singles.iter().map(|r| r.samples()[0]).collect();
+            assert_eq!(&outcomes[..], scratch.samples(), "prune {prune}");
+            for threads in [1, 4] {
+                let batch = Campaign::prepare(&spec, config(threads, prune, true))
+                    .unwrap()
+                    .inject_batch(&faults);
+                let at = format!("threads {threads}, prune {prune}");
+                assert_eq!(batch.samples(), &outcomes[..], "{at}");
+                let perf = batch.perf();
+                assert_eq!(perf.injections, faults.len() as u32, "{at}");
+                assert_eq!(perf.cycles_skipped, sum(|p| p.cycles_skipped), "{at}");
+                assert_eq!(perf.cycles_simulated, sum(|p| p.cycles_simulated), "{at}");
+                assert_eq!(perf.replays, sum(|p| p.replays), "{at}");
+                assert_eq!(perf.replay_fast_path, sum(|p| p.replay_fast_path), "{at}");
+                assert_eq!(batch.prune().copied(), prune_sum, "{at}");
+            }
+        }
     }
 
     #[test]

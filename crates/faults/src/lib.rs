@@ -59,7 +59,7 @@ pub use campaign::{Campaign, CampaignConfig, DetailedReport, UniformRun};
 pub use ecc_campaign::{read_probability, run_ecc_campaign, EccCampaignConfig, EccCampaignReport};
 pub use outcome::Outcome;
 pub use pattern::{
-    class_instances, mask_for_class, PatternDistribution, ResidualModel, StrikePattern,
+    class_instances, ecc_fault, mask_for_class, PatternDistribution, ResidualModel,
 };
 pub use recovery::{LatencyDistribution, RecoveryDecision, RecoveryPolicy, RecoveryReport};
 pub use report::{CampaignPerf, CampaignReport, PruneReport};

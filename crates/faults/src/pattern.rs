@@ -8,15 +8,18 @@
 //! 85 % single / 12 % adjacent double / 2 % adjacent triple / 1 % random
 //! double.
 //!
-//! A [`StrikePattern`] is a concrete multi-bit XOR mask over the struck
-//! 64-bit word, tagged with its [`PatternClass`]. Adjacency wraps mod 64
+//! A strike of a [`PatternClass`] is a concrete multi-bit XOR mask over
+//! the struck 64-bit word ([`mask_for_class`]). Adjacency wraps mod 64
 //! — consistent with [`ses_pipeline::FaultSpec::adjacent_double`] — and
 //! the analytic class profiles in [`class_instances`] enumerate the same
 //! wrapped geometry, so sampled campaigns and analytic residual models
-//! agree by construction.
+//! agree by construction. [`ecc_fault`] turns a strike into the fault the
+//! pipeline sees behind an ECC domain.
 
-use ses_mem::EccDomain;
+use ses_mem::{EccDomain, WordVerdict};
+use ses_pipeline::{EccReadOutcome, FaultSpec};
 use ses_sampler::PatternClass;
+use ses_types::Cycle;
 
 /// Probability distribution over strike-pattern classes.
 ///
@@ -106,34 +109,6 @@ impl PatternDistribution {
     }
 }
 
-/// One concrete strike: its class and the XOR mask over the stored word.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StrikePattern {
-    /// Pattern class the mask instantiates.
-    pub class: PatternClass,
-    /// Flipped bits of the 64-bit word.
-    pub mask: u64,
-}
-
-impl StrikePattern {
-    /// The mask of `class` anchored at `anchor_bit`, with `aux` supplying
-    /// any extra randomness the class needs (only [`PatternClass::
-    /// RandomDouble`] consumes it, to place the second, non-adjacent
-    /// bit).
-    pub fn generate(class: PatternClass, anchor_bit: u32, aux: u64) -> StrikePattern {
-        StrikePattern {
-            class,
-            mask: mask_for_class(class, anchor_bit, aux),
-        }
-    }
-
-    /// Samples a class from the distribution and instantiates it. The two
-    /// halves of `aux` drive class choice and second-bit placement.
-    pub fn sample(dist: &PatternDistribution, anchor_bit: u32, aux: u64) -> StrikePattern {
-        StrikePattern::generate(dist.class_for(aux), anchor_bit, aux >> 32)
-    }
-}
-
 /// The XOR mask of one strike of `class` anchored at `anchor_bit`
 /// (adjacency wraps mod 64).
 pub fn mask_for_class(class: PatternClass, anchor_bit: u32, aux: u64) -> u64 {
@@ -149,6 +124,21 @@ pub fn mask_for_class(class: PatternClass, anchor_bit: u32, aux: u64) -> u64 {
         // no rejection loop.
         PatternClass::RandomDouble => at(0) | at(2 + aux % 61),
     }
+}
+
+/// The ECC verdict precompute: the fault a strike flipping `mask` at
+/// `(cycle, slot)` injects behind `domain`, or `None` when the decoder
+/// corrects it (benign with no pipeline run). A detected pattern raises a
+/// machine check at the first read; a silent one hands on the decoder's
+/// residual (`effective`), not the raw strike, so the replayed word
+/// matches what a miscorrecting decoder would pass along.
+pub fn ecc_fault(domain: &EccDomain, cycle: Cycle, slot: usize, mask: u64) -> Option<FaultSpec> {
+    let (mask, read) = match domain.classify_word(mask) {
+        WordVerdict::Corrected => return None,
+        WordVerdict::Signalled => (mask, EccReadOutcome::Signal),
+        WordVerdict::Silent { effective } => (effective, EccReadOutcome::Silent),
+    };
+    Some(FaultSpec::with_pattern(cycle, slot, mask, Some(read)))
 }
 
 /// Every distinct mask of a class over a 64-bit word, for analytic class

@@ -70,7 +70,7 @@ impl CampaignPerf {
 
 /// Accounting for the convergence-pruned executor, present only when the
 /// campaign ran with pruning enabled. All fields are pure functions of
-/// the fault sequence (folded in injection-index order), so the report —
+/// the fault sequence (folded in batch order), so the report —
 /// and the `pruning` telemetry stanza built from it — is byte-identical
 /// across thread counts and checkpoint/resume.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]

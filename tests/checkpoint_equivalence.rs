@@ -48,15 +48,14 @@ fn boundary_strikes_classify_identically() {
     // simulated cycle.
     let cycles = [0, 1, k - 1, k, k + 1, last / 2, last];
     let coords = [(0usize, 0u32), (5, 17), (31, 63)];
-    for cycle in cycles {
-        for (slot, bit) in coords {
-            let fault = FaultSpec::single(Cycle::new(cycle), slot, bit);
-            assert_eq!(
-                scratch.inject_spec(fault),
-                ckpt.inject_spec(fault),
-                "fault at cycle {cycle} slot {slot} bit {bit} must classify identically"
-            );
-        }
+    let faults: Vec<FaultSpec> = cycles
+        .into_iter()
+        .flat_map(|cycle| coords.map(|(slot, bit)| FaultSpec::single(Cycle::new(cycle), slot, bit)))
+        .collect();
+    let want = scratch.inject_batch(&faults);
+    let got = ckpt.inject_batch(&faults);
+    for (want, got) in want.samples().iter().zip(got.samples()) {
+        assert_eq!(want, got, "fault {:?} must classify identically", want.0);
     }
 }
 

@@ -383,7 +383,7 @@ fn concurrent_runs_on_one_campaign_match_a_lone_run() {
     let c = Arc::clone(&campaign);
     let singles = std::thread::spawn(move || {
         (0..80)
-            .map(|i| c.inject_spec(c.fault_for(i)))
+            .map(|i| c.inject_batch(&[c.fault_for(i)]).samples()[0].1)
             .collect::<Vec<_>>()
     });
     for run in runs {

@@ -590,14 +590,18 @@ fn adaptive_exhaustive_agrees_with_census_on_small_program() {
     // Brute-force census over every stratified coordinate; masked (idle)
     // coordinates are benign by construction and contribute zero events.
     let strata = build_strata(&campaign);
-    let mut events = 0u64;
-    for s in strata.strata() {
-        for rank in 0..s.size() {
-            let c = s.coord(rank);
-            let outcome = campaign.inject_spec_quiet(FaultSpec::single(ses_types::Cycle::new(c.cycle), c.slot, c.bit));
-            events += u64::from(metric.is_event(outcome));
-        }
-    }
+    let faults: Vec<FaultSpec> = strata
+        .strata()
+        .iter()
+        .flat_map(|s| (0..s.size()).map(|rank| s.coord(rank)))
+        .map(|c| FaultSpec::single(ses_types::Cycle::new(c.cycle), c.slot, c.bit))
+        .collect();
+    let census_run = campaign.inject_batch(&faults);
+    let events = census_run
+        .samples()
+        .iter()
+        .filter(|&&(_, outcome)| metric.is_event(outcome))
+        .count() as u64;
     let census = events as f64 / strata.total_size() as f64;
     assert_eq!(report.total_trials, strata.sampled_size());
     assert!(
@@ -657,8 +661,7 @@ proptest! {
         interleave in prop_oneof![Just(1u32), Just(2), Just(4)],
         coord_seed in any::<u64>(),
     ) {
-        use ses_core::{splitmix64, EccDomain, EccScheme, Outcome, WordVerdict};
-        use ses_pipeline::{EccReadOutcome, FaultSpec};
+        use ses_core::{ecc_fault, splitmix64, EccDomain, EccScheme, Outcome, WordVerdict};
         use ses_types::Cycle;
 
         let campaign = ecc_prop_campaign();
@@ -666,28 +669,13 @@ proptest! {
         let cycle = Cycle::new(splitmix64(coord_seed) % campaign.baseline_cycles().max(1));
         let slot = (splitmix64(coord_seed ^ 1) % campaign.iq_entries() as u64) as usize;
 
-        // Classify through the domain and run the resulting verdict
+        // Classify through the domain and run the resulting fault
         // through the pipeline, exactly like the campaign layer does.
         let outcome_of = |mask: u64| -> (WordVerdict, Outcome) {
-            let verdict = domain.classify_word(mask);
-            let outcome = match verdict {
-                WordVerdict::Corrected => Outcome::Benign,
-                WordVerdict::Signalled => campaign.inject_spec_quiet(FaultSpec::with_pattern(
-                    cycle,
-                    slot,
-                    mask,
-                    Some(EccReadOutcome::Signal),
-                )),
-                WordVerdict::Silent { effective } => {
-                    campaign.inject_spec_quiet(FaultSpec::with_pattern(
-                        cycle,
-                        slot,
-                        effective,
-                        Some(EccReadOutcome::Silent),
-                    ))
-                }
-            };
-            (verdict, outcome)
+            let outcome = ecc_fault(&domain, cycle, slot, mask).map_or(Outcome::Benign, |fault| {
+                campaign.inject_batch(&[fault]).samples()[0].1
+            });
+            (domain.classify_word(mask), outcome)
         };
 
         // Permutation invariance over the adjacent triple's bits.

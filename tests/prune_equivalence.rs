@@ -111,10 +111,10 @@ fn recovery_campaign_matches_with_pruning() {
     }
 }
 
-/// ECC pattern campaigns drive the pipeline through
-/// [`Campaign::inject_spec_quiet`], which routes through the pruned
-/// executor when enabled — the whole report (dispositions, outcome
-/// counts, per-class tallies) must be unchanged.
+/// ECC pattern campaigns inject their detected and silent strikes as one
+/// [`Campaign::inject_batch`], which arms the pruning shortcuts when
+/// enabled — the whole report (dispositions, outcome counts, per-class
+/// tallies) must be unchanged.
 #[test]
 fn ecc_pattern_campaign_matches_with_pruning() {
     let spec = WorkloadSpec::quick("prune-ecc", 31);
