@@ -36,9 +36,9 @@ use crate::telemetry as artifact;
 use crate::{
     read_probability, run_ecc_campaign, run_fuzz, run_suite_with, spec_by_name, BenchSummary,
     Campaign, CampaignConfig, DetailedReport, DetectionModel, EccCampaignConfig, EccCampaignReport,
-    EccDomain, EccScheme, Environment, FuzzConfig, FuzzReport, JsonValue, LatencyDistribution,
-    Level, PatternDistribution, PatternModel, PipelineConfig, RecoveryPolicy, ReliabilityModel,
-    TechNode, TelemetryLevel, TrackingConfig,
+    EccDomain, EccScheme, Environment, FuzzConfig, FuzzReport, GoldenRun, JsonValue,
+    LatencyDistribution, Level, PatternDistribution, PatternModel, PipelineConfig, RecoveryPolicy,
+    ReliabilityModel, TechNode, TelemetryLevel, TrackingConfig,
 };
 
 /// A job-level failure with the HTTP status it maps to.
@@ -442,16 +442,12 @@ pub enum CampaignFlavor {
 pub struct CampaignJob {
     workload: String,
     flavor: CampaignFlavor,
-    injections: u32,
-    seed: u64,
-    detection: DetectionModel,
     model_label: &'static str,
-    detect_latency: Option<LatencyDistribution>,
-    recovery: RecoveryPolicy,
     strikes: EccFields,
-    prune: bool,
-    threads: usize,
     level: TelemetryLevel,
+    /// What the job runs: its golden fields (`detection`, `prune`) and
+    /// its run plan. The ECC flavour takes only its budget and seed.
+    config: Box<CampaignConfig>,
 }
 
 /// A validated `suite` job.
@@ -627,8 +623,8 @@ impl JobSpec {
     pub fn admit(&self) -> Result<(), JobError> {
         let limits: Vec<(&str, u64, u64)> = match self {
             JobSpec::Campaign(j) => vec![
-                ("injections", j.injections.into(), 100_000),
-                ("threads", j.threads as u64, 256),
+                ("injections", j.config.injections.into(), 100_000),
+                ("threads", j.config.threads as u64, 256),
             ],
             JobSpec::Suite(j) => vec![("threads", j.threads as u64, 256)],
             JobSpec::EccGrid(j) => vec![
@@ -652,17 +648,18 @@ impl JobSpec {
         match self {
             JobSpec::Campaign(j) => {
                 let latency = j
+                    .config
                     .detect_latency
                     .as_ref()
                     .map_or_else(|| "-".to_string(), |d| d.to_string());
                 format!(
                     "v1/campaign workload={} injections={} seed={} model={} latency={} recovery={} ecc={} pattern={} node={} env={} prune={} level={}",
                     j.workload,
-                    j.injections,
-                    j.seed,
+                    j.config.injections,
+                    j.config.seed,
                     j.model_label,
                     latency,
-                    j.recovery.label(),
+                    j.config.recovery.label(),
                     j.strikes.ecc.map_or("-", EccScheme::label),
                     match j.strikes.spatial {
                         None => "-",
@@ -671,7 +668,7 @@ impl JobSpec {
                     },
                     j.strikes.node.map_or("-", TechNode::label),
                     j.strikes.env.map_or("-", Environment::label),
-                    j.prune,
+                    j.config.prune,
                     j.level.label(),
                 )
             }
@@ -717,13 +714,13 @@ impl JobSpec {
         self.level() == TelemetryLevel::Summary
     }
 
-    /// Runs the job. Campaigns prepare through `shared`, so jobs that
-    /// share a golden run pay for it once.
+    /// Runs the job. Campaign and ecc-grid jobs prepare their golden runs
+    /// through `shared`, so jobs that share a golden run pay for it once.
     pub fn run(&self, shared: &SharedRuns) -> Result<JobOutput, JobError> {
         match self {
             JobSpec::Campaign(j) => j.run(shared),
             JobSpec::Suite(j) => j.run(),
-            JobSpec::EccGrid(j) => j.run(),
+            JobSpec::EccGrid(j) => j.run(shared),
             JobSpec::Fuzz(j) => Ok(JobOutput::Fuzz {
                 seed: j.seed,
                 report: run_fuzz(&j.config()),
@@ -784,87 +781,43 @@ impl CampaignJob {
         Ok(CampaignJob {
             workload,
             flavor,
-            injections: injections.unwrap_or(default_injections),
-            seed,
-            detection,
             model_label,
-            detect_latency,
-            recovery,
             strikes,
-            prune,
-            threads,
             level,
+            config: Box::new(CampaignConfig {
+                injections: injections.unwrap_or(default_injections),
+                seed,
+                detection,
+                detect_latency,
+                recovery,
+                prune,
+                threads,
+                ..CampaignConfig::default()
+            }),
         })
     }
 
-    /// The canonical form of the *prepared* state this job needs: the
-    /// golden run + snapshots (and, for detailed runs, the injection
-    /// sweep inputs). Jobs differing only in telemetry level share it.
-    fn prep_canonical(&self) -> String {
-        let config = self.campaign_config();
-        let latency = config
-            .detect_latency
-            .as_ref()
-            .map_or_else(|| "-".to_string(), |d| d.to_string());
-        format!(
-            "prep workload={} injections={} seed={} model={} latency={} recovery={} prune={}",
-            self.workload,
-            config.injections,
-            config.seed,
-            self.model_label,
-            latency,
-            config.recovery.label(),
-            config.prune,
-        )
-    }
-
-    /// The `CampaignConfig` each flavour prepares with.
-    fn campaign_config(&self) -> CampaignConfig {
-        let config = CampaignConfig {
-            seed: self.seed,
-            detection: self.detection,
-            threads: self.threads,
-            prune: self.prune,
-            ..CampaignConfig::default()
-        };
-        match self.flavor {
-            CampaignFlavor::Plain => CampaignConfig {
-                injections: self.injections,
-                ..config
-            },
-            CampaignFlavor::Recovery => CampaignConfig {
-                injections: self.injections,
-                detect_latency: self.detect_latency.clone(),
-                recovery: self.recovery,
-                ..config
-            },
-            // The ECC flavour runs through `run_ecc_campaign`, which takes
-            // its budget from `EccCampaignConfig`; the prepared campaign
-            // only contributes the golden run.
-            CampaignFlavor::Ecc => config,
-        }
+    /// The key of the golden run this job injects against: every campaign
+    /// job on one workload, detection model and `prune` setting shares it.
+    fn golden_key(&self) -> String {
+        golden_key(&self.workload, self.model_label, self.config.prune)
     }
 
     fn run(&self, shared: &SharedRuns) -> Result<JobOutput, JobError> {
-        let spec = spec_by_name(&self.workload)
-            .ok_or_else(|| JobError::bad(format!("unknown benchmark '{}'", self.workload)))?;
-        let config = self.campaign_config();
-        // A prepared campaign is immutable, so concurrent jobs share it.
-        let campaign = shared.prepared(&self.prep_canonical(), || {
-            Campaign::prepare(&spec, config.clone()).map_err(|e| JobError::internal(e.to_string()))
-        })?;
+        let config = CampaignConfig::clone(&self.config);
+        let campaign = shared.campaign(&self.golden_key(), &self.workload, config)?;
         let workload = self.workload.clone();
         Ok(match self.strikes.pattern() {
             None => JobOutput::Campaign {
                 workload,
                 flavor: self.flavor,
-                config: Box::new(config),
+                config: self.config.clone(),
                 report: campaign.run_detailed(),
             },
             Some(pattern) => {
                 let config = EccCampaignConfig {
-                    injections: self.injections,
-                    seed: self.seed,
+                    injections: self.config.injections,
+                    seed: self.config.seed,
                     distribution: pattern.distribution,
                     domain: pattern.domain,
                 };
@@ -935,22 +888,13 @@ impl EccGridJob {
 
     /// Each workload contributes only its measured read probability (a
     /// forced-signal single-bit probe) and baseline IPC; everything else
-    /// is exact enumeration.
-    fn run(&self) -> Result<JobOutput, JobError> {
+    /// is exact enumeration. The probe runs on the workload's
+    /// detection-free golden run, the one ECC campaigns share.
+    fn run(&self, shared: &SharedRuns) -> Result<JobOutput, JobError> {
         let mut workloads = Vec::new();
         for name in &self.workloads {
-            let spec = spec_by_name(name)
-                .ok_or_else(|| JobError::bad(format!("unknown benchmark '{name}'")))?;
-            let campaign = Campaign::prepare(
-                &spec,
-                CampaignConfig {
-                    injections: 0,
-                    seed: self.seed,
-                    detection: DetectionModel::None,
-                    ..CampaignConfig::default()
-                },
-            )
-            .map_err(|e| JobError::internal(e.to_string()))?;
+            let key = golden_key(name, "none", false);
+            let campaign = shared.campaign(&key, name, CampaignConfig::default())?;
             let p_read = read_probability(&campaign, self.probes, self.seed);
             workloads.push((name.clone(), campaign.baseline_ipc(), p_read, self.probes));
         }
@@ -1004,14 +948,20 @@ impl FuzzJob {
     }
 }
 
+/// The [`SharedRuns`] key of a golden run: the workload, the detection
+/// model's label and `prune`, the only job fields that shape it.
+fn golden_key(workload: &str, model: &str, prune: bool) -> String {
+    format!("golden workload={workload} model={model} prune={prune}")
+}
+
 struct PrepEntry {
-    campaign: Arc<Campaign>,
+    golden: Arc<GoldenRun>,
     stamp: u64,
 }
 
-/// Bounded cache of prepared campaigns (golden run + snapshots), shared
-/// across jobs so concurrent queries against one workload/config pay the
-/// golden emulation once.
+/// Bounded cache of prepared golden runs, shared across jobs so every run
+/// plan on one workload, detection model and `prune` setting pays for the
+/// golden run once.
 pub struct SharedRuns {
     preps: Mutex<(HashMap<String, PrepEntry>, u64)>,
     capacity: usize,
@@ -1024,7 +974,7 @@ impl Default for SharedRuns {
 }
 
 impl SharedRuns {
-    /// A cache holding at most `capacity` prepared campaigns.
+    /// A cache holding at most `capacity` golden runs.
     pub fn new(capacity: usize) -> SharedRuns {
         SharedRuns {
             preps: Mutex::new((HashMap::new(), 0)),
@@ -1032,34 +982,41 @@ impl SharedRuns {
         }
     }
 
-    /// Number of prepared campaigns currently held.
+    /// Number of golden runs currently held.
     pub fn len(&self) -> usize {
         self.preps.lock().unwrap().0.len()
     }
 
-    /// Whether no campaign is currently held.
+    /// Whether no golden run is currently held.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    fn prepared(
+    /// Plans `config` on `workload`'s golden run held under `key`,
+    /// preparing the golden run on a miss.
+    fn campaign(
         &self,
         key: &str,
-        prepare: impl FnOnce() -> Result<Campaign, JobError>,
-    ) -> Result<Arc<Campaign>, JobError> {
+        workload: &str,
+        config: CampaignConfig,
+    ) -> Result<Campaign, JobError> {
         {
             let mut guard = self.preps.lock().unwrap();
             let (map, stamp) = &mut *guard;
             *stamp += 1;
             if let Some(entry) = map.get_mut(key) {
                 entry.stamp = *stamp;
-                return Ok(Arc::clone(&entry.campaign));
+                return Ok(Campaign::on(Arc::clone(&entry.golden), config));
             }
         }
         // Prepare outside the lock: golden emulation can take a while and
         // unrelated jobs must not stall behind it. A racing duplicate
         // prepare is deterministic, so last-write-wins is harmless.
-        let campaign = Arc::new(prepare()?);
+        let spec = spec_by_name(workload)
+            .ok_or_else(|| JobError::bad(format!("unknown benchmark '{workload}'")))?;
+        let golden =
+            GoldenRun::prepare(&spec, &config).map_err(|e| JobError::internal(e.to_string()))?;
+        let golden = Arc::new(golden);
         let mut guard = self.preps.lock().unwrap();
         let (map, stamp) = &mut *guard;
         *stamp += 1;
@@ -1078,11 +1035,11 @@ impl SharedRuns {
         map.insert(
             key.to_string(),
             PrepEntry {
-                campaign: Arc::clone(&campaign),
+                golden: Arc::clone(&golden),
                 stamp: *stamp,
             },
         );
-        Ok(campaign)
+        Ok(Campaign::on(golden, config))
     }
 }
 
@@ -1110,7 +1067,32 @@ mod tests {
         let (JobSpec::Campaign(on), JobSpec::Campaign(off)) = (&job, &off) else {
             panic!("campaign jobs expected");
         };
-        assert_ne!(on.prep_canonical(), off.prep_canonical());
+        assert_ne!(on.golden_key(), off.golden_key());
+    }
+
+    /// Jobs that differ only in their run plan share one golden run per
+    /// (detection model, prune) pair, and sharing never moves a byte.
+    #[test]
+    fn jobs_differing_only_in_plan_share_one_golden_run() {
+        let campaigns = [
+            r#"{"workload": "crafty", "seed": 1, "injections": 10}"#,
+            r#"{"workload": "crafty", "seed": 2, "injections": 10}"#,
+            r#"{"workload": "crafty", "seed": 1, "injections": 20}"#,
+            r#"{"workload": "crafty", "injections": 10, "recovery": "idempotent",
+                "detect_latency": "fixed:4"}"#,
+            r#"{"workload": "crafty", "injections": 20, "ecc": "sec-ded", "model": "none"}"#,
+        ];
+        let jobs = campaigns.map(|body| ("campaign", body));
+        let grid = ("ecc-grid", r#"{"workloads": ["crafty"], "probes": 20}"#);
+        let shared = SharedRuns::default();
+        for (kind, body) in jobs.into_iter().chain([grid]) {
+            let job = parse_job(kind, body).unwrap();
+            let alone = job.execute(&SharedRuns::default()).unwrap();
+            assert_eq!(job.execute(&shared).unwrap(), alone, "{body}");
+        }
+        // The parity golden run (plain and recovery jobs) and the
+        // detection-free one (the ECC campaign and the grid).
+        assert_eq!(shared.len(), 2);
     }
 
     #[test]

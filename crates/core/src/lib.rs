@@ -51,7 +51,7 @@ pub use ses_faults::{
     build_strata, build_strata_with, class_instances, ecc_fault, mask_for_class,
     read_probability, run_ecc_campaign, AdaptiveCampaignConfig, AdaptiveCampaignReport,
     AdaptiveSession, Campaign, CampaignConfig, CampaignPerf, CampaignReport, DetailedReport,
-    EccCampaignConfig, EccCampaignReport, LatencyDistribution, MetricKind, Outcome,
+    EccCampaignConfig, EccCampaignReport, GoldenRun, LatencyDistribution, MetricKind, Outcome,
     PatternDistribution, PatternModel, PruneReport, RecoveryDecision, RecoveryPolicy,
     RecoveryReport, ResidualModel, StratumReport, UniformRun,
 };

@@ -358,13 +358,13 @@ impl AdaptiveCampaignReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::CampaignConfig;
+    use crate::campaign::{CampaignConfig, GoldenRun};
     use ses_pipeline::{DetectionModel, PipelineConfig};
     use ses_workloads::WorkloadSpec;
+    use std::sync::Arc;
 
-    fn small_campaign(threads: usize) -> Campaign {
-        let spec = WorkloadSpec::quick("adaptive-unit", 17);
-        let config = CampaignConfig {
+    fn small_config(threads: usize) -> CampaignConfig {
+        CampaignConfig {
             seed: 42,
             detection: DetectionModel::None,
             threads,
@@ -373,8 +373,16 @@ mod tests {
                 ..PipelineConfig::default()
             },
             ..CampaignConfig::default()
-        };
-        Campaign::prepare(&spec, config).unwrap()
+        }
+    }
+
+    fn small_golden() -> Arc<GoldenRun> {
+        let spec = WorkloadSpec::quick("adaptive-unit", 17);
+        Arc::new(GoldenRun::prepare(&spec, &small_config(0)).unwrap())
+    }
+
+    fn small_campaign(threads: usize) -> Campaign {
+        Campaign::on(small_golden(), small_config(threads))
     }
 
     fn quick_adaptive() -> AdaptiveCampaignConfig {
@@ -415,8 +423,9 @@ mod tests {
 
     #[test]
     fn session_is_thread_count_invariant() {
+        let golden = small_golden();
         let run = |threads| {
-            let c = small_campaign(threads);
+            let c = Campaign::on(Arc::clone(&golden), small_config(threads));
             let mut s = AdaptiveSession::new(&c, quick_adaptive());
             s.run()
         };
@@ -505,15 +514,13 @@ mod tests {
             }),
             ..quick_adaptive()
         };
-        let run = |threads| {
-            let c = small_campaign(threads);
-            AdaptiveSession::new(&c, cfg()).run()
-        };
-        let one = run(1);
-        let two = run(2);
+        let golden = small_golden();
+        let campaign = |threads| Campaign::on(Arc::clone(&golden), small_config(threads));
+        let one = AdaptiveSession::new(&campaign(1), cfg()).run();
+        let two = AdaptiveSession::new(&campaign(2), cfg()).run();
         assert_eq!(one, two, "pattern report must not depend on threads");
 
-        let c = small_campaign(2);
+        let c = campaign(2);
         let mut first = AdaptiveSession::new(&c, cfg());
         assert!(first.step_round());
         let ckpt = first.checkpoint();

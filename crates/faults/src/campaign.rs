@@ -2,7 +2,7 @@
 //! outcome classification.
 //!
 //! The injection executor is checkpointed and window-batched:
-//! [`Campaign::prepare`] runs the golden timing simulation once, capturing
+//! [`GoldenRun::prepare`] runs the golden timing simulation once, capturing
 //! pipeline [`Snapshot`]s about 64 times per run. Injections are grouped
 //! by checkpoint window (the latest snapshot at or before the strike
 //! cycle); each window's snapshot is restored once, each fault replays on
@@ -15,8 +15,8 @@
 //! Every caller injects through one entry, [`Campaign::inject_batch`].
 //! Each injection returns its verdict together with its charges (window
 //! start, timing replay, functional replay, recovery decision) by value,
-//! and the batch folds them in batch order, so a prepared campaign is
-//! immutable and its reports are independent of thread scheduling and of
+//! and the batch folds them in batch order, so a golden run is immutable
+//! and a campaign's reports are independent of thread scheduling and of
 //! concurrent runs.
 //!
 //! [`CampaignConfig::prune`] switches three shortcuts on: the golden run
@@ -28,7 +28,9 @@
 //! assert every pruned verdict against a full replay.
 
 use std::collections::BTreeMap;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -59,7 +61,7 @@ pub struct CampaignConfig {
     /// (models one particle upsetting two neighbouring cells, the paper's
     /// §2 multi-bit caveat; physical interleaving defends against it).
     pub double_bit: bool,
-    /// Capture pipeline snapshots during [`Campaign::prepare`] (default),
+    /// Capture pipeline snapshots during [`GoldenRun::prepare`] (default),
     /// about 64 over the run (every `baseline_cycles / 64` cycles, at
     /// least 1). Each injection resumes from the latest snapshot at or
     /// before its strike cycle, skipping the fault-free prefix of the
@@ -144,8 +146,11 @@ struct Injection {
     recovery: Option<RecoveryDecision>,
 }
 
-/// A prepared fault-injection campaign over one workload.
-pub struct Campaign {
+/// The immutable fault-free state every injection is judged against. It
+/// depends only on the workload and the golden fields of
+/// [`CampaignConfig`] (`detection`, `pipeline`, `checkpoints`, `prune`),
+/// so any number of run plans share one ([`Campaign::on`]).
+pub struct GoldenRun {
     program: Program,
     golden: ExecutionTrace,
     /// Encoded golden instruction word per dynamic-trace index, for the
@@ -172,25 +177,27 @@ pub struct Campaign {
     /// Per-slot residency interval index for the idle shortcut; built
     /// only when pruning is enabled.
     strike_index: Option<ses_avf::StrikeIndex>,
-    /// Idempotent-region partition of the golden trace, computed only when
-    /// the recovery policy is [`RecoveryPolicy::Idempotent`].
-    regions: Option<ses_avf::RegionMap>,
-    config: CampaignConfig,
+    /// Detection model the snapshots' detector state evolved under.
+    detection: DetectionModel,
+    /// Idempotent-region partition of the golden trace, analysed on first
+    /// use by a plan with [`RecoveryPolicy::Idempotent`].
+    regions: OnceLock<ses_avf::RegionMap>,
 }
 
-impl Campaign {
+impl GoldenRun {
     /// Synthesises the workload, produces the golden trace, measures the
     /// fault-free cycle count (the strike-cycle sampling range), and
-    /// captures the pipeline checkpoints injections resume from.
+    /// captures the pipeline checkpoints injections resume from. Reads
+    /// only the golden fields of `config`.
     ///
     /// # Errors
     ///
     /// Propagates functional-emulation failures of the golden run.
-    pub fn prepare(spec: &WorkloadSpec, config: CampaignConfig) -> Result<Self, SesError> {
+    pub fn prepare(spec: &WorkloadSpec, config: &CampaignConfig) -> Result<Self, SesError> {
         Self::prepare_program(synthesize(spec), spec.target_dynamic * 4, config)
     }
 
-    /// Prepares a campaign over an arbitrary program (the differential
+    /// Prepares the golden run of an arbitrary program (the differential
     /// oracle injects into fuzz-generated programs this way). `max_instrs`
     /// bounds the golden functional run.
     ///
@@ -201,7 +208,7 @@ impl Campaign {
     pub fn prepare_program(
         program: Program,
         max_instrs: u64,
-        config: CampaignConfig,
+        config: &CampaignConfig,
     ) -> Result<Self, SesError> {
         let start = Instant::now();
         // `prepare` budgets four times the expected run length, so this
@@ -243,15 +250,11 @@ impl Campaign {
         // crafty (where the allocator places the observed run's log).
         drop(sizing);
         let replay_budget = (golden.len() as u64).saturating_mul(4).max(10_000);
-        let regions = match config.recovery {
-            RecoveryPolicy::Idempotent => Some(ses_avf::RegionMap::analyze(&golden)),
-            RecoveryPolicy::MachineCheck => None,
-        };
         let lifetime_spans = ses_avf::lifetime_spans(&baseline);
         let strike_index = config
             .prune
             .then(|| ses_avf::StrikeIndex::build(&lifetime_spans, config.pipeline.iq_entries));
-        Ok(Campaign {
+        Ok(GoldenRun {
             baseline_cycles: baseline.cycles,
             lifetime_spans,
             program,
@@ -265,8 +268,8 @@ impl Campaign {
             prepare_wall: start.elapsed(),
             golden_fps,
             strike_index,
-            regions,
-            config,
+            detection: config.detection,
+            regions: OnceLock::new(),
         })
     }
 
@@ -289,6 +292,159 @@ impl Campaign {
     /// Number of pipeline checkpoints captured during prepare.
     pub fn checkpoints(&self) -> usize {
         self.snapshots.len()
+    }
+
+    /// Fault-free IPC of the golden timing run (committed instructions
+    /// over baseline cycles), the IPC the reliability model pairs with a
+    /// campaign-estimated AVF.
+    pub fn baseline_ipc(&self) -> f64 {
+        if self.baseline_cycles == 0 {
+            0.0
+        } else {
+            self.golden.len() as f64 / self.baseline_cycles as f64
+        }
+    }
+
+    /// The golden run's per-slot lifetime spans — the data the adaptive
+    /// sampler splits into live and Ex-ACE-tail strata and uses to mask
+    /// idle coordinates.
+    pub fn lifetime_spans(&self) -> &[ses_avf::LifetimeSpan] {
+        &self.lifetime_spans
+    }
+
+    /// The queue capacity of the configured machine.
+    pub fn iq_entries(&self) -> usize {
+        self.pipeline.config().iq_entries
+    }
+
+    /// Draws injection `i`'s strike coordinates (cycle, queue slot, bit)
+    /// from the stream seeded by `seed` and `i`, and returns the stream
+    /// for any further draws. Every seeded campaign samples its strikes
+    /// here, in this draw order.
+    pub(crate) fn strike(&self, seed: u64, i: u32) -> (Cycle, usize, u32, StdRng) {
+        let mut rng = StdRng::seed_from_u64(seed ^ u64::from(i).wrapping_mul(0x9E37));
+        let cycle = Cycle::new(rng.gen_range(0..self.baseline_cycles.max(1)));
+        let slot = rng.gen_range(0..self.iq_entries());
+        let bit = rng.gen_range(0..64u32);
+        (cycle, slot, bit, rng)
+    }
+
+    /// Whether pruning's idle shortcut resolves `fault`: nothing occupies
+    /// the struck coordinate at the strike cycle, so a replay would
+    /// simulate to the strike only to observe `SlotIdle`.
+    fn idle_strike(&self, fault: &FaultSpec) -> bool {
+        self.strike_index
+            .as_ref()
+            .is_some_and(|index| index.span_at(fault.slot, fault.cycle.as_u64()).is_none())
+    }
+
+    fn run_from_scratch(&self, fault: FaultSpec) -> PipelineResult {
+        self.pipeline
+            .run_with_fault(&self.program, &self.golden, Some(fault), self.detection)
+    }
+
+    /// The latest snapshot taken at or before `strike`, if any.
+    fn snapshot_for(&self, strike: Cycle) -> Option<&Snapshot> {
+        let idx = self.snapshots.partition_point(|s| s.cycle() <= strike);
+        idx.checked_sub(1).map(|i| &self.snapshots[i])
+    }
+
+    /// Re-runs the functional emulator with the corrupted word substituted
+    /// at the given dynamic position and compares outputs, returning the
+    /// comparison and the path it took. A corrupted word equal to the
+    /// golden word short-circuits to `Identical` without emulating at all.
+    /// Otherwise the replay resumes from the last golden checkpoint at or
+    /// before `trace_idx`, and only the output emitted after that
+    /// checkpoint is compared. Debug builds check one in eight emulated
+    /// replays against a replay from program start.
+    fn replay(&self, trace_idx: u64, corrupted_word: u64) -> (Replay, ReplayPath) {
+        if self.golden_words.get(trace_idx as usize) == Some(&corrupted_word) {
+            return (Replay::Identical, ReplayPath::FastPath);
+        }
+        let at = self
+            .arch_checkpoints
+            .partition_point(|c| c.index() <= trace_idx)
+            .checked_sub(1)
+            .expect("the golden run is checkpointed at index 0");
+        let ckpt = &self.arch_checkpoints[at];
+        let replay = judge(
+            Emulator::resume_with_override(
+                &self.program,
+                ckpt,
+                trace_idx,
+                corrupted_word,
+                self.replay_budget,
+            ),
+            &self.golden.output()[ckpt.output_len()..],
+        );
+        if cfg!(debug_assertions) && trace_idx.is_multiple_of(8) {
+            assert_eq!(
+                replay,
+                self.replay_from_start(trace_idx, corrupted_word),
+                "checkpointed functional replay diverged from program start \
+                 (index {trace_idx}, word {corrupted_word:#x})"
+            );
+        }
+        (replay, ReplayPath::Emulated)
+    }
+
+    /// The functional replay from program start, the reference the
+    /// checkpointed [`GoldenRun::replay`] is checked against.
+    fn replay_from_start(&self, trace_idx: u64, corrupted_word: u64) -> Replay {
+        judge(
+            Emulator::new(&self.program).run_with_override(
+                trace_idx,
+                corrupted_word,
+                self.replay_budget,
+            ),
+            self.golden.output(),
+        )
+    }
+}
+
+/// A fault-injection campaign: a shared [`GoldenRun`] plus the run plan
+/// (seed, injections, latency, recovery, threads) it executes under. It
+/// derefs to its golden run.
+pub struct Campaign {
+    golden_run: Arc<GoldenRun>,
+    config: CampaignConfig,
+}
+
+impl Deref for Campaign {
+    type Target = GoldenRun;
+
+    fn deref(&self) -> &GoldenRun {
+        &self.golden_run
+    }
+}
+
+impl Campaign {
+    /// Prepares the golden run `config` needs and plans `config` on it
+    /// ([`GoldenRun::prepare`], then [`Campaign::on`]).
+    ///
+    /// # Errors
+    ///
+    /// Propagates functional-emulation failures of the golden run.
+    pub fn prepare(spec: &WorkloadSpec, config: CampaignConfig) -> Result<Self, SesError> {
+        let golden_run = GoldenRun::prepare(spec, &config)?;
+        Ok(Self::on(Arc::new(golden_run), config))
+    }
+
+    /// Plans `config` on a prepared golden run.
+    ///
+    /// # Panics
+    ///
+    /// If the golden fields of `config` differ from those `golden_run` was
+    /// prepared under: the campaign would report another config's verdicts.
+    pub fn on(golden_run: Arc<GoldenRun>, config: CampaignConfig) -> Self {
+        assert!(
+            golden_run.detection == config.detection
+                && *golden_run.pipeline.config() == config.pipeline
+                && (golden_run.checkpoint_interval > 0) == config.checkpoints
+                && golden_run.strike_index.is_some() == config.prune,
+            "the campaign config's golden fields differ from the golden run's"
+        );
+        Campaign { golden_run, config }
     }
 
     /// Runs the campaign, parallelised across worker threads. Outcomes
@@ -328,7 +484,7 @@ impl Campaign {
             checkpoint_interval: self.checkpoint_interval,
             ..CampaignPerf::default()
         };
-        let mut recovery = self.regions.as_ref().map(|regions| RecoveryReport {
+        let mut recovery = self.regions().map(|regions| RecoveryReport {
             regions: regions.len() as u32,
             mean_region_len: regions.mean_len(),
             ..RecoveryReport::default()
@@ -518,7 +674,7 @@ impl Campaign {
             let gate = self.config.prune.then_some(self.golden_fps.as_slice());
             let build = || {
                 self.pipeline
-                    .fault_window(&self.program, &self.golden, snap, self.config.detection)
+                    .fault_window(&self.program, &self.golden, snap, self.detection)
             };
             if last {
                 window.take().unwrap_or_else(build).run_last(fault, gate)
@@ -530,15 +686,6 @@ impl Campaign {
             self.cross_check(fault, run, verify);
         }
         self.classify(&fault, snap.map_or(0, |s| s.cycle().as_u64()), run)
-    }
-
-    /// Whether pruning's idle shortcut resolves `fault`: nothing occupies
-    /// the struck coordinate at the strike cycle, so a replay would
-    /// simulate to the strike only to observe `SlotIdle`.
-    fn idle_strike(&self, fault: &FaultSpec) -> bool {
-        self.strike_index
-            .as_ref()
-            .is_some_and(|index| index.span_at(fault.slot, fault.cycle.as_u64()).is_none())
     }
 
     /// Debug-build oracle for the executor: the verdict must equal a full
@@ -588,33 +735,14 @@ impl Campaign {
         }
     }
 
-    /// Draws injection `i`'s strike coordinates (cycle, queue slot, bit)
-    /// from the stream seeded by `seed` and `i`, and returns the stream
-    /// for any further draws. Every seeded campaign samples its strikes
-    /// here, in this draw order.
-    pub(crate) fn strike(&self, seed: u64, i: u32) -> (Cycle, usize, u32, StdRng) {
-        let mut rng = StdRng::seed_from_u64(seed ^ u64::from(i).wrapping_mul(0x9E37));
-        let cycle = Cycle::new(rng.gen_range(0..self.baseline_cycles.max(1)));
-        let slot = rng.gen_range(0..self.config.pipeline.iq_entries);
-        let bit = rng.gen_range(0..64u32);
-        (cycle, slot, bit, rng)
-    }
-
-    /// Fault-free IPC of the golden timing run (committed instructions
-    /// over baseline cycles), the IPC the reliability model pairs with a
-    /// campaign-estimated AVF.
-    pub fn baseline_ipc(&self) -> f64 {
-        if self.baseline_cycles == 0 {
-            0.0
-        } else {
-            self.golden.len() as f64 / self.baseline_cycles as f64
-        }
-    }
-
     /// The idempotent-region partition of the golden trace, present when
-    /// the recovery policy is [`RecoveryPolicy::Idempotent`].
+    /// the recovery policy is [`RecoveryPolicy::Idempotent`]. The golden
+    /// run analyses it once, on the first such plan's first use.
     pub fn regions(&self) -> Option<&ses_avf::RegionMap> {
-        self.regions.as_ref()
+        (self.config.recovery == RecoveryPolicy::Idempotent).then(|| {
+            self.regions
+                .get_or_init(|| ses_avf::RegionMap::analyze(&self.golden))
+        })
     }
 
     /// The detection latency (in cycles) the configured distribution
@@ -648,7 +776,7 @@ impl Campaign {
         fault: &FaultSpec,
         occupant: Occupant,
     ) -> Option<RecoveryDecision> {
-        let regions = self.regions.as_ref()?;
+        let regions = self.regions()?;
         let latency_cycles = self.latency_for(fault);
         let delay_instructions = (latency_cycles as f64 * self.baseline_ipc()).ceil() as u64;
         match occupant {
@@ -684,25 +812,6 @@ impl Campaign {
                 })
             }
         }
-    }
-
-    /// The golden run's queue-occupancy intervals (`(alloc, dealloc)`
-    /// half-open cycle ranges), the lifetime data occupancy
-    /// stratification buckets cycle windows by.
-    pub fn residency_intervals(&self) -> Vec<(u64, u64)> {
-        self.lifetime_spans.iter().map(|s| s.occupancy()).collect()
-    }
-
-    /// The golden run's per-slot lifetime spans — the data the adaptive
-    /// sampler splits into live and Ex-ACE-tail strata and uses to mask
-    /// idle coordinates.
-    pub fn lifetime_spans(&self) -> &[ses_avf::LifetimeSpan] {
-        &self.lifetime_spans
-    }
-
-    /// The queue capacity of the configured machine.
-    pub fn iq_entries(&self) -> usize {
-        self.config.pipeline.iq_entries
     }
 
     /// Runs seeded uniform injections in deterministic batches until the
@@ -742,17 +851,6 @@ impl Campaign {
             proportion,
             halfwidth: ses_metrics::binomial_ci95(proportion, u64::from(n)),
         }
-    }
-
-    fn run_from_scratch(&self, fault: FaultSpec) -> PipelineResult {
-        self.pipeline
-            .run_with_fault(&self.program, &self.golden, Some(fault), self.config.detection)
-    }
-
-    /// The latest snapshot taken at or before `strike`, if any.
-    fn snapshot_for(&self, strike: Cycle) -> Option<&Snapshot> {
-        let idx = self.snapshots.partition_point(|s| s.cycle() <= strike);
-        idx.checked_sub(1).map(|i| &self.snapshots[i])
     }
 
     /// Classifies one fault's timing outcome into the paper's taxonomy
@@ -823,58 +921,6 @@ impl Campaign {
             replay: path,
             recovery,
         }
-    }
-
-    /// Re-runs the functional emulator with the corrupted word substituted
-    /// at the given dynamic position and compares outputs, returning the
-    /// comparison and the path it took. A corrupted word equal to the
-    /// golden word short-circuits to `Identical` without emulating at all.
-    /// Otherwise the replay resumes from the last golden checkpoint at or
-    /// before `trace_idx`, and only the output emitted after that
-    /// checkpoint is compared. Debug builds check one in eight emulated
-    /// replays against a replay from program start.
-    fn replay(&self, trace_idx: u64, corrupted_word: u64) -> (Replay, ReplayPath) {
-        if self.golden_words.get(trace_idx as usize) == Some(&corrupted_word) {
-            return (Replay::Identical, ReplayPath::FastPath);
-        }
-        let at = self
-            .arch_checkpoints
-            .partition_point(|c| c.index() <= trace_idx)
-            .checked_sub(1)
-            .expect("the golden run is checkpointed at index 0");
-        let ckpt = &self.arch_checkpoints[at];
-        let replay = judge(
-            Emulator::resume_with_override(
-                &self.program,
-                ckpt,
-                trace_idx,
-                corrupted_word,
-                self.replay_budget,
-            ),
-            &self.golden.output()[ckpt.output_len()..],
-        );
-        if cfg!(debug_assertions) && trace_idx.is_multiple_of(8) {
-            assert_eq!(
-                replay,
-                self.replay_from_start(trace_idx, corrupted_word),
-                "checkpointed functional replay diverged from program start \
-                 (index {trace_idx}, word {corrupted_word:#x})"
-            );
-        }
-        (replay, ReplayPath::Emulated)
-    }
-
-    /// The functional replay from program start, the reference the
-    /// checkpointed [`Campaign::replay`] is checked against.
-    fn replay_from_start(&self, trace_idx: u64, corrupted_word: u64) -> Replay {
-        judge(
-            Emulator::new(&self.program).run_with_override(
-                trace_idx,
-                corrupted_word,
-                self.replay_budget,
-            ),
-            self.golden.output(),
-        )
     }
 }
 
@@ -1215,6 +1261,18 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "golden fields differ")]
+    fn a_plan_never_runs_on_another_detection_models_golden_run() {
+        let spec = WorkloadSpec::quick("mismatch", 3);
+        let golden = GoldenRun::prepare(&spec, &CampaignConfig::default()).unwrap();
+        let parity = CampaignConfig {
+            detection: DetectionModel::Parity { tracking: None },
+            ..CampaignConfig::default()
+        };
+        Campaign::on(Arc::new(golden), parity);
+    }
+
+    #[test]
     fn campaign_is_deterministic() {
         let spec = WorkloadSpec::quick("det-test", 5);
         let config = CampaignConfig {
@@ -1267,16 +1325,16 @@ mod tests {
             threads: 2,
             ..CampaignConfig::default()
         };
-        let legacy = Campaign::prepare(&spec, base.clone()).unwrap().run();
-        let recovering = Campaign::prepare(
-            &spec,
+        let golden = Arc::new(GoldenRun::prepare(&spec, &base).unwrap());
+        let legacy = Campaign::on(Arc::clone(&golden), base.clone()).run();
+        let recovering = Campaign::on(
+            golden,
             CampaignConfig {
                 detect_latency: Some(LatencyDistribution::Fixed(0)),
                 recovery: RecoveryPolicy::Idempotent,
                 ..base
             },
-        )
-        .unwrap();
+        );
         let detailed = recovering.run_detailed();
         let report = detailed.summary();
         let baseline_due = legacy.count(Outcome::FalseDue) + legacy.count(Outcome::TrueDue);
@@ -1305,18 +1363,18 @@ mod tests {
             threads: 2,
             ..CampaignConfig::default()
         };
-        let legacy = Campaign::prepare(&spec, base.clone()).unwrap().run();
+        let golden = Arc::new(GoldenRun::prepare(&spec, &base).unwrap());
+        let legacy = Campaign::on(Arc::clone(&golden), base.clone()).run();
         let baseline_due = legacy.count(Outcome::FalseDue) + legacy.count(Outcome::TrueDue);
         for latency in [LatencyDistribution::Fixed(40), LatencyDistribution::Geometric { mean: 25.0 }] {
-            let detailed = Campaign::prepare(
-                &spec,
+            let detailed = Campaign::on(
+                Arc::clone(&golden),
                 CampaignConfig {
                     detect_latency: Some(latency),
                     recovery: RecoveryPolicy::Idempotent,
                     ..base.clone()
                 },
             )
-            .unwrap()
             .run_detailed();
             let report = detailed.summary();
             let due = report.count(Outcome::FalseDue) + report.count(Outcome::TrueDue);
@@ -1334,22 +1392,20 @@ mod tests {
     #[test]
     fn recovery_decisions_are_monotone_in_fixed_latency() {
         let spec = WorkloadSpec::quick("recovery-mono", 9);
-        let prepare = |latency: u64| {
-            Campaign::prepare(
-                &spec,
-                CampaignConfig {
-                    injections: 60,
-                    seed: 13,
-                    detection: DetectionModel::Parity { tracking: None },
-                    detect_latency: Some(LatencyDistribution::Fixed(latency)),
-                    recovery: RecoveryPolicy::Idempotent,
-                    threads: 1,
-                    ..CampaignConfig::default()
-                },
-            )
-            .unwrap()
+        let config = |latency: u64| CampaignConfig {
+            injections: 60,
+            seed: 13,
+            detection: DetectionModel::Parity { tracking: None },
+            detect_latency: Some(LatencyDistribution::Fixed(latency)),
+            recovery: RecoveryPolicy::Idempotent,
+            threads: 1,
+            ..CampaignConfig::default()
         };
-        let ladder: Vec<Campaign> = [0u64, 10, 40, 160].iter().map(|&l| prepare(l)).collect();
+        let golden = Arc::new(GoldenRun::prepare(&spec, &config(0)).unwrap());
+        let ladder: Vec<Campaign> = [0u64, 10, 40, 160]
+            .iter()
+            .map(|&l| Campaign::on(Arc::clone(&golden), config(l)))
+            .collect();
         let mut saw_recovered = false;
         let mut saw_transition = false;
         for idx in 0..4096u64 {
@@ -1565,9 +1621,14 @@ mod tests {
             checkpoints,
             ..CampaignConfig::default()
         };
+        // One checkpointed golden run per pruning setting, shared by every
+        // thread count.
+        let golden = [false, true]
+            .map(|prune| Arc::new(GoldenRun::prepare(&spec, &config(1, prune, true)).unwrap()));
+        let golden = |prune: bool| Arc::clone(&golden[usize::from(prune)]);
         // The batch is chosen on a pruned campaign, whose strike index
         // knows which coordinates are idle.
-        let probe = Campaign::prepare(&spec, config(1, true, true)).unwrap();
+        let probe = Campaign::on(golden(true), config(1, true, true));
         let iq = probe.iq_entries();
         // Seeded strikes in reverse, so the strike cycles are unsorted,
         // plus one duplicate.
@@ -1617,7 +1678,7 @@ mod tests {
             let scratch = Campaign::prepare(&spec, config(4, prune, false))
                 .unwrap()
                 .inject_batch(&faults);
-            let one = Campaign::prepare(&spec, config(1, prune, true)).unwrap();
+            let one = Campaign::on(golden(prune), config(1, prune, true));
             let singles: Vec<DetailedReport> =
                 faults.iter().map(|&f| one.inject_batch(&[f])).collect();
             let sum = |field: fn(&CampaignPerf) -> u64| -> u64 {
@@ -1642,9 +1703,8 @@ mod tests {
                 singles.iter().map(|r| r.samples()[0]).collect();
             assert_eq!(&outcomes[..], scratch.samples(), "prune {prune}");
             for threads in [1, 4] {
-                let batch = Campaign::prepare(&spec, config(threads, prune, true))
-                    .unwrap()
-                    .inject_batch(&faults);
+                let batch =
+                    Campaign::on(golden(prune), config(threads, prune, true)).inject_batch(&faults);
                 let at = format!("threads {threads}, prune {prune}");
                 assert_eq!(batch.samples(), &outcomes[..], "{at}");
                 let perf = batch.perf();

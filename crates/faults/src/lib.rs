@@ -55,7 +55,7 @@ pub use adaptive::{
     build_strata, build_strata_with, AdaptiveCampaignConfig, AdaptiveCampaignReport,
     AdaptiveSession, MetricKind, PatternModel, StratumReport,
 };
-pub use campaign::{Campaign, CampaignConfig, DetailedReport, UniformRun};
+pub use campaign::{Campaign, CampaignConfig, DetailedReport, GoldenRun, UniformRun};
 pub use ecc_campaign::{read_probability, run_ecc_campaign, EccCampaignConfig, EccCampaignReport};
 pub use outcome::Outcome;
 pub use pattern::{

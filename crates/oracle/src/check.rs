@@ -1,10 +1,11 @@
 //! The lockstep differential check.
 
 use std::fmt;
+use std::sync::Arc;
 
 use ses_arch::{DynInstr, Emulator, ExecutionTrace, Stepper};
 use ses_avf::{AvfAnalysis, DeadMap, RegionFault, RegionMap, SpanSet};
-use ses_faults::{Campaign, CampaignConfig};
+use ses_faults::{Campaign, CampaignConfig, GoldenRun};
 use ses_isa::{Instruction, Program};
 use ses_pipeline::{DetectionModel, Pipeline, PipelineConfig};
 use ses_workloads::FuzzProgramSpec;
@@ -356,30 +357,27 @@ pub fn check_program_mutated(
     let mut injected = false;
     if let Some(ic) = config.injection {
         injected = true;
-        let campaign = Campaign::prepare_program(
-            program.clone(),
-            config.dynamic_budget,
-            CampaignConfig {
-                injections: ic.injections,
-                seed: ic.seed,
-                // Parity makes every consumed strike a DUE, which is the
-                // regime where the statistical estimate is an unbiased
-                // sample of the analytic DUE AVF (see
-                // tests/cross_validation.rs).
-                detection: DetectionModel::Parity { tracking: None },
-                pipeline: config.pipeline.clone(),
-                threads: 1,
-                ..CampaignConfig::default()
-            },
-        )
-        .map_err(|e| {
-            Divergence::new(
-                DivergenceKind::InjectionEstimate,
-                None,
-                format!("campaign preparation failed: {e}"),
-            )
-        })?;
-        let report = campaign.run();
+        let plan = CampaignConfig {
+            injections: ic.injections,
+            seed: ic.seed,
+            // Parity makes every consumed strike a DUE, which is the
+            // regime where the statistical estimate is an unbiased
+            // sample of the analytic DUE AVF (see
+            // tests/cross_validation.rs).
+            detection: DetectionModel::Parity { tracking: None },
+            pipeline: config.pipeline.clone(),
+            threads: 1,
+            ..CampaignConfig::default()
+        };
+        let golden = GoldenRun::prepare_program(program.clone(), config.dynamic_budget, &plan)
+            .map_err(|e| {
+                Divergence::new(
+                    DivergenceKind::InjectionEstimate,
+                    None,
+                    format!("campaign preparation failed: {e}"),
+                )
+            })?;
+        let report = Campaign::on(Arc::new(golden), plan).run();
         let est = report.due_avf_estimate();
         let tol = report.ci95(est) + ic.slack;
         if (est - due).abs() > tol {

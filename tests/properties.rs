@@ -540,9 +540,10 @@ fn campaign_report_pooled_ci_within_union_of_member_cis() {
 fn adaptive_exhaustive_agrees_with_census_on_small_program() {
     use ses_core::{
         build_strata, AdaptiveCampaignConfig, AdaptiveConfig, AdaptiveSession, Campaign,
-        CampaignConfig, DetectionModel, FaultSpec, MetricKind, PipelineConfig,
+        CampaignConfig, DetectionModel, FaultSpec, GoldenRun, MetricKind, PipelineConfig,
     };
     use ses_isa::Program;
+    use std::sync::Arc;
     // Hand-built so the injection space is small enough to enumerate
     // twice: dependent adds (live reads), an overwritten-without-read
     // value (a dead tail for the Tail phase), and an output to make
@@ -572,7 +573,8 @@ fn adaptive_exhaustive_agrees_with_census_on_small_program() {
         },
         ..CampaignConfig::default()
     };
-    let campaign = Campaign::prepare_program(Program::new(code), 1000, config).unwrap();
+    let golden = GoldenRun::prepare_program(Program::new(code), 1000, &config).unwrap();
+    let campaign = Campaign::on(Arc::new(golden), config);
     let metric = MetricKind::SdcAvf;
     let mut session = AdaptiveSession::new(
         &campaign,
