@@ -82,7 +82,9 @@ impl MachineSnapshot {
 /// Captured by [`Emulator::run_checkpointed`] and consumed by
 /// [`Emulator::resume_with_override`]. Everything before the checkpoint is
 /// golden, so a resumed replay needs to compare only the output it emits
-/// with the golden output after [`Checkpoint::output_len`].
+/// with the golden output after [`Checkpoint::output_len`]; later
+/// checkpoints are where the replay checks whether it rejoined the golden
+/// run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Checkpoint {
     snapshot: MachineSnapshot,
@@ -99,6 +101,37 @@ impl Checkpoint {
     pub fn output_len(&self) -> usize {
         self.output_len
     }
+
+    /// Mutable access to the captured registers, predicates and PC, for
+    /// building a deliberately wrong golden reference (planted-defect
+    /// tests of the convergence check).
+    pub fn state_mut(&mut self) -> &mut ArchState {
+        &mut self.snapshot.state
+    }
+
+    /// Mutable access to the captured data memory, for the same purpose
+    /// as [`Checkpoint::state_mut`].
+    pub fn mem_mut(&mut self) -> &mut DataMemory {
+        &mut self.snapshot.mem
+    }
+}
+
+/// A corrupted functional replay resumed from a golden [`Checkpoint`]
+/// ([`Emulator::resume_with_override`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ResumedReplay {
+    /// The replay's outcome, equal to the replay from program start
+    /// except that a `Completed` output holds only the values emitted
+    /// after the checkpoint it resumed from.
+    pub outcome: RunOutcome,
+    /// Golden output values emitted before the resume checkpoint: the full
+    /// run's output is the golden output's first `output_offset` values
+    /// followed by a `Completed` output.
+    pub output_offset: usize,
+    /// The dynamic index of the later golden checkpoint at which the
+    /// replay's machine equalled the golden one, ending the replay early;
+    /// `None` when it ran to its own end.
+    pub converged_at: Option<u64>,
 }
 
 /// Architectural emulator for one program.
@@ -205,68 +238,135 @@ impl<'p> Emulator<'p> {
         self.run_overridden(|idx| (idx == trace_idx).then_some(word), max_instrs)
     }
 
-    /// Resumes a corrupted replay from a golden [`Checkpoint`]: the same
-    /// run as [`run_with_override`](Self::run_with_override) from program
-    /// start, minus the golden prefix before the checkpoint. The budget
-    /// still counts from program start, so a replay times out at exactly
-    /// the same dynamic index either way. A `Completed` output holds only
-    /// the values emitted after the checkpoint; the full run's output is
-    /// the golden output's first [`Checkpoint::output_len`] values followed
-    /// by these.
+    /// Resumes a corrupted replay from the golden run's checkpoints: the
+    /// same run as [`run_with_override`](Self::run_with_override) from
+    /// program start, minus the golden prefix before the last checkpoint
+    /// at or before `trace_idx`, and minus the golden suffix once the
+    /// replay rejoins the golden run. The budget still counts from
+    /// program start, so a replay times out at exactly the same dynamic
+    /// index either way. A `Completed` output holds only the values
+    /// emitted after the resume checkpoint
+    /// ([`ResumedReplay::output_offset`]).
+    ///
+    /// At each later checkpoint past `trace_idx`, the replay compares its
+    /// PC, registers, predicates and the output emitted so far with the
+    /// golden values there, and, when all of those match, its data memory.
+    /// Equality of all of them means the rest of the run is the golden
+    /// run (the override lies behind it, and call depth is bookkeeping
+    /// that never steers execution), so the replay returns what the golden
+    /// continuation returns under the same budget: `Completed` with the
+    /// golden output when the golden run halts within `max_instrs`,
+    /// `TimedOut` otherwise. Memory is compared at most once per replay,
+    /// and a mismatch there ends the checking: the added cost stays below
+    /// one pass over memory, the size of the snapshot clone every replay
+    /// pays anyway.
+    ///
+    /// `golden` and `checkpoints` must come from one
+    /// [`run_checkpointed`](Self::run_checkpointed) of `program`.
     ///
     /// # Panics
     ///
-    /// Panics if `trace_idx` lies before the checkpoint, where the
-    /// override could no longer take effect.
+    /// Panics if the golden run did not halt, or if no checkpoint lies at
+    /// or before `trace_idx`.
     pub fn resume_with_override(
         program: &'p Program,
-        checkpoint: &Checkpoint,
+        golden: &ExecutionTrace,
+        checkpoints: &[Checkpoint],
         trace_idx: u64,
         word: u64,
         max_instrs: u64,
-    ) -> RunOutcome {
-        assert!(
-            trace_idx >= checkpoint.index(),
-            "override at {trace_idx} precedes the checkpoint at {}",
-            checkpoint.index()
-        );
-        Emulator::from_snapshot(program, checkpoint.snapshot.clone())
-            .run_with_override(trace_idx, word, max_instrs)
+    ) -> ResumedReplay {
+        assert!(golden.halted(), "a replay can only rejoin a halted golden run");
+        let at = checkpoints
+            .partition_point(|c| c.index() <= trace_idx)
+            .checked_sub(1)
+            .unwrap_or_else(|| panic!("no checkpoint at or before the override at {trace_idx}"));
+        let from = &checkpoints[at];
+        let override_at = |idx| (idx == trace_idx).then_some(word);
+        let mut emu = Emulator::from_snapshot(program, from.snapshot.clone());
+        let diverged = |outcome| ResumedReplay {
+            outcome,
+            output_offset: from.output_len,
+            converged_at: None,
+        };
+        // Every later checkpoint lies past the override.
+        for next in &checkpoints[at + 1..] {
+            if let Some(outcome) = emu.run_until(&override_at, next.index().min(max_instrs)) {
+                return diverged(outcome);
+            }
+            if emu.index < next.index() {
+                return diverged(RunOutcome::TimedOut);
+            }
+            let golden_out = &golden.output()[from.output_len..next.output_len];
+            if emu.state != next.snapshot.state || emu.output != golden_out {
+                continue;
+            }
+            if emu.mem != next.snapshot.mem {
+                break;
+            }
+            let outcome = if golden.len() as u64 <= max_instrs {
+                let mut output = emu.output;
+                output.extend_from_slice(&golden.output()[next.output_len..]);
+                RunOutcome::Completed { output }
+            } else {
+                RunOutcome::TimedOut
+            };
+            return ResumedReplay {
+                outcome,
+                output_offset: from.output_len,
+                converged_at: Some(next.index()),
+            };
+        }
+        diverged(
+            emu.run_until(&override_at, max_instrs)
+                .unwrap_or(RunOutcome::TimedOut),
+        )
     }
 
-    /// The replay loop. `self.index` doubles as the step count: it is the
-    /// number of instructions executed since program start, also for an
-    /// emulator restored from a snapshot.
+    /// The replay loop to the budget.
     fn run_overridden(
         mut self,
         override_at: impl Fn(u64) -> Option<u64>,
         max_instrs: u64,
     ) -> RunOutcome {
-        while self.index < max_instrs {
+        self.run_until(&override_at, max_instrs)
+            .unwrap_or(RunOutcome::TimedOut)
+    }
+
+    /// Runs until the dynamic index reaches `stop`, returning the outcome
+    /// if the run ends first (halt or crash). `self.index` doubles as the
+    /// step count: it is the number of instructions executed since
+    /// program start, also for an emulator restored from a snapshot.
+    fn run_until(
+        &mut self,
+        override_at: &impl Fn(u64) -> Option<u64>,
+        stop: u64,
+    ) -> Option<RunOutcome> {
+        while self.index < stop {
             let pc = self.state.pc();
             let Some(&original) = self.program.instr_at(pc) else {
-                return RunOutcome::Crashed {
+                return Some(RunOutcome::Crashed {
                     reason: format!("fetch outside program image at {pc}"),
-                };
+                });
             };
             let instr = match override_at(self.index) {
                 None => original,
                 Some(word) => match decode(word) {
                     Ok(i) => i,
                     Err(e) => {
-                        return RunOutcome::Crashed {
+                        return Some(RunOutcome::Crashed {
                             reason: e.to_string(),
-                        }
+                        })
                     }
                 },
             };
             if self.exec_one(instr, pc).halt {
-                return RunOutcome::Completed {
-                    output: self.output,
-                };
+                return Some(RunOutcome::Completed {
+                    output: std::mem::take(&mut self.output),
+                });
             }
         }
-        RunOutcome::TimedOut
+        None
     }
 
     /// Captures the current architectural state as a [`MachineSnapshot`].
@@ -617,6 +717,34 @@ mod tests {
             Emulator::new(&p).run_with_overrides(&ov2, 100),
             RunOutcome::Crashed { .. }
         ));
+    }
+
+    #[test]
+    fn masked_override_rejoins_the_golden_run_at_the_next_checkpoint() {
+        // The first write of r2 is overwritten before anything reads it.
+        let p = Program::new(vec![
+            Instruction::movi(r(2), 5),
+            Instruction::movi(r(2), 1),
+            Instruction::movi(r(1), 7),
+            Instruction::out(r(1)),
+            Instruction::out(r(2)),
+            Instruction::halt(),
+        ]);
+        let (golden, ckpts) = Emulator::new(&p).run_checkpointed(100, 2).unwrap();
+        let masked = ses_isa::encode(&Instruction::movi(r(2), 6));
+        let resumed = Emulator::resume_with_override(&p, &golden, &ckpts, 0, masked, 100);
+        assert_eq!(resumed.converged_at, Some(2));
+        assert_eq!(resumed.outcome, RunOutcome::Completed { output: vec![7, 1] });
+        // One instruction short of the halt, the golden continuation (and
+        // so the converged replay) times out.
+        let short = Emulator::resume_with_override(&p, &golden, &ckpts, 0, masked, 5);
+        assert_eq!(short.converged_at, Some(2));
+        assert_eq!(short.outcome, RunOutcome::TimedOut);
+        // A corruption that reaches the output never rejoins.
+        let live = ses_isa::encode(&Instruction::movi(r(2), 2));
+        let resumed = Emulator::resume_with_override(&p, &golden, &ckpts, 1, live, 100);
+        assert_eq!(resumed.converged_at, None);
+        assert_eq!(resumed.outcome, RunOutcome::Completed { output: vec![7, 2] });
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //! the golden run. A golden run can capture [`Checkpoint`]s
 //! ([`Emulator::run_checkpointed`]) so such a replay resumes just before
 //! the corrupted index ([`Emulator::resume_with_override`]) instead of
-//! re-executing the golden prefix.
+//! re-executing the golden prefix, and stops at the first later
+//! checkpoint where its machine state equals the golden one.
 //!
 //! # Example
 //!
@@ -47,7 +48,7 @@ mod state;
 mod stepper;
 mod trace;
 
-pub use emu::{Checkpoint, Emulator, MachineSnapshot, RunOutcome};
+pub use emu::{Checkpoint, Emulator, MachineSnapshot, ResumedReplay, RunOutcome};
 pub use stepper::Stepper;
 pub use memory::DataMemory;
 pub use state::ArchState;

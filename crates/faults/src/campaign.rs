@@ -354,28 +354,26 @@ impl GoldenRun {
     /// comparison and the path it took. A corrupted word equal to the
     /// golden word short-circuits to `Identical` without emulating at all.
     /// Otherwise the replay resumes from the last golden checkpoint at or
-    /// before `trace_idx`, and only the output emitted after that
-    /// checkpoint is compared. Debug builds check one in eight emulated
-    /// replays against a replay from program start.
+    /// before `trace_idx`, only the output emitted after that checkpoint is
+    /// compared, and the replay stops at the first later checkpoint where
+    /// it has rejoined the golden run ([`Emulator::resume_with_override`]).
+    /// Debug builds check one in eight emulated replays against a replay
+    /// from program start.
     fn replay(&self, trace_idx: u64, corrupted_word: u64) -> (Replay, ReplayPath) {
         if self.golden_words.get(trace_idx as usize) == Some(&corrupted_word) {
             return (Replay::Identical, ReplayPath::FastPath);
         }
-        let at = self
-            .arch_checkpoints
-            .partition_point(|c| c.index() <= trace_idx)
-            .checked_sub(1)
-            .expect("the golden run is checkpointed at index 0");
-        let ckpt = &self.arch_checkpoints[at];
+        let resumed = Emulator::resume_with_override(
+            &self.program,
+            &self.golden,
+            &self.arch_checkpoints,
+            trace_idx,
+            corrupted_word,
+            self.replay_budget,
+        );
         let replay = judge(
-            Emulator::resume_with_override(
-                &self.program,
-                ckpt,
-                trace_idx,
-                corrupted_word,
-                self.replay_budget,
-            ),
-            &self.golden.output()[ckpt.output_len()..],
+            resumed.outcome,
+            &self.golden.output()[resumed.output_offset..],
         );
         if cfg!(debug_assertions) && trace_idx.is_multiple_of(8) {
             assert_eq!(

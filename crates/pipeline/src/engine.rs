@@ -196,10 +196,11 @@ impl Pipeline {
     /// with it the detection model) comes from the snapshot and
     /// `detection` is ignored, mirroring [`Pipeline::resume`].
     ///
-    /// The restore is lean: it skips copying the snapshot's residency-log
-    /// prefix, the dominant cost of a resume. A fault run returns only its
-    /// verdict and end cycle ([`FaultRun`]), so the partial log that
-    /// leaves behind can never reach AVF analysis.
+    /// The base is lean: it keeps no residency log, so a restore skips
+    /// copying the snapshot's log prefix (the dominant cost of a resume)
+    /// and a replay logs no deallocation. A fault run returns only its
+    /// verdict and end cycle ([`FaultRun`]), and nothing else reads the
+    /// log.
     pub fn fault_window<'a>(
         &'a self,
         program: &'a Program,
@@ -212,10 +213,11 @@ impl Pipeline {
                 Engine::restore(&self.config, program, trace, s, None, false),
                 s.cycle(),
             ),
-            None => (
-                Engine::new(&self.config, program, trace, None, detection).warmed(),
-                Cycle::ZERO,
-            ),
+            None => {
+                let mut base = Engine::new(&self.config, program, trace, None, detection).warmed();
+                base.iq.set_residencies(None);
+                (base, Cycle::ZERO)
+            }
         };
         FaultWindow { base, start }
     }
@@ -242,7 +244,7 @@ pub struct FaultRun {
 /// one checkpoint window.
 ///
 /// Built by [`Pipeline::fault_window`]. [`FaultWindow::run_fault`] clones
-/// the base state (cheap: the base has an empty residency log) and
+/// the base state (cheap: the base keeps no residency log) and
 /// replays one fault; [`FaultWindow::run_last`] replays the window's last
 /// fault on the base itself, saving the clone. Restoring the snapshot once
 /// per window instead of once per fault amortizes the dominant restore
@@ -446,11 +448,12 @@ impl<'a> Engine<'a> {
     /// still to inject; the caller continues with
     /// [`Engine::run_core`]`(snapshot.cycle)`.
     ///
-    /// `with_residencies = false` skips copying the pre-snapshot residency
-    /// log, the dominant cost of a restore. Fault runs never consume their
-    /// residencies, so [`Pipeline::fault_window`] restores lean; a lean
-    /// engine's residency log holds only the post-restore tail and must
-    /// never feed AVF analysis.
+    /// `with_residencies = false` restores lean: the residency log is
+    /// switched off, which skips copying the pre-snapshot log (the
+    /// dominant cost of a restore) and logging every later deallocation.
+    /// Fault runs never consume their residencies, so
+    /// [`Pipeline::fault_window`] restores lean; a lean engine's result
+    /// carries an empty residency log.
     fn restore(
         cfg: &'a PipelineConfig,
         program: &'a Program,
@@ -470,11 +473,9 @@ impl<'a> Engine<'a> {
         let mut engine = Engine::new(cfg, program, trace, fault, DetectionModel::None);
         engine.frontend.restore_state(&snapshot.frontend);
         engine.iq = snapshot.iq.clone_without_residencies();
-        if with_residencies {
-            engine
-                .iq
-                .set_residencies(snapshot.residency_log[..snapshot.residency_prefix].to_vec());
-        }
+        engine.iq.set_residencies(
+            with_residencies.then(|| snapshot.residency_log[..snapshot.residency_prefix].to_vec()),
+        );
         engine.hierarchy.restore(&snapshot.hierarchy);
         engine.reg_ready = snapshot.reg_ready;
         engine.pred_ready = snapshot.pred_ready;
@@ -682,7 +683,7 @@ impl<'a> Engine<'a> {
         }
         self.recovery = None;
         let flushed = self.iq.flush_younger(rec.branch_seq, now);
-        for e in &flushed {
+        for e in flushed {
             if self.detector.on_dealloc(e, ResidencyEnd::FlushedWrongPath) {
                 self.stop_early = true;
             }
@@ -729,12 +730,14 @@ impl<'a> Engine<'a> {
         let mut issued = 0usize;
         let mut mem_issued = 0usize;
         let mut branch_issued = 0usize;
-        let order: Vec<usize> = self.iq.age_order().to_vec();
         let mut squash_request: Option<(SeqNo, u64, Cycle)> = None;
-        for slot in order {
+        // Indexing the age order in place is sound: nothing in the loop
+        // inserts or removes an entry (the squash is applied after it).
+        for age in 0..self.iq.occupied() {
             if issued >= self.cfg.width {
                 break;
             }
+            let slot = self.iq.age_order()[age];
             let entry = self.iq.get(slot).expect("slot in order list");
             if entry.issued.is_some() {
                 continue; // already in flight; in-order issue may proceed
@@ -892,15 +895,16 @@ impl<'a> Engine<'a> {
 
     fn apply_squash(&mut self, load_seq: SeqNo, load_trace_idx: u64, data_ready: Cycle, now: Cycle) {
         let squashed = self.iq.squash_younger(load_seq, now);
-        for e in &squashed {
+        for e in squashed {
             if self.detector.on_dealloc(e, ResidencyEnd::Squashed) {
                 self.stop_early = true;
             }
         }
-        self.squashed_instrs += squashed.len() as u64;
+        let squashed = squashed.len() as u64;
+        self.squashed_instrs += squashed;
         self.squashes += 1;
         if let Some(st) = self.stages.as_mut() {
-            st.on_squash(now.as_u64(), squashed.len() as u64);
+            st.on_squash(now.as_u64(), squashed);
         }
         // Cancel a pending recovery if its branch was squashed.
         if let Some(rec) = self.recovery {
@@ -928,7 +932,10 @@ impl<'a> Engine<'a> {
             return;
         }
         let mut inserted = 0u64;
-        for f in self.frontend.take_ready(now, free) {
+        while inserted < free as u64 {
+            let Some(f) = self.frontend.pop_ready(now) else {
+                break;
+            };
             let FetchedInstr {
                 occupant,
                 instr,
@@ -977,8 +984,9 @@ impl<'a> Engine<'a> {
             && now.as_u64() > 0
             && now.as_u64().is_multiple_of(self.cfg.scrub_period)
         {
-            let slots: Vec<usize> = self.iq.age_order().to_vec();
-            for slot in slots {
+            // A scrub read removes no entry, so the age order holds still.
+            for age in 0..self.iq.occupied() {
+                let slot = self.iq.age_order()[age];
                 if let Some(entry) = self.iq.get_mut(slot) {
                     if entry.parity_mismatch() && self.detector.on_scrub(entry) {
                         self.stop_early = true;

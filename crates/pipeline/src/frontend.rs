@@ -113,17 +113,13 @@ impl<'a> FrontEnd<'a> {
         self.cursor >= self.trace.len() && self.pipe.is_empty()
     }
 
-    /// Pops instructions that have reached the queue-insert stage, at most
-    /// `limit`.
-    pub fn take_ready(&mut self, now: Cycle, limit: usize) -> Vec<FetchedInstr> {
-        let mut out = Vec::new();
-        while out.len() < limit {
-            match self.pipe.front() {
-                Some(f) if f.ready_at <= now => out.push(self.pipe.pop_front().unwrap()),
-                _ => break,
-            }
+    /// Pops the oldest instruction in the pipe if it has reached the
+    /// queue-insert stage by `now`.
+    pub fn pop_ready(&mut self, now: Cycle) -> Option<FetchedInstr> {
+        match self.pipe.front() {
+            Some(f) if f.ready_at <= now => self.pipe.pop_front(),
+            _ => None,
         }
-        out
     }
 
     /// Fetches up to `width` instructions this cycle, returning how many
@@ -345,6 +341,11 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// Pops everything that has reached the queue-insert stage by `now`.
+    fn pop_all_ready(fe: &mut FrontEnd<'_>, now: Cycle) -> Vec<FetchedInstr> {
+        std::iter::from_fn(|| fe.pop_ready(now)).collect()
+    }
+
     /// Drives the front end, performing instant misprediction recovery as
     /// the engine would once each mispredicted branch resolves.
     fn fetch_all(fe: &mut FrontEnd<'_>, cycles: u64) -> Vec<FetchedInstr> {
@@ -352,7 +353,7 @@ mod tests {
         for c in 0..cycles {
             let now = Cycle::new(c);
             fe.fetch(now);
-            let batch = fe.take_ready(now, 64);
+            let batch = pop_all_ready(fe, now);
             let redirect = batch
                 .iter()
                 .find(|f| f.mispredicted_branch)
@@ -396,10 +397,10 @@ mod tests {
         let mut fe = FrontEnd::new(&cfg, &p, trace.entries());
         fe.fetch(Cycle::ZERO);
         assert!(
-            fe.take_ready(Cycle::new(cfg.frontend_depth - 1), 64).is_empty(),
+            pop_all_ready(&mut fe, Cycle::new(cfg.frontend_depth - 1)).is_empty(),
             "nothing arrives before the front-end depth elapses"
         );
-        assert!(!fe.take_ready(Cycle::new(cfg.frontend_depth), 64).is_empty());
+        assert!(!pop_all_ready(&mut fe, Cycle::new(cfg.frontend_depth)).is_empty());
     }
 
     #[test]
@@ -412,7 +413,7 @@ mod tests {
         let mut mis_at = None;
         'outer: for c in 0..200u64 {
             fe.fetch(Cycle::new(c));
-            for f in fe.take_ready(Cycle::new(c), 64) {
+            for f in pop_all_ready(&mut fe, Cycle::new(c)) {
                 if f.mispredicted_branch {
                     mis_at = Some(f);
                     break 'outer;
@@ -427,11 +428,11 @@ mod tests {
         assert!(!fe.on_wrong_path());
         fe.fetch(Cycle::new(299));
         assert!(
-            fe.take_ready(Cycle::new(320), 64).is_empty(),
+            pop_all_ready(&mut fe, Cycle::new(320)).is_empty(),
             "fetch stalled until resume_at"
         );
         fe.fetch(Cycle::new(300));
-        let refetched = fe.take_ready(Cycle::new(300 + cfg.frontend_depth), 64);
+        let refetched = pop_all_ready(&mut fe, Cycle::new(300 + cfg.frontend_depth));
         assert_eq!(refetched[0].occupant_trace(), Some(idx + 1));
     }
 
@@ -443,11 +444,11 @@ mod tests {
         let mut fe = FrontEnd::new(&cfg, &p, trace.entries());
         fe.throttled = true;
         fe.fetch(Cycle::ZERO);
-        assert!(fe.take_ready(Cycle::new(50), 64).is_empty());
+        assert!(pop_all_ready(&mut fe, Cycle::new(50)).is_empty());
         assert_eq!(fe.stats().throttled_cycles, 1);
         fe.throttled = false;
         fe.fetch(Cycle::new(1));
-        assert!(!fe.take_ready(Cycle::new(50), 64).is_empty());
+        assert!(!pop_all_ready(&mut fe, Cycle::new(50)).is_empty());
     }
 
     #[test]

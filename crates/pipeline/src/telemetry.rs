@@ -86,6 +86,13 @@ impl StageCounters {
     }
 
     fn bucket_mut(&mut self, cycle: u64) -> &mut StageBucket {
+        // Cycles arrive in order, so the latest bucket almost always holds
+        // `cycle`; checking it first keeps a division off the per-cycle
+        // path.
+        let len = self.buckets.len();
+        if len > 0 && cycle.wrapping_sub(self.buckets[len - 1].start_cycle) < self.bucket_size {
+            return &mut self.buckets[len - 1];
+        }
         let idx = (cycle / self.bucket_size) as usize;
         while self.buckets.len() <= idx {
             let start = self.buckets.len() as u64 * self.bucket_size;

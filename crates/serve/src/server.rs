@@ -124,12 +124,15 @@ impl Server {
                     }
                     let Ok(stream) = conn else { continue };
                     let n = acceptor_shared.queues.len();
+                    // Count the connection before it becomes visible: a
+                    // worker decrements `pending` as soon as it pops, and
+                    // may pop before a later increment would land.
+                    *acceptor_shared.pending.lock().unwrap() += 1;
                     acceptor_shared.queues[next % n]
                         .lock()
                         .unwrap()
                         .push_back(stream);
                     next = next.wrapping_add(1);
-                    *acceptor_shared.pending.lock().unwrap() += 1;
                     acceptor_shared.wake.notify_one();
                 }
             })?;

@@ -14,6 +14,7 @@ use ses_core::{
     WorkloadSpec,
 };
 use ses_isa::{encode, Program};
+use ses_types::Reg;
 use ses_pipeline::{FaultOutcome, FaultRun, Pipeline, PipelineConfig};
 
 fn campaign_pair(detection: DetectionModel, injections: u32) -> (Campaign, Campaign) {
@@ -164,24 +165,25 @@ fn lean_fault_runs_match_full_resume_and_scratch_in_every_window() {
 
 /// Checks a resumed replay against the replay from program start: equal
 /// outcomes, where a resumed output is the golden prefix's continuation.
-/// Returns the outcome for coverage counting.
+/// Returns the from-start outcome for coverage counting and the
+/// checkpoint the resumed replay converged at, if any.
 fn assert_resume_matches(
     program: &Program,
     golden: &ExecutionTrace,
-    ckpt: &Checkpoint,
+    ckpts: &[Checkpoint],
     idx: u64,
     word: u64,
     budget: u64,
-) -> RunOutcome {
+) -> (RunOutcome, Option<u64>) {
     let from_start = Emulator::new(program).run_with_override(idx, word, budget);
-    let resumed = Emulator::resume_with_override(program, ckpt, idx, word, budget);
+    let resumed = Emulator::resume_with_override(program, golden, ckpts, idx, word, budget);
     let context = format!(
-        "checkpoint {}, index {idx}, word {word:#x}, budget {budget}",
-        ckpt.index()
+        "index {idx}, word {word:#x}, budget {budget}, converged at {:?}",
+        resumed.converged_at
     );
-    match (&from_start, resumed) {
+    match (&from_start, resumed.outcome) {
         (RunOutcome::Completed { output }, RunOutcome::Completed { output: tail }) => {
-            let stitched: Vec<u64> = golden.output()[..ckpt.output_len()]
+            let stitched: Vec<u64> = golden.output()[..resumed.output_offset]
                 .iter()
                 .chain(&tail)
                 .copied()
@@ -190,18 +192,29 @@ fn assert_resume_matches(
         }
         (want, got) => assert_eq!(want, &got, "{context}"),
     }
-    from_start
+    (from_start, resumed.converged_at)
 }
 
-/// The functional replay resumed from any golden checkpoint equals the
-/// replay from program start: completed outputs, crashes, and timeouts
-/// at a budget that still counts from program start.
-#[test]
-fn checkpointed_functional_replay_matches_replay_from_start() {
-    let (program, golden, budget) = quick_program("ckpt-arch", 29);
+/// Runs `program`'s golden run with a checkpoint every `interval`
+/// instructions and corrupts three indices per checkpoint window (its
+/// first, middle and last) three ways each (a low bit, a window-dependent
+/// bit, an undecodable word), under the generous campaign budget and one
+/// that runs out one instruction before the golden run would halt. Every
+/// resumed replay must equal the replay from program start.
+///
+/// Each replay that converged at a checkpoint is rerun against a planted
+/// defect: the same golden checkpoints with one register (or one memory
+/// word) altered at that checkpoint. The replay must not converge there,
+/// and its outcome must still equal the replay from program start, so a
+/// convergence check that skips a register or memory, or trusts a stale
+/// reference, fails. At least one replay must converge, so a check that
+/// never fires fails too.
+fn check_checkpointed_replays(program: &Program, budget: u64, interval: u64) {
+    let golden = Emulator::new(program).run(budget).expect("golden run");
+    assert!(golden.halted());
     let len = golden.len() as u64;
-    let (trace, ckpts) = Emulator::new(&program)
-        .run_checkpointed(budget, (budget / 256).max(1))
+    let (trace, ckpts) = Emulator::new(program)
+        .run_checkpointed(budget, interval)
         .expect("golden run");
     assert_eq!(
         trace, golden,
@@ -209,7 +222,14 @@ fn checkpointed_functional_replay_matches_replay_from_start() {
     );
     assert_eq!(ckpts[0].index(), 0);
     assert!(ckpts.len() > 16, "got {} checkpoints", ckpts.len());
+    let planted_addr = golden
+        .entries()
+        .iter()
+        .find_map(|d| d.mem_written)
+        .expect("the program stores to memory");
+    let mut planted = ckpts.clone();
     let (mut differ, mut crashed, mut timed_out) = (0, 0, 0);
+    let (mut converged, mut planted_regs, mut planted_mems) = (0, 0, 0);
     for (k, ckpt) in ckpts.iter().enumerate() {
         let next = ckpts.get(k + 1).map_or(len, Checkpoint::index);
         for idx in [ckpt.index(), (ckpt.index() + next) / 2, next - 1] {
@@ -220,16 +240,37 @@ fn checkpointed_functional_replay_matches_replay_from_start() {
                 u64::MAX, // reserved bits set: undecodable
             ];
             for word in words {
-                // The generous campaign budget, and one that runs out one
-                // instruction before the golden run would halt.
                 for budget in [len * 4, len - 1] {
-                    match assert_resume_matches(&program, &golden, ckpt, idx, word, budget) {
+                    let (outcome, at) =
+                        assert_resume_matches(program, &golden, &ckpts, idx, word, budget);
+                    match outcome {
                         RunOutcome::Completed { output } => {
                             differ += usize::from(output != golden.output());
                         }
                         RunOutcome::Crashed { .. } => crashed += 1,
                         RunOutcome::TimedOut => timed_out += 1,
                     }
+                    let Some(at) = at else { continue };
+                    converged += 1;
+                    let j = ckpts.partition_point(|c| c.index() < at);
+                    if converged % 2 == 0 {
+                        let r = Reg::new(1 + (converged / 2 % 63) as u8);
+                        let state = planted[j].state_mut();
+                        state.set_reg(r, state.reg(r) ^ 1);
+                        planted_regs += 1;
+                    } else {
+                        let mem = planted[j].mem_mut();
+                        mem.store(planted_addr, mem.load(planted_addr) ^ 1);
+                        planted_mems += 1;
+                    }
+                    let (_, planted_at) =
+                        assert_resume_matches(program, &golden, &planted, idx, word, budget);
+                    assert_ne!(
+                        planted_at,
+                        Some(at),
+                        "converged at a checkpoint with a planted defect (index {idx})"
+                    );
+                    planted[j] = ckpts[j].clone();
                 }
             }
         }
@@ -238,4 +279,28 @@ fn checkpointed_functional_replay_matches_replay_from_start() {
         differ > 0 && crashed > 0 && timed_out > 0,
         "{differ} {crashed} {timed_out}"
     );
+    assert!(
+        planted_regs > 0 && planted_mems > 0,
+        "{converged} converged replays, {planted_regs} register and {planted_mems} memory defects"
+    );
+}
+
+/// The functional replay resumed from any golden checkpoint, and stopped
+/// wherever it rejoins the golden run, equals the replay from program
+/// start: completed outputs, crashes, and timeouts at a budget that still
+/// counts from program start.
+#[test]
+fn checkpointed_functional_replay_matches_replay_from_start() {
+    let (program, _, budget) = quick_program("ckpt-arch", 29);
+    check_checkpointed_replays(&program, budget, (budget / 256).max(1));
+}
+
+/// The same checks on a fuzz-generated corpus program, whose control flow
+/// and memory traffic the synthetic workloads do not produce.
+#[test]
+fn checkpointed_functional_replay_matches_on_a_fuzzed_program() {
+    let text = include_str!("corpus/fuzz-00-910a2dec89025cc1.s");
+    let program = ses_isa::assemble(text).expect("corpus program assembles");
+    let len = Emulator::new(&program).run(1_000_000).expect("golden run").len() as u64;
+    check_checkpointed_replays(&program, len * 4, (len / 32).max(1));
 }
