@@ -29,9 +29,9 @@
 //! [`JobSpec::admit`] holds the serving caps. Only the daemon applies
 //! them; CLI budgets are unbounded.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
+use crate::cache::ResultCache;
 use crate::telemetry as artifact;
 use crate::{
     read_probability, run_ecc_campaign, run_fuzz, run_suite_with, spec_by_name, BenchSummary,
@@ -954,18 +954,11 @@ fn golden_key(workload: &str, model: &str, prune: bool) -> String {
     format!("golden workload={workload} model={model} prune={prune}")
 }
 
-struct PrepEntry {
-    golden: Arc<GoldenRun>,
-    stamp: u64,
-}
-
 /// Bounded cache of prepared golden runs, shared across jobs so every run
 /// plan on one workload, detection model and `prune` setting pays for the
-/// golden run once.
-pub struct SharedRuns {
-    preps: Mutex<(HashMap<String, PrepEntry>, u64)>,
-    capacity: usize,
-}
+/// golden run once. It is single-flight: concurrent jobs on one key
+/// prepare it once while the others wait.
+pub struct SharedRuns(ResultCache<Arc<GoldenRun>>);
 
 impl Default for SharedRuns {
     fn default() -> Self {
@@ -976,15 +969,12 @@ impl Default for SharedRuns {
 impl SharedRuns {
     /// A cache holding at most `capacity` golden runs.
     pub fn new(capacity: usize) -> SharedRuns {
-        SharedRuns {
-            preps: Mutex::new((HashMap::new(), 0)),
-            capacity: capacity.max(1),
-        }
+        SharedRuns(ResultCache::new(capacity.max(1), |_, _| 1))
     }
 
     /// Number of golden runs currently held.
     pub fn len(&self) -> usize {
-        self.preps.lock().unwrap().0.len()
+        self.0.stats().entries as usize
     }
 
     /// Whether no golden run is currently held.
@@ -1000,45 +990,13 @@ impl SharedRuns {
         workload: &str,
         config: CampaignConfig,
     ) -> Result<Campaign, JobError> {
-        {
-            let mut guard = self.preps.lock().unwrap();
-            let (map, stamp) = &mut *guard;
-            *stamp += 1;
-            if let Some(entry) = map.get_mut(key) {
-                entry.stamp = *stamp;
-                return Ok(Campaign::on(Arc::clone(&entry.golden), config));
-            }
-        }
-        // Prepare outside the lock: golden emulation can take a while and
-        // unrelated jobs must not stall behind it. A racing duplicate
-        // prepare is deterministic, so last-write-wins is harmless.
-        let spec = spec_by_name(workload)
-            .ok_or_else(|| JobError::bad(format!("unknown benchmark '{workload}'")))?;
-        let golden =
-            GoldenRun::prepare(&spec, &config).map_err(|e| JobError::internal(e.to_string()))?;
-        let golden = Arc::new(golden);
-        let mut guard = self.preps.lock().unwrap();
-        let (map, stamp) = &mut *guard;
-        *stamp += 1;
-        while map.len() >= self.capacity {
-            let victim = map
-                .iter()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(k, _)| k.clone());
-            match victim {
-                Some(k) => {
-                    map.remove(&k);
-                }
-                None => break,
-            }
-        }
-        map.insert(
-            key.to_string(),
-            PrepEntry {
-                golden: Arc::clone(&golden),
-                stamp: *stamp,
-            },
-        );
+        let (golden, _) = self.0.get_or_compute(key, || {
+            let spec = spec_by_name(workload)
+                .ok_or_else(|| JobError::bad(format!("unknown benchmark '{workload}'")))?;
+            GoldenRun::prepare(&spec, &config)
+                .map(Arc::new)
+                .map_err(|e| JobError::internal(e.to_string()))
+        })?;
         Ok(Campaign::on(golden, config))
     }
 }
@@ -1093,6 +1051,37 @@ mod tests {
         // The parity golden run (plain and recovery jobs) and the
         // detection-free one (the ECC campaign and the grid).
         assert_eq!(shared.len(), 2);
+    }
+
+    /// Concurrent jobs on one golden key prepare it once, and each
+    /// artifact matches the job run alone.
+    #[test]
+    fn concurrent_jobs_prepare_one_golden_run() {
+        let jobs: Vec<JobSpec> = (1..=4)
+            .map(|seed| {
+                let body = format!(r#"{{"workload": "crafty", "seed": {seed}, "injections": 10}}"#);
+                parse_job("campaign", &body).unwrap()
+            })
+            .collect();
+        let shared = SharedRuns::default();
+        let start = std::sync::Barrier::new(jobs.len());
+        let served: Vec<String> = std::thread::scope(|scope| {
+            let handles: Vec<_> = jobs
+                .iter()
+                .map(|job| {
+                    scope.spawn(|| {
+                        start.wait();
+                        job.execute(&shared).unwrap()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(shared.0.stats().misses, 1);
+        assert_eq!(shared.len(), 1);
+        for (job, bytes) in jobs.iter().zip(&served) {
+            assert_eq!(*bytes, job.execute(&SharedRuns::default()).unwrap());
+        }
     }
 
     #[test]

@@ -15,6 +15,8 @@
 //! The [`job`] module is the request model the `ser-repro` CLI and the
 //! daemon share: campaign, suite, ecc-grid and fuzz jobs parsed from
 //! arguments or JSON, run into typed outputs, rendered as artifacts.
+//! Its golden runs are held in the [`cache`] module's single-flight LRU,
+//! the same cache the daemon keeps its rendered artifacts in.
 //!
 //! # Example
 //!
@@ -31,6 +33,7 @@
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
+pub mod cache;
 mod compare;
 pub mod job;
 mod run;

@@ -2,7 +2,7 @@
 //!
 //! One request per connection (the daemon always answers
 //! `Connection: close`), so a request is connect → write → read-to-end →
-//! parse. Used by the equivalence tests and the loadtest harness.
+//! parse. Used by the equivalence tests and the benchmark.
 
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};

@@ -7,7 +7,7 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::Instant;
 
 use ses_metrics::{JsonValue, SCHEMA_VERSION};
 
@@ -69,41 +69,31 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Read one request from `stream`, enforcing `max_body` on the body and
-/// [`MAX_HEAD_BYTES`] on the head.
+/// Read one request from `stream`, enforcing `max_body` on the body,
+/// [`MAX_HEAD_BYTES`] on the head and one `deadline` on the whole request.
 ///
 /// Truncated input (client closed before finishing the head or the
-/// promised body) yields a 400, oversized input 413, and a read timeout
-/// 408 — the caller answers with [`write_error`] and moves on.
-pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, HttpError> {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
+/// promised body) yields a 400, oversized input 413, and a request still
+/// incomplete at `deadline` 408 — however slowly its bytes trickle in.
+/// The caller answers with [`write_error`] and moves on.
+pub fn read_request(
+    stream: &mut TcpStream,
+    max_body: usize,
+    deadline: Instant,
+) -> Result<Request, HttpError> {
     let mut head = Vec::with_capacity(512);
     let mut buf = [0u8; 1024];
     let body_start;
     loop {
-        let n = match stream.read(&mut buf) {
-            Ok(0) => {
-                return Err(HttpError::new(
-                    400,
-                    "truncated request: connection closed before end of headers",
-                ))
-            }
-            Ok(n) => n,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                return Err(HttpError::new(408, "timed out reading request head"))
-            }
-            Err(e) => return Err(HttpError::new(400, format!("read error: {e}"))),
-        };
+        let n = read_before(stream, &mut buf, deadline, "headers")?;
         head.extend_from_slice(&buf[..n]);
-        if let Some(pos) = find_head_end(&head) {
+        let end = find_head_end(&head);
+        if end.map_or(head.len(), |pos| pos + 4) > MAX_HEAD_BYTES {
+            return Err(HttpError::new(413, "request head exceeds 16 KiB"));
+        }
+        if let Some(pos) = end {
             body_start = pos;
             break;
-        }
-        if head.len() > MAX_HEAD_BYTES {
-            return Err(HttpError::new(413, "request head exceeds 16 KiB"));
         }
     }
 
@@ -148,22 +138,7 @@ pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, 
 
     let mut body = head[body_start + 4..].to_vec();
     while body.len() < content_length {
-        let n = match stream.read(&mut buf) {
-            Ok(0) => {
-                return Err(HttpError::new(
-                    400,
-                    "truncated request: connection closed before end of body",
-                ))
-            }
-            Ok(n) => n,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                return Err(HttpError::new(408, "timed out reading request body"))
-            }
-            Err(e) => return Err(HttpError::new(400, format!("read error: {e}"))),
-        };
+        let n = read_before(stream, &mut buf, deadline, "body")?;
         body.extend_from_slice(&buf[..n]);
     }
     body.truncate(content_length);
@@ -174,6 +149,36 @@ pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, 
         headers,
         body,
     })
+}
+
+/// One `read` into `buf` that gives up at `deadline`; a closed
+/// connection is a truncated request `part`.
+fn read_before(
+    stream: &mut TcpStream,
+    buf: &mut [u8],
+    deadline: Instant,
+    part: &str,
+) -> Result<usize, HttpError> {
+    let timed_out = || HttpError::new(408, format!("timed out reading request {part}"));
+    let left = deadline.saturating_duration_since(Instant::now());
+    if left.is_zero() {
+        return Err(timed_out());
+    }
+    let _ = stream.set_read_timeout(Some(left));
+    match stream.read(buf) {
+        Ok(0) => Err(HttpError::new(
+            400,
+            format!("truncated request: connection closed before end of {part}"),
+        )),
+        Ok(n) => Ok(n),
+        Err(e)
+            if e.kind() == std::io::ErrorKind::WouldBlock
+                || e.kind() == std::io::ErrorKind::TimedOut =>
+        {
+            Err(timed_out())
+        }
+        Err(e) => Err(HttpError::new(400, format!("read error: {e}"))),
+    }
 }
 
 fn find_head_end(buf: &[u8]) -> Option<usize> {
@@ -231,6 +236,39 @@ mod tests {
     fn head_end_detection() {
         assert_eq!(find_head_end(b"GET / HTTP/1.1\r\n\r\nrest"), Some(14));
         assert_eq!(find_head_end(b"GET / HTTP/1.1\r\n"), None);
+    }
+
+    /// A client trickling one byte every 50 ms never lets a single read
+    /// time out; the request's deadline still ends it.
+    #[test]
+    fn trickling_client_times_out_at_the_deadline() {
+        use std::net::TcpListener;
+        use std::time::Duration;
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let client = std::thread::spawn(move || {
+            let mut s = TcpStream::connect(addr).unwrap();
+            let head = b"GET /v1/healthz HTTP/1.1\r\nX-Slow: ";
+            for byte in head.iter().cycle().take(200) {
+                if s.write_all(&[*byte]).is_err() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(50));
+            }
+        });
+        let (mut stream, _) = listener.accept().unwrap();
+        let deadline = Duration::from_millis(300);
+        let start = Instant::now();
+        let err = read_request(&mut stream, 1024, start + deadline).unwrap_err();
+        let took = start.elapsed();
+        assert_eq!(err.status, 408, "{err:?}");
+        assert!(
+            took >= deadline && took < deadline + Duration::from_millis(100),
+            "408 after {took:?}"
+        );
+        drop(stream);
+        client.join().unwrap();
     }
 
     #[test]

@@ -11,29 +11,24 @@
 //!   artifact is byte-identical to the `--json` file the CLI writes for
 //!   the same job. The daemon alone applies the serving caps
 //!   ([`JobSpec::admit`]).
-//! * [`cache`] — a single-flight LRU result cache with a byte budget.
-//!   Only deterministic (`summary`-level) artifacts are cached, so a hit
+//! * `ses_core::cache` — the single-flight LRU result cache with a byte
+//!   budget, the same cache that holds the shared golden runs. Only
+//!   deterministic (`summary`-level) artifacts are cached, so a hit
 //!   returns exactly the bytes a cold run would produce.
-//! * [`server`] — `std::net::TcpListener` acceptor plus a work-stealing
-//!   shard pool of connection workers. Hostile input (truncated requests,
-//!   oversized bodies, malformed JSON, unknown routes) yields structured
-//!   JSON error responses and never takes a worker down.
-//! * [`client`] / [`loadtest`] — a blocking HTTP client and the
-//!   `ser-repro loadtest` harness that drives concurrent clients with
-//!   mixed query shapes and records latency percentiles, throughput and
-//!   cache hit rate into `BENCH_serve.json`.
+//! * [`server`] — `std::net::TcpListener` acceptor plus a pool of
+//!   connection workers sharing one queue. Hostile input (truncated or
+//!   trickled requests, oversized heads and bodies, malformed JSON,
+//!   unknown routes) yields structured JSON error responses and never
+//!   takes a worker down.
+//! * [`client`] — a blocking HTTP client for tests and benchmarks.
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
-pub mod cache;
 pub mod client;
 pub mod http;
-pub mod loadtest;
 pub mod server;
 
-pub use cache::{CacheStats, ResultCache};
 pub use client::{http_get, http_post, Response};
 pub use ses_core::job::{job_key_hash, JobError, JobSpec, SharedRuns};
-pub use loadtest::{run_loadtest, LoadtestConfig, LoadtestReport};
 pub use server::{Server, ServeConfig};

@@ -1,11 +1,11 @@
-//! The serve daemon: acceptor + work-stealing shard pool.
+//! The serve daemon: an acceptor thread and a pool of connection workers
+//! sharing one FIFO queue.
 //!
-//! The acceptor thread distributes connections round-robin over
-//! per-worker deques; an idle worker first drains its own deque, then
-//! steals from the back of its peers', so a burst of slow jobs on one
-//! shard cannot starve the rest. Job execution itself reuses the
-//! deterministic order-preserving parallel map inside `ses-core`, so a
-//! served artifact is byte-identical whatever the shard or worker count.
+//! The acceptor pushes each connection onto the queue and wakes one
+//! worker; an idle worker sleeps until the queue is non-empty. Job
+//! execution itself reuses the deterministic order-preserving parallel
+//! map inside `ses-core`, so a served artifact is byte-identical whatever
+//! the worker count.
 //!
 //! Routes:
 //!
@@ -17,20 +17,24 @@
 //! * `GET /v1/healthz` — liveness probe.
 //!
 //! Every failure path (bad route, bad method, malformed JSON, invalid
-//! job, worker panic) answers with a structured JSON error body and the
-//! daemon keeps serving.
+//! job, worker panic, a request not read within its deadline) answers
+//! with a structured JSON error body and the daemon keeps serving.
 
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
+use ses_core::cache::ResultCache;
+use ses_core::job::{job_key_hash, JobSpec, SharedRuns};
 use ses_metrics::{JsonValue, SCHEMA_VERSION};
 
-use crate::cache::ResultCache;
 use crate::http::{read_request, write_error, write_response, HttpError, Request};
-use ses_core::job::{job_key_hash, JobSpec, SharedRuns};
+
+/// Time a client has to deliver its whole request, head and body.
+const REQUEST_DEADLINE: Duration = Duration::from_secs(10);
 
 /// Configuration for [`Server::start`].
 #[derive(Debug, Clone)]
@@ -56,13 +60,23 @@ impl Default for ServeConfig {
     }
 }
 
+/// No thread panics while holding the connection queue's lock.
+const QUEUE_LOCK: &str = "connection queue lock poisoned";
+
+/// Accepted connections waiting for a worker, and whether the server
+/// has stopped accepting.
+#[derive(Default)]
+struct Queue {
+    conns: VecDeque<TcpStream>,
+    stopped: bool,
+}
+
 struct Shared {
-    cache: ResultCache,
+    cache: ResultCache<Arc<String>>,
     runs: SharedRuns,
-    queues: Vec<Mutex<VecDeque<TcpStream>>>,
-    pending: Mutex<usize>,
-    wake: Condvar,
-    stop: AtomicBool,
+    queue: Mutex<Queue>,
+    ready: Condvar,
+    threads: usize,
     max_body: usize,
     requests: AtomicU64,
     errors: AtomicU64,
@@ -91,12 +105,11 @@ impl Server {
             config.threads
         };
         let shared = Arc::new(Shared {
-            cache: ResultCache::new(config.cache_bytes),
+            cache: ResultCache::new(config.cache_bytes, |key, body| key.len() + body.len()),
             runs: SharedRuns::default(),
-            queues: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-            pending: Mutex::new(0),
-            wake: Condvar::new(),
-            stop: AtomicBool::new(false),
+            queue: Mutex::new(Queue::default()),
+            ready: Condvar::new(),
+            threads,
             max_body: config.max_body_bytes,
             requests: AtomicU64::new(0),
             errors: AtomicU64::new(0),
@@ -109,7 +122,11 @@ impl Server {
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("serve-worker-{me}"))
-                    .spawn(move || worker_loop(&shared, me))?,
+                    .spawn(move || {
+                        while let Some(mut stream) = next_connection(&shared) {
+                            handle_connection(&shared, &mut stream);
+                        }
+                    })?,
             );
         }
 
@@ -117,23 +134,15 @@ impl Server {
         let acceptor = std::thread::Builder::new()
             .name("serve-acceptor".to_string())
             .spawn(move || {
-                let mut next = 0usize;
                 for conn in listener.incoming() {
-                    if acceptor_shared.stop.load(Ordering::SeqCst) {
+                    let mut queue = acceptor_shared.queue.lock().expect(QUEUE_LOCK);
+                    if queue.stopped {
                         break;
                     }
-                    let Ok(stream) = conn else { continue };
-                    let n = acceptor_shared.queues.len();
-                    // Count the connection before it becomes visible: a
-                    // worker decrements `pending` as soon as it pops, and
-                    // may pop before a later increment would land.
-                    *acceptor_shared.pending.lock().unwrap() += 1;
-                    acceptor_shared.queues[next % n]
-                        .lock()
-                        .unwrap()
-                        .push_back(stream);
-                    next = next.wrapping_add(1);
-                    acceptor_shared.wake.notify_one();
+                    if let Ok(stream) = conn {
+                        queue.conns.push_back(stream);
+                        acceptor_shared.ready.notify_one();
+                    }
                 }
             })?;
 
@@ -150,72 +159,40 @@ impl Server {
         self.addr
     }
 
-    /// Stops accepting, drains the workers and joins all threads.
+    /// Stops accepting, lets the workers answer every queued connection
+    /// and joins all threads.
     pub fn shutdown(mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
+        self.shared.queue.lock().expect(QUEUE_LOCK).stopped = true;
+        self.shared.ready.notify_all();
         // Unblock the blocking accept with a dummy connection.
         let _ = TcpStream::connect(self.addr);
-        self.shared.wake.notify_all();
         if let Some(a) = self.acceptor.take() {
             let _ = a.join();
         }
         for w in self.workers.drain(..) {
-            self.shared.wake.notify_all();
             let _ = w.join();
         }
     }
 }
 
-fn worker_loop(shared: &Shared, me: usize) {
+/// Pops the oldest queued connection, sleeping while the queue is empty;
+/// `None` once the server has stopped and the queue is drained.
+fn next_connection(shared: &Shared) -> Option<TcpStream> {
+    let mut queue = shared.queue.lock().expect(QUEUE_LOCK);
     loop {
-        let stream = next_connection(shared, me);
-        match stream {
-            Some(mut stream) => handle_connection(shared, &mut stream),
-            None => {
-                if shared.stop.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
+        if let Some(stream) = queue.conns.pop_front() {
+            return Some(stream);
         }
-    }
-}
-
-/// Pop from our own deque front, else steal from a peer's back, else
-/// sleep on the condvar until the acceptor enqueues something.
-fn next_connection(shared: &Shared, me: usize) -> Option<TcpStream> {
-    let n = shared.queues.len();
-    loop {
-        if let Some(s) = shared.queues[me].lock().unwrap().pop_front() {
-            *shared.pending.lock().unwrap() -= 1;
-            return Some(s);
-        }
-        for peer in 1..n {
-            let q = (me + peer) % n;
-            if let Some(s) = shared.queues[q].lock().unwrap().pop_back() {
-                *shared.pending.lock().unwrap() -= 1;
-                return Some(s);
-            }
-        }
-        let pending = shared.pending.lock().unwrap();
-        if shared.stop.load(Ordering::SeqCst) {
+        if queue.stopped {
             return None;
         }
-        if *pending > 0 {
-            continue; // raced with an enqueue; retry the scan
-        }
-        let (_guard, timeout) = shared
-            .wake
-            .wait_timeout(pending, std::time::Duration::from_millis(50))
-            .unwrap();
-        if timeout.timed_out() && shared.stop.load(Ordering::SeqCst) {
-            return None;
-        }
+        queue = shared.ready.wait(queue).expect(QUEUE_LOCK);
     }
 }
 
 fn handle_connection(shared: &Shared, stream: &mut TcpStream) {
     shared.requests.fetch_add(1, Ordering::Relaxed);
-    let request = match read_request(stream, shared.max_body) {
+    let request = match read_request(stream, shared.max_body, Instant::now() + REQUEST_DEADLINE) {
         Ok(r) => r,
         Err(e) => {
             shared.errors.fetch_add(1, Ordering::Relaxed);
@@ -312,7 +289,7 @@ fn stats_body(shared: &Shared) -> String {
         .set("requests", shared.requests.load(Ordering::Relaxed))
         .set("errors", shared.errors.load(Ordering::Relaxed))
         .set("jobs_executed", shared.jobs_executed.load(Ordering::Relaxed))
-        .set("workers", shared.queues.len())
+        .set("workers", shared.threads)
         .set("prepared_campaigns", shared.runs.len());
     let mut c = JsonValue::object();
     c.set("hits", cache.hits)
@@ -320,7 +297,7 @@ fn stats_body(shared: &Shared) -> String {
         .set("evictions", cache.evictions)
         .set("too_large", cache.too_large)
         .set("entries", cache.entries)
-        .set("bytes", cache.bytes)
+        .set("bytes", cache.weight)
         .set("budget", cache.budget);
     doc.set("cache", c);
     doc.render()

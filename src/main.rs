@@ -811,54 +811,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     }
 }
 
-/// `loadtest` — drive a daemon with concurrent mixed-shape clients and
-/// write `BENCH_serve.json`.
-fn cmd_loadtest(args: &[String]) -> Result<(), String> {
-    let mut fields = Fields::from_args("loadtest", args)?;
-    let d = ses_serve::LoadtestConfig::default();
-    let count = |n: Option<u64>, default: usize| n.map_or(default, |n| n as usize);
-    let cfg = ses_serve::LoadtestConfig {
-        addr: fields.string("addr")?,
-        clients: count(fields.u64("clients")?, d.clients),
-        requests_per_client: count(fields.u64("requests")?, d.requests_per_client),
-        workload: fields.string("workload")?.unwrap_or(d.workload),
-        injections: fields.u32("injections")?.unwrap_or(d.injections),
-        seeds: fields.u64("seeds")?.unwrap_or(d.seeds),
-        threads: count(fields.u64("threads")?, d.threads),
-        out: match (fields.string("out")?, fields.bool("no_out")?) {
-            (_, Some(true)) => None,
-            (Some(path), _) => Some(PathBuf::from(path)),
-            (None, _) => d.out,
-        },
-        gate: fields.bool("gate")?.unwrap_or(d.gate),
-        ..d
-    };
-    fields.finish()?;
-    let report = ses_serve::run_loadtest(&cfg)?;
-    println!(
-        "loadtest: {} distinct jobs, {} requests total",
-        report.distinct_jobs, report.total_requests
-    );
-    println!(
-        "cold:  p50 {}us  p95 {}us  p99 {}us  ({} samples)",
-        report.cold.p50_us, report.cold.p95_us, report.cold.p99_us, report.cold.samples
-    );
-    println!(
-        "warm:  p50 {}us  p95 {}us  p99 {}us  ({} samples)",
-        report.warm.p50_us, report.warm.p95_us, report.warm.p99_us, report.warm.samples
-    );
-    println!(
-        "throughput {:.0} req/s  cache hit rate {:.1}%  cold/warm p50 speedup {:.1}x",
-        report.warm_rps,
-        report.hit_rate * 100.0,
-        report.speedup_p50
-    );
-    if let Some(path) = &cfg.out {
-        println!("wrote {}", path.display());
-    }
-    Ok(())
-}
-
 fn usage() -> &'static str {
     "usage: ser-repro <command>\n\
      \n\
@@ -875,7 +827,6 @@ fn usage() -> &'static str {
        compare [flags]             suite baseline-vs-variant comparison\n\
        fuzz [options]              differential fuzz: emulator vs pipeline\n\
        serve [options]             campaign-as-a-service HTTP daemon\n\
-       loadtest [options]          concurrent-client benchmark against the daemon\n\
      \n\
      job options: inject, suite, ecc-grid, fuzz and campaign with --detect-latency,\n\
      --recovery, --ecc or --pattern-model (without --adaptive) are the daemon's jobs.\n\
@@ -898,9 +849,6 @@ fn usage() -> &'static str {
                        <= 32 workloads  threads <= 256\n\
      machine flags (bench, compare): --squash l0|l1|l2  --throttle l0|l1|l2\n\
      serve options: --addr HOST:PORT  --threads N  --cache-bytes N  --max-body-bytes N\n\
-     loadtest options: --addr HOST:PORT  --clients N  --requests N  --seeds N\n\
-                       --workload NAME  --injections N  --threads N\n\
-                       --out PATH|--no-out  --gate\n\
      artifact flags (any command): --json <path>   --telemetry off|summary|full"
 }
 
@@ -927,7 +875,6 @@ fn dispatch(args: &[String]) -> Result<(), String> {
         Some("compare") => cmd_compare(&args[1..], &tel),
         Some("fuzz") => cmd_fuzz(&args[1..], &tel),
         Some("serve") => cmd_serve(&args[1..]),
-        Some("loadtest") => cmd_loadtest(&args[1..]),
         Some("help") | None => {
             println!("{}", usage());
             Ok(())

@@ -324,6 +324,16 @@ fn hostile_inputs_yield_structured_errors_and_daemon_keeps_serving() {
     assert_structured_error(&r, 413);
     assert_still_serving(addr);
 
+    // Oversized head whose terminator arrives in the read that crosses
+    // the 16 KiB limit: still rejected.
+    let mut head = b"GET /v1/healthz HTTP/1.1\r\nX-Pad: ".to_vec();
+    let total = 16 * 1024 + 512;
+    head.resize(total - 4, b'a');
+    head.extend_from_slice(b"\r\n\r\n");
+    let r = raw_request(addr, &head);
+    assert_structured_error(&r, 413);
+    assert_still_serving(addr);
+
     // Malformed request line.
     let r = raw_request(addr, b"complete garbage\r\n\r\n");
     assert_structured_error(&r, 400);
