@@ -15,24 +15,30 @@
 //!
 //! Run with `cargo bench -p ses-bench --bench fig1`.
 
+use std::sync::Arc;
+
 use ses_core::{
-    spec_by_name, Campaign, CampaignConfig, DetectionModel, Outcome, Table, TrackingConfig,
+    spec_by_name, Campaign, CampaignConfig, DetectionModel, GoldenRun, Outcome, Table,
+    TrackingConfig,
 };
 
 const BENCHES: [&str; 4] = ["crafty", "gzip", "twolf", "mgrid"];
 const INJECTIONS: u32 = 300;
 
-fn campaign(bench: &str, detection: DetectionModel, seed: u64) -> ses_core::CampaignReport {
-    let spec = spec_by_name(bench).expect("known benchmark");
+/// Plans `detection` on a benchmark's golden run, which every protection
+/// scheme shares.
+fn campaign(
+    golden: &Arc<GoldenRun>,
+    detection: DetectionModel,
+    seed: u64,
+) -> ses_core::CampaignReport {
     let config = CampaignConfig {
         injections: INJECTIONS,
         seed,
         detection,
         ..CampaignConfig::default()
     };
-    Campaign::prepare(&spec, config)
-        .expect("campaign prepare")
-        .run()
+    Campaign::on(Arc::clone(golden), config).run()
 }
 
 fn main() {
@@ -64,11 +70,15 @@ fn main() {
         "hang",
     ]);
 
+    let goldens = BENCHES.map(|bench| {
+        let spec = spec_by_name(bench).expect("known benchmark");
+        Arc::new(GoldenRun::prepare(&spec, &CampaignConfig::default()).expect("golden prepare"))
+    });
     let mut summaries = Vec::new();
     for (name, model) in models {
         let mut merged = ses_core::CampaignReport::default();
-        for (i, bench) in BENCHES.iter().enumerate() {
-            merged.merge(&campaign(bench, model, 0xF1 + i as u64));
+        for (i, golden) in goldens.iter().enumerate() {
+            merged.merge(&campaign(golden, model, 0xF1 + i as u64));
         }
         table.row(vec![
             name.into(),

@@ -445,8 +445,8 @@ pub struct CampaignJob {
     model_label: &'static str,
     strikes: EccFields,
     level: TelemetryLevel,
-    /// What the job runs: its golden fields (`detection`, `prune`) and
-    /// its run plan. The ECC flavour takes only its budget and seed.
+    /// What the job runs: its golden field (`prune`) and its run plan.
+    /// The ECC flavour takes only its budget and seed.
     config: Box<CampaignConfig>,
 }
 
@@ -798,9 +798,10 @@ impl CampaignJob {
     }
 
     /// The key of the golden run this job injects against: every campaign
-    /// job on one workload, detection model and `prune` setting shares it.
+    /// job on one workload and `prune` setting shares it, whatever its
+    /// detection model.
     fn golden_key(&self) -> String {
-        golden_key(&self.workload, self.model_label, self.config.prune)
+        golden_key(&self.workload, self.config.prune)
     }
 
     fn run(&self, shared: &SharedRuns) -> Result<JobOutput, JobError> {
@@ -888,12 +889,12 @@ impl EccGridJob {
 
     /// Each workload contributes only its measured read probability (a
     /// forced-signal single-bit probe) and baseline IPC; everything else
-    /// is exact enumeration. The probe runs on the workload's
-    /// detection-free golden run, the one ECC campaigns share.
+    /// is exact enumeration. The probe runs on the workload's unpruned
+    /// golden run, the one every unpruned campaign shares.
     fn run(&self, shared: &SharedRuns) -> Result<JobOutput, JobError> {
         let mut workloads = Vec::new();
         for name in &self.workloads {
-            let key = golden_key(name, "none", false);
+            let key = golden_key(name, false);
             let campaign = shared.campaign(&key, name, CampaignConfig::default())?;
             let p_read = read_probability(&campaign, self.probes, self.seed);
             workloads.push((name.clone(), campaign.baseline_ipc(), p_read, self.probes));
@@ -948,16 +949,17 @@ impl FuzzJob {
     }
 }
 
-/// The [`SharedRuns`] key of a golden run: the workload, the detection
-/// model's label and `prune`, the only job fields that shape it.
-fn golden_key(workload: &str, model: &str, prune: bool) -> String {
-    format!("golden workload={workload} model={model} prune={prune}")
+/// The [`SharedRuns`] key of a golden run: the workload and `prune`, the
+/// only job fields that shape it (no detection model acts before a
+/// strike).
+fn golden_key(workload: &str, prune: bool) -> String {
+    format!("golden workload={workload} prune={prune}")
 }
 
 /// Bounded cache of prepared golden runs, shared across jobs so every run
-/// plan on one workload, detection model and `prune` setting pays for the
-/// golden run once. It is single-flight: concurrent jobs on one key
-/// prepare it once while the others wait.
+/// plan on one workload and `prune` setting pays for the golden run once,
+/// whatever its detection model. It is single-flight: concurrent jobs on
+/// one key prepare it once while the others wait.
 pub struct SharedRuns(ResultCache<Arc<GoldenRun>>);
 
 impl Default for SharedRuns {
@@ -1025,11 +1027,12 @@ mod tests {
         let (JobSpec::Campaign(on), JobSpec::Campaign(off)) = (&job, &off) else {
             panic!("campaign jobs expected");
         };
+        assert_eq!(on.golden_key(), "golden workload=crafty prune=true");
         assert_ne!(on.golden_key(), off.golden_key());
     }
 
-    /// Jobs that differ only in their run plan share one golden run per
-    /// (detection model, prune) pair, and sharing never moves a byte.
+    /// Jobs that differ only in their run plan, detection model included,
+    /// share one golden run, and sharing never moves a byte.
     #[test]
     fn jobs_differing_only_in_plan_share_one_golden_run() {
         let campaigns = [
@@ -1039,6 +1042,8 @@ mod tests {
             r#"{"workload": "crafty", "injections": 10, "recovery": "idempotent",
                 "detect_latency": "fixed:4"}"#,
             r#"{"workload": "crafty", "injections": 20, "ecc": "sec-ded", "model": "none"}"#,
+            r#"{"workload": "crafty", "injections": 10, "model": "none"}"#,
+            r#"{"workload": "crafty", "injections": 10, "model": "tracking"}"#,
         ];
         let jobs = campaigns.map(|body| ("campaign", body));
         let grid = ("ecc-grid", r#"{"workloads": ["crafty"], "probes": 20}"#);
@@ -1048,9 +1053,8 @@ mod tests {
             let alone = job.execute(&SharedRuns::default()).unwrap();
             assert_eq!(job.execute(&shared).unwrap(), alone, "{body}");
         }
-        // The parity golden run (plain and recovery jobs) and the
-        // detection-free one (the ECC campaign and the grid).
-        assert_eq!(shared.len(), 2);
+        // One golden run for every model, the ECC campaign and the grid.
+        assert_eq!(shared.len(), 1);
     }
 
     /// Concurrent jobs on one golden key prepare it once, and each

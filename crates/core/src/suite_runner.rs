@@ -1,9 +1,7 @@
 //! Whole-suite sweeps.
 
-use std::sync::Mutex;
-
 use ses_pipeline::PipelineConfig;
-use ses_types::SesError;
+use ses_types::{parallel_map, SesError};
 use ses_workloads::suite;
 
 use crate::run::{run_workload, BenchSummary, WorkloadRun};
@@ -13,7 +11,7 @@ use crate::run::{run_workload, BenchSummary, WorkloadRun};
 ///
 /// # Errors
 ///
-/// Returns the first workload failure encountered.
+/// Returns the first workload failure in suite order.
 pub fn run_suite(pipeline: &PipelineConfig) -> Result<Vec<BenchSummary>, SesError> {
     run_suite_with(pipeline, 0, |_, run| run.summary())
 }
@@ -29,45 +27,19 @@ pub fn run_suite(pipeline: &PipelineConfig) -> Result<Vec<BenchSummary>, SesErro
 ///
 /// # Errors
 ///
-/// Returns the first workload failure encountered.
+/// Returns the first workload failure in suite order, whichever worker
+/// met a failure first.
 pub fn run_suite_with<T: Send>(
     pipeline: &PipelineConfig,
     threads: usize,
     project: impl Fn(usize, WorkloadRun) -> T + Sync,
 ) -> Result<Vec<T>, SesError> {
     let specs = suite();
-    let results: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::new());
-    let errors: Mutex<Vec<SesError>> = Mutex::new(Vec::new());
-    let threads = if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-    } else {
-        threads
-    }
-    .min(specs.len());
-    let next = std::sync::atomic::AtomicUsize::new(0);
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let Some(spec) = specs.get(i) else { break };
-                match run_workload(spec, pipeline) {
-                    Ok(run) => results.lock().unwrap().push((i, project(i, run))),
-                    Err(e) => errors.lock().unwrap().push(e),
-                }
-            });
-        }
-    });
-
-    let mut errors = errors.into_inner().unwrap();
-    if let Some(e) = errors.pop() {
-        return Err(e);
-    }
-    let mut rows = results.into_inner().unwrap();
-    rows.sort_by_key(|(i, _)| *i);
-    Ok(rows.into_iter().map(|(_, s)| s).collect())
+    parallel_map(specs.len(), threads, |i| {
+        run_workload(&specs[i], pipeline).map(|run| project(i, run))
+    })
+    .into_iter()
+    .collect()
 }
 
 /// Runs every suite workload sequentially, handing the *full* artifacts

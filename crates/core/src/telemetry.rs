@@ -20,8 +20,9 @@ use ses_pipeline::{LifetimeHistogram, PipelineConfig, StageCounters};
 
 use crate::run::{BenchSummary, WorkloadRun};
 
-/// The common artifact preamble.
-fn header(artifact: &str, level: TelemetryLevel) -> JsonValue {
+/// The common artifact preamble: `schema_version`, `artifact` and
+/// `telemetry`.
+pub fn header(artifact: &str, level: TelemetryLevel) -> JsonValue {
     let mut doc = JsonValue::object();
     doc.set("schema_version", SCHEMA_VERSION)
         .set("artifact", artifact)

@@ -29,7 +29,6 @@
 
 use std::collections::BTreeMap;
 use std::ops::Deref;
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -41,7 +40,7 @@ use ses_pipeline::{
     DetectionModel, FaultOutcome, FaultRun, FaultSpec, FaultWindow, ObservedRun, Observers,
     Occupant, Pipeline, PipelineConfig, PipelineResult, Snapshot, SuppressReason,
 };
-use ses_types::{Cycle, SesError};
+use ses_types::{parallel_map, worker_count, Cycle, SesError};
 use ses_workloads::{synthesize, WorkloadSpec};
 
 use crate::outcome::Outcome;
@@ -148,8 +147,9 @@ struct Injection {
 
 /// The immutable fault-free state every injection is judged against. It
 /// depends only on the workload and the golden fields of
-/// [`CampaignConfig`] (`detection`, `pipeline`, `checkpoints`, `prune`),
-/// so any number of run plans share one ([`Campaign::on`]).
+/// [`CampaignConfig`] (`pipeline`, `checkpoints`, `prune`), so any number
+/// of run plans share one ([`Campaign::on`]), whatever their detection
+/// models: no model acts before a strike.
 pub struct GoldenRun {
     program: Program,
     golden: ExecutionTrace,
@@ -177,8 +177,6 @@ pub struct GoldenRun {
     /// Per-slot residency interval index for the idle shortcut; built
     /// only when pruning is enabled.
     strike_index: Option<ses_avf::StrikeIndex>,
-    /// Detection model the snapshots' detector state evolved under.
-    detection: DetectionModel,
     /// Idempotent-region partition of the golden trace, analysed on first
     /// use by a plan with [`RecoveryPolicy::Idempotent`].
     regions: OnceLock<ses_avf::RegionMap>,
@@ -229,11 +227,9 @@ impl GoldenRun {
         let checkpoint_interval = sizing
             .as_ref()
             .map_or(0, |plain| (plain.cycles / 64).max(1));
-        // Snapshots are captured under the campaign's detection model:
-        // detection state (PET buffer, π-bit tracker) evolves even before
-        // a strike, and a resumed run must carry the same pre-strike
-        // detector state a from-scratch run would have. Pruning also
-        // needs the golden fingerprint stream.
+        // No detection model acts before a strike, so one capture under
+        // none serves every plan: a window restores its snapshot under the
+        // plan's model. Pruning also needs the golden fingerprint stream.
         let observers = Observers {
             snapshot_interval: checkpoint_interval,
             fingerprints: config.prune,
@@ -244,7 +240,7 @@ impl GoldenRun {
             snapshots,
             fingerprints: golden_fps,
             ..
-        } = pipeline.run_golden(&program, &golden, config.detection, observers);
+        } = pipeline.run_golden(&program, &golden, DetectionModel::None, observers);
         // Freed only after the observed run: freeing the sizing run's
         // residency log before it measured about 10% slower prepare on
         // crafty (where the allocator places the observed run's log).
@@ -268,7 +264,6 @@ impl GoldenRun {
             prepare_wall: start.elapsed(),
             golden_fps,
             strike_index,
-            detection: config.detection,
             regions: OnceLock::new(),
         })
     }
@@ -338,17 +333,6 @@ impl GoldenRun {
             .is_some_and(|index| index.span_at(fault.slot, fault.cycle.as_u64()).is_none())
     }
 
-    fn run_from_scratch(&self, fault: FaultSpec) -> PipelineResult {
-        self.pipeline
-            .run_with_fault(&self.program, &self.golden, Some(fault), self.detection)
-    }
-
-    /// The latest snapshot taken at or before `strike`, if any.
-    fn snapshot_for(&self, strike: Cycle) -> Option<&Snapshot> {
-        let idx = self.snapshots.partition_point(|s| s.cycle() <= strike);
-        idx.checked_sub(1).map(|i| &self.snapshots[i])
-    }
-
     /// Re-runs the functional emulator with the corrupted word substituted
     /// at the given dynamic position and compares outputs, returning the
     /// comparison and the path it took. A corrupted word equal to the
@@ -401,8 +385,8 @@ impl GoldenRun {
 }
 
 /// A fault-injection campaign: a shared [`GoldenRun`] plus the run plan
-/// (seed, injections, latency, recovery, threads) it executes under. It
-/// derefs to its golden run.
+/// (detection model, seed, injections, latency, recovery, threads) it
+/// executes under. It derefs to its golden run.
 pub struct Campaign {
     golden_run: Arc<GoldenRun>,
     config: CampaignConfig,
@@ -436,8 +420,7 @@ impl Campaign {
     /// prepared under: the campaign would report another config's verdicts.
     pub fn on(golden_run: Arc<GoldenRun>, config: CampaignConfig) -> Self {
         assert!(
-            golden_run.detection == config.detection
-                && *golden_run.pipeline.config() == config.pipeline
+            *golden_run.pipeline.config() == config.pipeline
                 && (golden_run.checkpoint_interval > 0) == config.checkpoints
                 && golden_run.strike_index.is_some() == config.prune,
             "the campaign config's golden fields differ from the golden run's"
@@ -552,56 +535,6 @@ impl Campaign {
             .collect()
     }
 
-    /// Worker-thread count for a job of `n` independent units.
-    fn thread_count(&self, n: usize) -> usize {
-        let threads = if self.config.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        } else {
-            self.config.threads
-        };
-        threads.min(n).max(1)
-    }
-
-    /// Maps `f` over `0..n` on the configured worker threads, returning
-    /// results in index order.
-    fn parallel_map<T, F>(&self, n: u32, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(u32) -> T + Sync,
-    {
-        let threads = self.thread_count(n as usize);
-        if threads == 1 {
-            return (0..n).map(f).collect();
-        }
-        let next = AtomicU32::new(0);
-        let mut indexed: Vec<(u32, T)> = Vec::with_capacity(n as usize);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for _ in 0..threads {
-                let next = &next;
-                let f = &f;
-                handles.push(scope.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        local.push((i, f(i)));
-                    }
-                    local
-                }));
-            }
-            for h in handles {
-                indexed.extend(h.join().expect("injection worker panicked"));
-            }
-        });
-        indexed.sort_unstable_by_key(|&(i, _)| i);
-        indexed.into_iter().map(|(_, v)| v).collect()
-    }
-
     /// The injection executor: group injections by checkpoint window,
     /// restore each window's snapshot at most once, and replay each fault
     /// from the restored base. Results come back in batch order, so
@@ -617,7 +550,8 @@ impl Campaign {
         // Split oversized windows so a campaign with few checkpoints (or
         // none) still parallelises; chunking never affects results — each
         // chunk restores its own base and per-fault charges are pure.
-        let chunk = (faults.len() / (self.thread_count(faults.len()) * 4)).max(1);
+        let threads = self.config.threads;
+        let chunk = (faults.len() / (worker_count(threads, faults.len()) * 4)).max(1);
         let groups: Vec<(Option<&Snapshot>, &[u32])> = windows
             .iter()
             .flat_map(|(&w, idxs)| {
@@ -625,33 +559,32 @@ impl Campaign {
                 idxs.chunks(chunk).map(move |c| (snap, c))
             })
             .collect();
-        let mut indexed: Vec<(u32, Injection)> = self
-            .parallel_map(groups.len() as u32, |g| {
-                let (snap, idxs) = groups[g as usize];
-                // The chunk's last simulated fault runs on the window base
-                // itself instead of a fork of it.
-                let last = idxs
-                    .iter()
-                    .rposition(|&i| !self.idle_strike(&faults[i as usize]));
-                // The window base is built lazily: a chunk whose faults
-                // all resolve idle never restores its snapshot.
-                let mut window = None;
-                idxs.iter()
-                    .enumerate()
-                    .map(|(k, &i)| {
-                        // The one debug-guard rule: every eighth fault of
-                        // the batch (a one-fault batch's only fault) also
-                        // gets the resume-vs-scratch check.
-                        let verify = cfg!(debug_assertions) && i.is_multiple_of(8);
-                        let fault = faults[i as usize];
-                        let last = Some(k) == last;
-                        (i, self.window_fault(snap, &mut window, fault, last, verify))
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect();
+        let mut indexed: Vec<(u32, Injection)> = parallel_map(groups.len(), threads, |g| {
+            let (snap, idxs) = groups[g];
+            // The chunk's last simulated fault runs on the window base
+            // itself instead of a fork of it.
+            let last = idxs
+                .iter()
+                .rposition(|&i| !self.idle_strike(&faults[i as usize]));
+            // The window base is built lazily: a chunk whose faults all
+            // resolve idle never restores its snapshot.
+            let mut window = None;
+            idxs.iter()
+                .enumerate()
+                .map(|(k, &i)| {
+                    // The one debug-guard rule: every eighth fault of the
+                    // batch (a one-fault batch's only fault) is also
+                    // checked against a run from scratch.
+                    let verify = cfg!(debug_assertions) && i.is_multiple_of(8);
+                    let fault = faults[i as usize];
+                    let last = Some(k) == last;
+                    (i, self.window_fault(snap, &mut window, fault, last, verify))
+                })
+                .collect::<Vec<_>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect();
         indexed.sort_unstable_by_key(|&(i, _)| i);
         indexed.into_iter().map(|(_, inj)| inj).collect()
     }
@@ -670,10 +603,7 @@ impl Campaign {
     ) -> Injection {
         let run = (!self.idle_strike(&fault)).then(|| {
             let gate = self.config.prune.then_some(self.golden_fps.as_slice());
-            let build = || {
-                self.pipeline
-                    .fault_window(&self.program, &self.golden, snap, self.detection)
-            };
+            let build = || self.window(snap);
             if last {
                 window.take().unwrap_or_else(build).run_last(fault, gate)
             } else {
@@ -681,45 +611,63 @@ impl Campaign {
             }
         });
         if cfg!(debug_assertions) && (verify || self.config.prune) {
-            self.cross_check(fault, run, verify);
+            self.cross_check(snap, fault, run, verify);
         }
         self.classify(&fault, snap.map_or(0, |s| s.cycle().as_u64()), run)
     }
 
+    /// The base of `snap`'s checkpoint window under the plan's detection
+    /// model.
+    fn window<'a>(&'a self, snap: Option<&Snapshot>) -> FaultWindow<'a> {
+        self.pipeline
+            .fault_window(&self.program, &self.golden, snap, self.config.detection)
+    }
+
+    /// The replay of `fault` from cycle 0 under the plan's model, the
+    /// reference the checkpointed executor is checked against.
+    fn run_from_scratch(&self, fault: FaultSpec) -> PipelineResult {
+        self.pipeline.run_with_fault(
+            &self.program,
+            &self.golden,
+            Some(fault),
+            self.config.detection,
+        )
+    }
+
     /// Debug-build oracle for the executor: the verdict must equal a full
-    /// replay's (a checkpoint resume with the whole residency log, or a
-    /// run from scratch), and a replay that ran to its natural end must
-    /// end at the same cycle. With `verify`, the full resume is itself
-    /// checked against a from-scratch run (the checkpoint determinism
-    /// guard). It drives the pipeline directly and charges nothing.
-    fn cross_check(&self, fault: FaultSpec, run: Option<FaultRun>, verify: bool) {
-        let full = match self.snapshot_for(fault.cycle) {
-            Some(snap) => {
-                let full = self
-                    .pipeline
-                    .resume(&self.program, &self.golden, snap, Some(fault));
-                if verify {
-                    assert_eq!(
-                        full,
-                        self.run_from_scratch(fault),
-                        "checkpoint resume diverged from a from-scratch run for {fault:?}"
-                    );
-                }
-                full
-            }
-            None => self.run_from_scratch(fault),
-        };
-        let want = full.fault.expect("fault run resolves an outcome");
+    /// replay's, and a replay that ran to its natural end must end at the
+    /// same cycle. With pruning on, every fault is checked against an
+    /// ungated run from its window; with `verify`, against a run from
+    /// scratch (the checkpoint determinism guard). It drives the pipeline
+    /// directly and charges nothing.
+    fn cross_check(
+        &self,
+        snap: Option<&Snapshot>,
+        fault: FaultSpec,
+        run: Option<FaultRun>,
+        verify: bool,
+    ) {
         let got = run.map_or(FaultOutcome::SlotIdle, |r| r.outcome);
-        assert_eq!(
-            want, got,
-            "executor verdict diverged from the full replay for {fault:?}"
-        );
-        if let Some(run) = run.filter(|r| !r.pruned) {
+        let check = |want: FaultOutcome, end_cycle: u64, oracle: &str| {
             assert_eq!(
-                run.end_cycle, full.cycles,
-                "window run ended apart from the full replay for {fault:?}"
+                want, got,
+                "executor verdict diverged from {oracle} for {fault:?}"
             );
+            if let Some(run) = run.filter(|r| !r.pruned) {
+                assert_eq!(
+                    run.end_cycle, end_cycle,
+                    "window run ended apart from {oracle} for {fault:?}"
+                );
+            }
+        };
+        if self.config.prune {
+            let full = self.window(snap).run_last(fault, None);
+            check(full.outcome, full.end_cycle, "an ungated window run");
+        }
+        if verify {
+            let full = self.run_from_scratch(fault);
+            let want = full.fault.expect("fault run resolves an outcome");
+            check(want, full.cycles, "a from-scratch run");
         }
     }
 
@@ -1258,16 +1206,78 @@ mod tests {
         assert!(differ > 0, "no corruption reached the output");
     }
 
+    /// One golden run serves every detection model: planned on it, each
+    /// model's samples and performance accounting equal a from-scratch
+    /// campaign's under that model, with pruning off and on. Checkpoints
+    /// only move cycles between skipped and simulated (and, pruned, into
+    /// the cycles an idle strike saves), so their total is compared. The
+    /// models cover parity domains, π tracking and a Commit-scope PET
+    /// buffer, whose fault-free log a window restore rebuilds.
     #[test]
-    #[should_panic(expected = "golden fields differ")]
-    fn a_plan_never_runs_on_another_detection_models_golden_run() {
-        let spec = WorkloadSpec::quick("mismatch", 3);
-        let golden = GoldenRun::prepare(&spec, &CampaignConfig::default()).unwrap();
-        let parity = CampaignConfig {
-            detection: DetectionModel::Parity { tracking: None },
-            ..CampaignConfig::default()
+    fn one_golden_run_serves_every_detection_model() {
+        let spec = WorkloadSpec::quick("one-golden", 21);
+        let tracking = |scope, pet_entries| {
+            Some(TrackingConfig {
+                scope,
+                anti_pi: true,
+                pet_entries,
+                mem_granule: 8,
+            })
         };
-        Campaign::on(Arc::new(golden), parity);
+        let models = [
+            DetectionModel::None,
+            DetectionModel::Parity { tracking: None },
+            DetectionModel::Parity {
+                tracking: tracking(PiScope::StoreCommit, None),
+            },
+            DetectionModel::InterleavedParity {
+                domains: 4,
+                tracking: None,
+            },
+            DetectionModel::Parity {
+                tracking: tracking(PiScope::Commit, Some(512)),
+            },
+        ];
+        for prune in [false, true] {
+            let config = |detection| CampaignConfig {
+                injections: 40,
+                seed: 3,
+                detection,
+                threads: 2,
+                prune,
+                ..CampaignConfig::default()
+            };
+            let golden =
+                Arc::new(GoldenRun::prepare(&spec, &config(DetectionModel::None)).unwrap());
+            for detection in models {
+                let shared = Campaign::on(Arc::clone(&golden), config(detection)).run_detailed();
+                let scratch = Campaign::prepare(
+                    &spec,
+                    CampaignConfig {
+                        checkpoints: false,
+                        ..config(detection)
+                    },
+                )
+                .unwrap()
+                .run_detailed();
+                let at = format!("{detection:?}, prune {prune}");
+                assert_eq!(shared.samples(), scratch.samples(), "{at}");
+                let counts = |r: &DetailedReport| {
+                    let perf = r.perf();
+                    let saved = r.prune().map_or(0, |p| p.cycles_saved);
+                    let stops = r.prune().map(|p| (p.idle_skips, p.fp_stops));
+                    let cycles = perf.cycles_skipped + perf.cycles_simulated + saved;
+                    (
+                        perf.injections,
+                        perf.replays,
+                        perf.replay_fast_path,
+                        cycles,
+                        stops,
+                    )
+                };
+                assert_eq!(counts(&shared), counts(&scratch), "{at}");
+            }
+        }
     }
 
     #[test]
@@ -1555,15 +1565,10 @@ mod tests {
         let (mut skipped, mut simulated) = (0, 0);
         for i in 0..60 {
             let fault = c.fault_for(i);
-            let (from, cycles) = match c.snapshot_for(fault.cycle) {
-                Some(snap) => (
-                    snap.cycle().as_u64(),
-                    c.pipeline.resume(&c.program, &c.golden, snap, Some(fault)).cycles,
-                ),
-                None => (0, c.run_from_scratch(fault).cycles),
-            };
+            let window = c.snapshots.partition_point(|s| s.cycle() <= fault.cycle);
+            let from = window.checked_sub(1).map_or(0, |w| c.snapshots[w].cycle().as_u64());
             skipped += from;
-            simulated += cycles - from;
+            simulated += c.run_from_scratch(fault).cycles - from;
         }
         let perf = c.run().perf();
         assert_eq!(perf.cycles_skipped, skipped);

@@ -355,6 +355,26 @@ impl Detector {
         }
     }
 
+    /// The fault-free state after the golden run committed `committed`,
+    /// its trace prefix. No detection model acts before a strike, so only
+    /// a PET buffer holds any: the last commits, none π-marked, logged as
+    /// [`Detector::on_commit`] logs them.
+    pub(crate) fn after_commits(model: DetectionModel, committed: &[DynInstr]) -> Self {
+        let mut detector = Detector::new(model);
+        if let Some(pet) = detector.pet.as_mut() {
+            let from = committed.len().saturating_sub(pet.capacity());
+            for d in &committed[from..] {
+                pet.push(pet_entry(d, false));
+            }
+        }
+        detector
+    }
+
+    /// The detection model this detector runs.
+    pub(crate) fn model(&self) -> DetectionModel {
+        self.model
+    }
+
     /// Arms the ECC protection-domain verdict for the injected pattern.
     /// Called by the engine alongside the injection itself, so snapshots
     /// taken before the strike resume with a clean detector and re-arm
@@ -569,18 +589,7 @@ impl Detector {
 
         // PET path: log every commit; verdicts arrive on eviction.
         if let Some(pet) = self.pet.as_mut() {
-            let mut reads = [None, None];
-            if d.executed {
-                for (i, r) in d.regs_read().take(2).enumerate() {
-                    reads[i] = Some(r);
-                }
-            }
-            let verdicts = pet.push(PetEntry {
-                trace_idx: d.index,
-                dest: d.reg_written,
-                reads,
-                pi: self_pi,
-            });
+            let verdicts = pet.push(pet_entry(d, self_pi));
             return self.apply_pet_verdicts(&verdicts);
         }
 
@@ -695,6 +704,22 @@ impl Detector {
     }
 }
 
+/// The PET log record of committed instruction `d` with π bit `pi`.
+fn pet_entry(d: &DynInstr, pi: bool) -> PetEntry {
+    let mut reads = [None, None];
+    if d.executed {
+        for (i, r) in d.regs_read().take(2).enumerate() {
+            reads[i] = Some(r);
+        }
+    }
+    PetEntry {
+        trace_idx: d.index,
+        dest: d.reg_written,
+        reads,
+        pi,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -709,6 +734,50 @@ mod tests {
             Cycle::ZERO,
             false,
         )
+    }
+
+    /// A restored detector is the one that watched the same commits
+    /// fault-free: `Detector::new` for every model but a Commit-scope PET
+    /// buffer, whose log holds the last commits. No verdict can show a
+    /// wrong rebuild (a struck entry is evicted after the same number of
+    /// younger commits however full the log was, and only younger entries
+    /// are scanned), so the state itself is compared.
+    #[test]
+    fn after_commits_rebuilds_what_fault_free_commits_leave() {
+        let spec = ses_workloads::WorkloadSpec::quick("pet-rebuild", 5);
+        let program = ses_workloads::synthesize(&spec);
+        let trace = ses_arch::Emulator::new(&program).run(100_000).unwrap();
+        let pet = |n| DetectionModel::Parity {
+            tracking: Some(TrackingConfig {
+                scope: PiScope::Commit,
+                anti_pi: true,
+                pet_entries: Some(n),
+                mem_granule: 8,
+            }),
+        };
+        let models = [
+            DetectionModel::None,
+            DetectionModel::Parity { tracking: None },
+            DetectionModel::Parity {
+                tracking: Some(TrackingConfig::paper_combined()),
+            },
+            pet(8),
+            pet(512),
+        ];
+        for model in models {
+            for k in [0, 3, 8, 700, trace.len()] {
+                let committed = &trace.entries()[..k];
+                let mut watched = Detector::new(model);
+                for d in committed {
+                    assert!(!watched.on_commit(&entry(d.instr), d));
+                }
+                assert_eq!(
+                    format!("{:?}", Detector::after_commits(model, committed)),
+                    format!("{watched:?}"),
+                    "{model:?} after {k} commits"
+                );
+            }
+        }
     }
 
     #[test]

@@ -15,8 +15,6 @@
 //! 6. **inject** — a pending fault flips its bit once the injection cycle
 //!    is reached.
 
-use std::sync::Arc;
-
 use ses_arch::{DynInstr, ExecutionTrace};
 use ses_isa::{Opcode, Program};
 use ses_mem::{AccessKind, Hierarchy, HierarchySnapshot, Level};
@@ -26,7 +24,7 @@ use crate::config::{IssueOrder, PipelineConfig, SquashPolicy, ThrottlePolicy};
 use crate::detect::{DetectionModel, Detector, FaultOutcome, FaultSpec};
 use crate::frontend::{FetchedInstr, FrontEnd, FrontEndState};
 use crate::iq::{InstructionQueue, IqEntry};
-use crate::residency::{Occupant, Residency, ResidencyEnd};
+use crate::residency::{Occupant, ResidencyEnd};
 use crate::result::PipelineResult;
 use crate::telemetry::StageCounters;
 
@@ -101,12 +99,9 @@ impl Pipeline {
 
     /// Runs the fault-free timing model under `detection` with the given
     /// observers attached. The result is identical to [`Pipeline::run`]
-    /// whatever the observers.
-    ///
-    /// The detection model does not change timing in the absence of a
-    /// fault, but its bookkeeping (e.g. the PET buffer's commit log) is
-    /// part of each captured snapshot — pass the same model the fault runs
-    /// resumed from these snapshots will use.
+    /// whatever the observers and the model: no detection model acts
+    /// before a strike. The model only tags the captured snapshots, as
+    /// the one [`Pipeline::resume`] restores under.
     pub fn run_golden(
         &self,
         program: &Program,
@@ -139,8 +134,8 @@ impl Pipeline {
         engine.warmed().run_core(Cycle::ZERO).0.result
     }
 
-    /// Runs the fault-free timing model under `detection`, capturing a
-    /// resumable [`Snapshot`] every `interval` cycles (cycle 0 included);
+    /// Runs the fault-free timing model tagged with `detection`, capturing
+    /// a resumable [`Snapshot`] every `interval` cycles (cycle 0 included);
     /// shorthand for [`Pipeline::run_golden`] with only the snapshot
     /// observer.
     ///
@@ -163,9 +158,11 @@ impl Pipeline {
         (run.result, run.snapshots)
     }
 
-    /// Resumes a run from `snapshot`, injecting `fault`. With
-    /// `fault = None` this replays the tail of the capture run
-    /// bit-identically (useful for validation).
+    /// Resumes a run from `snapshot` under the detection model it was
+    /// captured with, injecting `fault`. With `fault = None` this replays
+    /// the tail of the capture run bit-identically (useful for
+    /// validation). The result's residency log holds only the residencies
+    /// that end at or after the snapshot cycle.
     ///
     /// The program, trace, and pipeline configuration must match the ones
     /// the snapshot was captured with; the fault, if any, must not strike
@@ -181,26 +178,31 @@ impl Pipeline {
         snapshot: &Snapshot,
         fault: Option<FaultSpec>,
     ) -> PipelineResult {
-        Engine::restore(&self.config, program, trace, snapshot, fault, true)
-            .run_core(snapshot.cycle)
-            .0
-            .result
+        Engine::restore(
+            &self.config,
+            program,
+            trace,
+            snapshot,
+            snapshot.detection,
+            fault,
+            true,
+        )
+        .run_core(snapshot.cycle)
+        .0
+        .result
     }
 
     /// Prepares the base of one checkpoint window: the engine state at
     /// the window's start, restored **once** and then run once per fault
     /// by [`FaultWindow::run_fault`] (a fork of the base) or
-    /// [`FaultWindow::run_last`] (the base itself). `snapshot = None`
+    /// [`FaultWindow::run_last`] (the base itself), under `detection`
+    /// whatever model the snapshot was captured with. `snapshot = None`
     /// means the window starts at cycle 0 from a fresh (cache-warmed)
-    /// engine under `detection`; with a snapshot, the detector state (and
-    /// with it the detection model) comes from the snapshot and
-    /// `detection` is ignored, mirroring [`Pipeline::resume`].
+    /// engine.
     ///
-    /// The base is lean: it keeps no residency log, so a restore skips
-    /// copying the snapshot's log prefix (the dominant cost of a resume)
-    /// and a replay logs no deallocation. A fault run returns only its
-    /// verdict and end cycle ([`FaultRun`]), and nothing else reads the
-    /// log.
+    /// The base is lean: it keeps no residency log, so a replay logs no
+    /// deallocation. A fault run returns only its verdict and end cycle
+    /// ([`FaultRun`]), and nothing else reads the log.
     pub fn fault_window<'a>(
         &'a self,
         program: &'a Program,
@@ -210,7 +212,7 @@ impl Pipeline {
     ) -> FaultWindow<'a> {
         let (base, start) = match snapshot {
             Some(s) => (
-                Engine::restore(&self.config, program, trace, s, None, false),
+                Engine::restore(&self.config, program, trace, s, detection, None, false),
                 s.cycle(),
             ),
             None => {
@@ -316,22 +318,22 @@ fn run_window_fault<'a>(
 /// A resumable image of the timing engine at the top of a cycle.
 ///
 /// Captured by [`Pipeline::run_with_snapshots`] during a fault-free run
-/// and consumed by [`Pipeline::resume`], which replays the remainder of
-/// the run bit-identically with an optional fault injected at or after
-/// the snapshot cycle. Snapshots are cheap: cache contents are stored
-/// compactly (occupied lines only) and the capture run's residency log is
-/// shared across all its snapshots rather than copied into each.
+/// and consumed by [`Pipeline::resume`] and [`Pipeline::fault_window`],
+/// which replay the remainder of the run bit-identically with an optional
+/// fault injected at or after the snapshot cycle.
+///
+/// A snapshot holds only the machine state a restore needs, none of it
+/// specific to a detection model: no detection model acts before a
+/// strike, and the one fault-free detector state that is not empty, a
+/// PET buffer's log, is the last commits of the golden trace, which a
+/// restore rebuilds. It keeps no residency log either. Cache contents
+/// are stored compactly (occupied lines only).
 #[derive(Clone)]
 pub struct Snapshot {
     cycle: Cycle,
     frontend: FrontEndState,
-    /// Queue image with an emptied residency log; `residency_prefix`
-    /// locates the pre-snapshot log inside `residency_log`.
+    /// Queue image without a residency log.
     iq: InstructionQueue,
-    residency_prefix: usize,
-    /// The capture run's full residency log, shared by all its snapshots
-    /// (stitched in after the capture run finishes).
-    residency_log: Arc<Vec<Residency>>,
     hierarchy: HierarchySnapshot,
     reg_ready: [Cycle; Reg::COUNT],
     pred_ready: [Cycle; Pred::COUNT],
@@ -341,7 +343,9 @@ pub struct Snapshot {
     stall_until: Cycle,
     squashes: u64,
     squashed_instrs: u64,
-    detector: Detector,
+    /// The capture run's detection model, the one [`Pipeline::resume`]
+    /// restores under.
+    detection: DetectionModel,
 }
 
 impl Snapshot {
@@ -357,7 +361,7 @@ impl std::fmt::Debug for Snapshot {
         f.debug_struct("Snapshot")
             .field("cycle", &self.cycle)
             .field("committed", &self.committed)
-            .field("residency_prefix", &self.residency_prefix)
+            .field("detection", &self.detection)
             .finish_non_exhaustive()
     }
 }
@@ -444,21 +448,22 @@ impl<'a> Engine<'a> {
         self
     }
 
-    /// Rebuilds an engine mid-run from a snapshot, with an optional fault
-    /// still to inject; the caller continues with
-    /// [`Engine::run_core`]`(snapshot.cycle)`.
+    /// Rebuilds an engine mid-run from a snapshot under `detection`, with
+    /// an optional fault still to inject; the caller continues with
+    /// [`Engine::run_core`]`(snapshot.cycle)`. The detector starts in the
+    /// fault-free state the golden run reached by the snapshot cycle
+    /// ([`Detector::after_commits`]).
     ///
-    /// `with_residencies = false` restores lean: the residency log is
-    /// switched off, which skips copying the pre-snapshot log (the
-    /// dominant cost of a restore) and logging every later deallocation.
-    /// Fault runs never consume their residencies, so
-    /// [`Pipeline::fault_window`] restores lean; a lean engine's result
-    /// carries an empty residency log.
+    /// With `with_residencies` the residency log starts empty at the
+    /// snapshot cycle; without, it is switched off, which skips logging
+    /// every later deallocation. Fault runs never consume their
+    /// residencies, so [`Pipeline::fault_window`] restores lean.
     fn restore(
         cfg: &'a PipelineConfig,
         program: &'a Program,
         trace: &'a ExecutionTrace,
         snapshot: &Snapshot,
+        detection: DetectionModel,
         fault: Option<FaultSpec>,
         with_residencies: bool,
     ) -> Self {
@@ -470,12 +475,10 @@ impl<'a> Engine<'a> {
                 snapshot.cycle
             );
         }
-        let mut engine = Engine::new(cfg, program, trace, fault, DetectionModel::None);
+        let mut engine = Engine::new(cfg, program, trace, fault, detection);
         engine.frontend.restore_state(&snapshot.frontend);
         engine.iq = snapshot.iq.clone_without_residencies();
-        engine.iq.set_residencies(
-            with_residencies.then(|| snapshot.residency_log[..snapshot.residency_prefix].to_vec()),
-        );
+        engine.iq.set_residencies(with_residencies.then(Vec::new));
         engine.hierarchy.restore(&snapshot.hierarchy);
         engine.reg_ready = snapshot.reg_ready;
         engine.pred_ready = snapshot.pred_ready;
@@ -485,7 +488,8 @@ impl<'a> Engine<'a> {
         engine.stall_until = snapshot.stall_until;
         engine.squashes = snapshot.squashes;
         engine.squashed_instrs = snapshot.squashed_instrs;
-        engine.detector = snapshot.detector.clone();
+        engine.detector =
+            Detector::after_commits(detection, &engine.trace[..snapshot.committed as usize]);
         engine
     }
 
@@ -548,12 +552,6 @@ impl<'a> Engine<'a> {
         };
         let occupied_cycle_sum = self.iq.occupied_cycle_sum();
         let residencies = self.iq.into_residencies();
-        if !snapshots.is_empty() {
-            let log = Arc::new(residencies.clone());
-            for snap in &mut snapshots {
-                snap.residency_log = Arc::clone(&log);
-            }
-        }
         let result = PipelineResult {
             cycles: now.as_u64(),
             committed: self.committed,
@@ -636,8 +634,6 @@ impl<'a> Engine<'a> {
             cycle: now,
             frontend: self.frontend.snapshot_state(),
             iq: self.iq.clone_without_residencies(),
-            residency_prefix: self.iq.residencies_len(),
-            residency_log: Arc::new(Vec::new()), // stitched in after the run
             hierarchy: self.hierarchy.snapshot(),
             reg_ready: self.reg_ready,
             pred_ready: self.pred_ready,
@@ -647,7 +643,7 @@ impl<'a> Engine<'a> {
             stall_until: self.stall_until,
             squashes: self.squashes,
             squashed_instrs: self.squashed_instrs,
-            detector: self.detector.clone(),
+            detection: self.detector.model(),
         }
     }
 
@@ -1038,6 +1034,21 @@ mod tests {
         (program, trace)
     }
 
+    /// `run` as a resume from `cycle` reports it: every field equal, and
+    /// the residency log's tail from the first residency that ends at or
+    /// after `cycle`.
+    fn resumed_view(run: &PipelineResult, cycle: Cycle) -> PipelineResult {
+        let log = &run.residencies;
+        let split = log
+            .iter()
+            .position(|r| r.dealloc >= cycle)
+            .unwrap_or(log.len());
+        PipelineResult {
+            residencies: log[split..].to_vec(),
+            ..*run
+        }
+    }
+
     #[test]
     fn capture_run_matches_plain_run() {
         let (program, trace) = quick_run();
@@ -1149,36 +1160,49 @@ mod tests {
         {
             let resumed = pipeline.resume(&program, &trace, snap, None);
             assert_eq!(
-                golden, resumed,
+                resumed_view(&golden, snap.cycle()),
+                resumed,
                 "resume from cycle {:?} must reproduce the golden run",
                 snap.cycle()
             );
         }
     }
 
+    /// Resumed fault runs equal from-scratch ones under parity and under
+    /// a Commit-scope PET model, the one model whose fault-free detector
+    /// state (the PET log) is not empty, which a restore rebuilds.
     #[test]
     fn resumed_fault_run_matches_from_scratch() {
         let (program, trace) = quick_run();
         let pipeline = Pipeline::new(PipelineConfig::default());
-        let detection = DetectionModel::Parity { tracking: None };
-        let (golden, snapshots) =
-            pipeline.run_with_snapshots(&program, &trace, detection, 400);
-        let last_cycle = golden.cycles.saturating_sub(1);
-        for (strike, slot, bit) in [
-            (0u64, 0usize, 5u32),
-            (401, 3, 17),
-            (800, 12, 63),
-            (last_cycle, 1, 30),
-        ] {
-            let fault = FaultSpec::single(Cycle::new(strike), slot, bit);
-            let scratch = pipeline.run_with_fault(&program, &trace, Some(fault), detection);
-            let idx = snapshots.partition_point(|s| s.cycle() <= fault.cycle);
-            let snap = &snapshots[idx - 1];
-            let resumed = pipeline.resume(&program, &trace, snap, Some(fault));
-            assert_eq!(
-                scratch, resumed,
-                "fault at cycle {strike} slot {slot} bit {bit} diverged"
-            );
+        let pet = DetectionModel::Parity {
+            tracking: Some(crate::TrackingConfig {
+                scope: crate::PiScope::Commit,
+                anti_pi: true,
+                pet_entries: Some(64),
+                mem_granule: 8,
+            }),
+        };
+        for detection in [DetectionModel::Parity { tracking: None }, pet] {
+            let (golden, snapshots) = pipeline.run_with_snapshots(&program, &trace, detection, 400);
+            let last_cycle = golden.cycles.saturating_sub(1);
+            for (strike, slot, bit) in [
+                (0u64, 0usize, 5u32),
+                (401, 3, 17),
+                (800, 12, 63),
+                (last_cycle, 1, 30),
+            ] {
+                let fault = FaultSpec::single(Cycle::new(strike), slot, bit);
+                let scratch = pipeline.run_with_fault(&program, &trace, Some(fault), detection);
+                let idx = snapshots.partition_point(|s| s.cycle() <= fault.cycle);
+                let snap = &snapshots[idx - 1];
+                let resumed = pipeline.resume(&program, &trace, snap, Some(fault));
+                assert_eq!(
+                    resumed_view(&scratch, snap.cycle()),
+                    resumed,
+                    "fault at cycle {strike} slot {slot} bit {bit} diverged under {detection:?}"
+                );
+            }
         }
     }
 

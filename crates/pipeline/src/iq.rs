@@ -280,21 +280,14 @@ impl InstructionQueue {
         self.residencies.unwrap_or_default()
     }
 
-    /// Number of residency records logged so far.
-    pub(crate) fn residencies_len(&self) -> usize {
-        self.residencies.as_ref().map_or(0, Vec::len)
-    }
-
-    /// Replaces the residency log: `Some` seeds it (checkpoint resume
-    /// seeds the pre-strike prefix here so a resumed run yields the
-    /// complete log), `None` switches logging off.
+    /// Replaces the residency log: `Some` seeds it (a checkpoint resume
+    /// starts an empty one), `None` switches logging off.
     pub(crate) fn set_residencies(&mut self, residencies: Option<Vec<Residency>>) {
         self.residencies = residencies;
     }
 
     /// Clones the live queue state without the residency log, which the
-    /// clone has switched off (checkpoint capture shares the log across
-    /// snapshots instead).
+    /// clone has switched off (checkpoint capture keeps no log).
     pub(crate) fn clone_without_residencies(&self) -> InstructionQueue {
         InstructionQueue {
             slots: self.slots.clone(),

@@ -4,7 +4,8 @@
 //! other crate in the workspace: simulation time ([`Cycle`]), dynamic
 //! instruction identity ([`SeqNo`]), architectural names ([`Reg`], [`Pred`],
 //! [`Addr`]), and the reliability quantities from the paper ([`Fit`],
-//! [`Mttf`], [`Avf`], [`Ipc`], [`Mitf`]).
+//! [`Mttf`], [`Avf`], [`Ipc`], [`Mitf`]) — plus the one index-ordered
+//! [`parallel_map`] that sweeps and campaigns share.
 //!
 //! # Example
 //!
@@ -25,8 +26,10 @@
 
 mod error;
 mod ids;
+mod par;
 mod rates;
 
 pub use error::{ConfigError, SesError};
 pub use ids::{Addr, Cycle, Pred, Reg, SeqNo};
+pub use par::{parallel_map, worker_count};
 pub use rates::{Avf, Fit, Ipc, Mitf, Mtbf, Mttf, FIT_HOURS, HOURS_PER_YEAR};

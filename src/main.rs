@@ -154,10 +154,7 @@ fn cmd_list(tel: &Telemetry) -> Result<(), String> {
     }
     println!("{t}");
     if tel.active() {
-        let mut doc = JsonValue::object();
-        doc.set("schema_version", ses_core::SCHEMA_VERSION)
-            .set("artifact", "list")
-            .set("telemetry", tel.level.label());
+        let mut doc = artifact::header("list", tel.level);
         let rows: Vec<JsonValue> = suite()
             .iter()
             .map(|s| {
@@ -448,11 +445,8 @@ fn cmd_campaign(args: &[String], tel: &Telemetry) -> Result<(), String> {
             target_halfwidth * 100.0
         );
         if tel.active() {
-            let mut doc = JsonValue::object();
-            doc.set("schema_version", ses_core::SCHEMA_VERSION)
-                .set("artifact", "uniform_campaign")
-                .set("telemetry", tel.level.label())
-                .set("workload", name.as_str())
+            let mut doc = artifact::header("uniform_campaign", tel.level);
+            doc.set("workload", name.as_str())
                 .set("metric", metric.label())
                 .set("target_halfwidth", target_halfwidth)
                 .set("trials", uniform.trials)
@@ -567,11 +561,8 @@ fn cmd_pet(name: &str, tel: &Telemetry) -> Result<(), String> {
     }
     println!("{t}");
     if tel.active() {
-        let mut doc = JsonValue::object();
-        doc.set("schema_version", ses_core::SCHEMA_VERSION)
-            .set("artifact", "pet")
-            .set("telemetry", tel.level.label())
-            .set("workload", name);
+        let mut doc = artifact::header("pet", tel.level);
+        doc.set("workload", name);
         let rows: Vec<JsonValue> = sizes
             .iter()
             .map(|&size| {
@@ -627,11 +618,8 @@ fn cmd_compare(args: &[String], tel: &Telemetry) -> Result<(), String> {
         mean(rows.iter().map(|c| c.sdc_mitf_gain())),
     );
     if tel.active() {
-        let mut doc = JsonValue::object();
-        doc.set("schema_version", ses_core::SCHEMA_VERSION)
-            .set("artifact", "compare")
-            .set("telemetry", tel.level.label())
-            .set("variant", artifact::machine_value(&variant));
+        let mut doc = artifact::header("compare", tel.level);
+        doc.set("variant", artifact::machine_value(&variant));
         let records: Vec<JsonValue> = rows
             .iter()
             .map(|c| {
@@ -674,11 +662,8 @@ fn cmd_run_asm(path: &str, tel: &Telemetry) -> Result<(), String> {
         dead.dead_fraction() * 100.0
     );
     if tel.active() {
-        let mut doc = JsonValue::object();
-        doc.set("schema_version", ses_core::SCHEMA_VERSION)
-            .set("artifact", "run-asm")
-            .set("telemetry", tel.level.label())
-            .set("source", path)
+        let mut doc = artifact::header("run-asm", tel.level);
+        doc.set("source", path)
             .set("static_instrs", program.len())
             .set("dynamic_instrs", trace.len())
             .set("cycles", result.cycles)

@@ -10,12 +10,12 @@
 
 use ses_arch::{Checkpoint, Emulator, ExecutionTrace, RunOutcome};
 use ses_core::{
-    synthesize, Campaign, CampaignConfig, Cycle, DetectionModel, FaultSpec, TrackingConfig,
-    WorkloadSpec,
+    synthesize, Campaign, CampaignConfig, Cycle, DetectionModel, FaultSpec, PiScope,
+    TrackingConfig, WorkloadSpec,
 };
 use ses_isa::{encode, Program};
 use ses_types::Reg;
-use ses_pipeline::{FaultOutcome, FaultRun, Pipeline, PipelineConfig};
+use ses_pipeline::{FaultOutcome, FaultRun, Pipeline, PipelineConfig, PipelineResult};
 
 fn campaign_pair(detection: DetectionModel, injections: u32) -> (Campaign, Campaign) {
     let spec = WorkloadSpec::quick("ckpt-equiv", 23);
@@ -84,14 +84,43 @@ fn full_campaigns_agree_across_detection_models() {
     }
 }
 
-fn detection_models() -> [DetectionModel; 3] {
+/// Every kind of detection: none, parity, π tracking, interleaved
+/// parity, and a Commit-scope PET buffer, the one model whose fault-free
+/// detector state (its commit log) is not empty.
+fn detection_models() -> [DetectionModel; 5] {
     [
         DetectionModel::None,
         DetectionModel::Parity { tracking: None },
         DetectionModel::Parity {
             tracking: Some(TrackingConfig::paper_combined()),
         },
+        DetectionModel::InterleavedParity {
+            domains: 4,
+            tracking: None,
+        },
+        DetectionModel::Parity {
+            tracking: Some(TrackingConfig {
+                scope: PiScope::Commit,
+                pet_entries: Some(512),
+                ..TrackingConfig::paper_combined()
+            }),
+        },
     ]
+}
+
+/// `run` as a resume from `cycle` reports it: every field equal, and the
+/// residency log's tail from the first residency that ends at or after
+/// `cycle` (a resumed run logs only those).
+fn resumed_view(run: &PipelineResult, cycle: Cycle) -> PipelineResult {
+    let log = &run.residencies;
+    let split = log
+        .iter()
+        .position(|r| r.dealloc >= cycle)
+        .unwrap_or(log.len());
+    PipelineResult {
+        residencies: log[split..].to_vec(),
+        ..*run
+    }
 }
 
 fn quick_program(name: &str, seed: u64) -> (Program, ExecutionTrace, u64) {
@@ -103,17 +132,23 @@ fn quick_program(name: &str, seed: u64) -> (Program, ExecutionTrace, u64) {
     (program, trace, budget)
 }
 
-/// A fault window restores its snapshot lean (no residency-log copy).
-/// With the convergence gate off, both of its runs — on a fork of the
-/// base and on the base itself — must report the verdict and end cycle
-/// of the full `resume` and of the from-scratch run, for a fault in
-/// every checkpoint window and in the from-scratch window.
+/// A fault window restores its snapshot lean (no residency log). With
+/// the convergence gate off, both of its runs — on a fork of the base and
+/// on the base itself — must report the verdict and end cycle of the full
+/// `resume` and of the from-scratch run, for a fault in every checkpoint
+/// window and in the from-scratch window. The windows restore snapshots
+/// captured under no detection model, as a campaign's golden run holds
+/// them, and run under each model; `resume` restores under the model its
+/// snapshot was captured with, so it runs on snapshots captured under
+/// that model, and must equal the from-scratch run in every field.
 #[test]
 fn lean_fault_runs_match_full_resume_and_scratch_in_every_window() {
     let (program, trace, _) = quick_program("ckpt-lean", 23);
     let pipeline = Pipeline::new(PipelineConfig::default());
     let cycles = pipeline.run(&program, &trace).cycles;
     let interval = (cycles / 64).max(1);
+    let (_, windows) =
+        pipeline.run_with_snapshots(&program, &trace, DetectionModel::None, interval);
     for detection in detection_models() {
         let (_, snaps) = pipeline.run_with_snapshots(&program, &trace, detection, interval);
         assert!(
@@ -121,9 +156,10 @@ fn lean_fault_runs_match_full_resume_and_scratch_in_every_window() {
             "about 64 windows expected, got {}",
             snaps.len()
         );
+        assert_eq!(snaps.len(), windows.len());
         let mut struck = 0;
-        for (w, snap) in std::iter::once(None)
-            .chain(snaps.iter().map(Some))
+        for (w, (snap, window)) in std::iter::once((None, None))
+            .chain(snaps.iter().zip(&windows).map(|(s, w)| (Some(s), Some(w))))
             .enumerate()
         {
             let w = w as u64;
@@ -136,14 +172,18 @@ fn lean_fault_runs_match_full_resume_and_scratch_in_every_window() {
             let scratch = pipeline.run_with_fault(&program, &trace, Some(fault), detection);
             if let Some(s) = snap {
                 let full = pipeline.resume(&program, &trace, s, Some(fault));
-                assert_eq!(full, scratch, "resume diverged from scratch for {fault:?}");
+                assert_eq!(
+                    full,
+                    resumed_view(&scratch, s.cycle()),
+                    "resume diverged from scratch under {detection:?} for {fault:?}"
+                );
             }
             let want = FaultRun {
                 outcome: scratch.fault.expect("fault run resolves an outcome"),
                 end_cycle: scratch.cycles,
                 pruned: false,
             };
-            let window = pipeline.fault_window(&program, &trace, snap, detection);
+            let window = pipeline.fault_window(&program, &trace, window, detection);
             let forked = window.run_fault(fault, None);
             assert_eq!(
                 forked, want,
