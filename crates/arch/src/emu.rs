@@ -1,7 +1,5 @@
 //! The architectural emulator proper.
 
-use std::collections::HashMap;
-
 use ses_isa::{decode, Instruction, Opcode, Program, INSTR_BYTES};
 use ses_types::{Addr, SesError};
 
@@ -214,26 +212,14 @@ impl<'p> Emulator<'p> {
         ))
     }
 
-    /// Runs the program with corrupted instruction words substituted at the
-    /// given dynamic indices, returning only the outcome (no trace).
+    /// Runs the program with the corrupted instruction word `word`
+    /// substituted at dynamic index `trace_idx`, returning only the
+    /// outcome (no trace).
     ///
-    /// `overrides` maps a dynamic-instruction index (matching
-    /// [`DynInstr::index`] of the golden trace) to the corrupted 64-bit
-    /// word that the pipeline would have issued in its place. This is how a
-    /// particle strike on an instruction-queue entry reaches architectural
-    /// state.
-    pub fn run_with_overrides(
-        self,
-        overrides: &HashMap<u64, u64>,
-        max_instrs: u64,
-    ) -> RunOutcome {
-        self.run_overridden(|idx| overrides.get(&idx).copied(), max_instrs)
-    }
-
-    /// Like [`run_with_overrides`](Self::run_with_overrides) but for the
-    /// common case of exactly one corrupted word, avoiding the `HashMap`
-    /// allocation and hashing on every dynamic instruction. This is the
-    /// hot path of the fault-injection replay classifier.
+    /// `trace_idx` matches [`DynInstr::index`] of the golden trace, and
+    /// `word` is the corrupted 64-bit word that the pipeline would have
+    /// issued in its place. This is how a particle strike on an
+    /// instruction-queue entry reaches architectural state.
     pub fn run_with_override(self, trace_idx: u64, word: u64, max_instrs: u64) -> RunOutcome {
         self.run_overridden(|idx| (idx == trace_idx).then_some(word), max_instrs)
     }
@@ -661,9 +647,7 @@ mod tests {
         ]);
         // Corrupt dynamic instruction 0 into `movi r1 = 8`.
         let corrupted = ses_isa::encode(&Instruction::movi(r(1), 8));
-        let mut ov = HashMap::new();
-        ov.insert(0u64, corrupted);
-        let outcome = Emulator::new(&p).run_with_overrides(&ov, 100);
+        let outcome = Emulator::new(&p).run_with_override(0, corrupted, 100);
         assert_eq!(
             outcome,
             RunOutcome::Completed { output: vec![8] },
@@ -672,27 +656,10 @@ mod tests {
     }
 
     #[test]
-    fn single_override_fast_path_matches_map_path() {
-        let p = Program::new(vec![
-            Instruction::movi(r(1), 7),
-            Instruction::out(r(1)),
-            Instruction::halt(),
-        ]);
-        let corrupted = ses_isa::encode(&Instruction::movi(r(1), 8));
-        let mut ov = HashMap::new();
-        ov.insert(0u64, corrupted);
-        let via_map = Emulator::new(&p).run_with_overrides(&ov, 100);
-        let via_fast = Emulator::new(&p).run_with_override(0, corrupted, 100);
-        assert_eq!(via_map, via_fast);
-        assert_eq!(via_fast, RunOutcome::Completed { output: vec![8] });
-    }
-
-    #[test]
     fn override_with_undecodable_word_crashes() {
         let p = Program::new(vec![Instruction::nop(), Instruction::halt()]);
-        let mut ov = HashMap::new();
-        ov.insert(0u64, u64::MAX); // reserved bits set
-        let outcome = Emulator::new(&p).run_with_overrides(&ov, 100);
+        // Reserved bits set.
+        let outcome = Emulator::new(&p).run_with_override(0, u64::MAX, 100);
         assert!(matches!(outcome, RunOutcome::Crashed { .. }));
     }
 
@@ -701,20 +668,17 @@ mod tests {
         let p = Program::new(vec![Instruction::nop(), Instruction::halt()]);
         // Turn the nop into `jmp +0` (self-loop).
         let corrupted = ses_isa::encode(&Instruction::jmp(0));
-        let mut ov = HashMap::new();
-        ov.insert(0u64, corrupted);
         // NOTE: the jump executes once at index 0, then control re-fetches
         // the original nop at the same pc -- but the override applies by
         // dynamic index, so only the first instance is corrupted... the
         // second fetch of the nop is index 1 and proceeds normally to halt.
-        let outcome = Emulator::new(&p).run_with_overrides(&ov, 100);
+        let outcome = Emulator::new(&p).run_with_override(0, corrupted, 100);
         assert_eq!(outcome, RunOutcome::Completed { output: vec![] });
 
         // A backward jump beyond the image crashes instead.
-        let mut ov2 = HashMap::new();
-        ov2.insert(0u64, ses_isa::encode(&Instruction::jmp(-800)));
+        let beyond = ses_isa::encode(&Instruction::jmp(-800));
         assert!(matches!(
-            Emulator::new(&p).run_with_overrides(&ov2, 100),
+            Emulator::new(&p).run_with_override(0, beyond, 100),
             RunOutcome::Crashed { .. }
         ));
     }
@@ -758,9 +722,7 @@ mod tests {
         // instead corrupt the dest field of the halt (halt ignores dest).
         let mut corrupted_halt = Instruction::halt();
         corrupted_halt.dest = r(9);
-        let mut ov = HashMap::new();
-        ov.insert(2u64, ses_isa::encode(&corrupted_halt));
-        let outcome = Emulator::new(&p).run_with_overrides(&ov, 100);
+        let outcome = Emulator::new(&p).run_with_override(2, ses_isa::encode(&corrupted_halt), 100);
         assert_eq!(outcome, RunOutcome::Completed { output: vec![7] });
     }
 }

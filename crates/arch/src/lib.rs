@@ -14,7 +14,7 @@
 //!
 //! The fault-injection engine re-runs the emulator with a corrupted
 //! instruction word substituted at one dynamic position
-//! ([`Emulator::run_with_overrides`]) and compares output streams against
+//! ([`Emulator::run_with_override`]) and compares output streams against
 //! the golden run. A golden run can capture [`Checkpoint`]s
 //! ([`Emulator::run_checkpointed`]) so such a replay resumes just before
 //! the corrupted index ([`Emulator::resume_with_override`]) instead of

@@ -10,7 +10,7 @@
 //! 3. [`run_workload`] → a [`WorkloadRun`] bundling the functional trace,
 //!    dead-instruction map, timing result and AVF analysis;
 //! 4. summarise ([`WorkloadRun::summary`]) or sweep the whole suite
-//!    ([`run_suite`] / [`for_each_workload`]).
+//!    ([`run_suite`] / [`run_suite_with`]).
 //!
 //! The [`job`] module is the request model the `ser-repro` CLI and the
 //! daemon share: campaign, suite, ecc-grid and fuzz jobs parsed from
@@ -42,7 +42,7 @@ pub mod telemetry;
 
 pub use compare::{compare_suites, Comparison};
 pub use run::{run_workload, BenchSummary, TechniqueCoverage, WorkloadRun};
-pub use suite_runner::{for_each_workload, run_suite, run_suite_with};
+pub use suite_runner::{run_suite, run_suite_with};
 
 // Re-export the vocabulary a downstream user needs, so `ses-core` is a
 // one-stop dependency.

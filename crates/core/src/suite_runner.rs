@@ -42,30 +42,13 @@ pub fn run_suite_with<T: Send>(
     .collect()
 }
 
-/// Runs every suite workload sequentially, handing the *full* artifacts
-/// (trace, dead map, residency log, AVF analysis) to the callback one at a
-/// time so peak memory stays bounded.
-///
-/// # Errors
-///
-/// Returns the first workload failure encountered.
-pub fn for_each_workload(
-    pipeline: &PipelineConfig,
-    mut f: impl FnMut(WorkloadRun),
-) -> Result<(), SesError> {
-    for spec in suite() {
-        f(run_workload(&spec, pipeline)?);
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // Suite-wide runs are exercised by the bench harness and integration
-    // tests; here we only check the plumbing on a tiny subset via
-    // for_each_workload's building block.
+    // Suite-wide runs are exercised by the paper harness and integration
+    // tests; here we only check the plumbing of their building block on
+    // one small workload.
     #[test]
     fn run_workload_plumbs_through() {
         let spec = ses_workloads::WorkloadSpec::quick("plumb", 9);

@@ -1212,7 +1212,7 @@ mod tests {
     /// only move cycles between skipped and simulated (and, pruned, into
     /// the cycles an idle strike saves), so their total is compared. The
     /// models cover parity domains, π tracking and a Commit-scope PET
-    /// buffer, whose fault-free log a window restore rebuilds.
+    /// buffer, whose fault-free log a window restore starts empty.
     #[test]
     fn one_golden_run_serves_every_detection_model() {
         let spec = WorkloadSpec::quick("one-golden", 21);

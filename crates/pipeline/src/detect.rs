@@ -355,21 +355,6 @@ impl Detector {
         }
     }
 
-    /// The fault-free state after the golden run committed `committed`,
-    /// its trace prefix. No detection model acts before a strike, so only
-    /// a PET buffer holds any: the last commits, none π-marked, logged as
-    /// [`Detector::on_commit`] logs them.
-    pub(crate) fn after_commits(model: DetectionModel, committed: &[DynInstr]) -> Self {
-        let mut detector = Detector::new(model);
-        if let Some(pet) = detector.pet.as_mut() {
-            let from = committed.len().saturating_sub(pet.capacity());
-            for d in &committed[from..] {
-                pet.push(pet_entry(d, false));
-            }
-        }
-        detector
-    }
-
     /// The detection model this detector runs.
     pub(crate) fn model(&self) -> DetectionModel {
         self.model
@@ -734,50 +719,6 @@ mod tests {
             Cycle::ZERO,
             false,
         )
-    }
-
-    /// A restored detector is the one that watched the same commits
-    /// fault-free: `Detector::new` for every model but a Commit-scope PET
-    /// buffer, whose log holds the last commits. No verdict can show a
-    /// wrong rebuild (a struck entry is evicted after the same number of
-    /// younger commits however full the log was, and only younger entries
-    /// are scanned), so the state itself is compared.
-    #[test]
-    fn after_commits_rebuilds_what_fault_free_commits_leave() {
-        let spec = ses_workloads::WorkloadSpec::quick("pet-rebuild", 5);
-        let program = ses_workloads::synthesize(&spec);
-        let trace = ses_arch::Emulator::new(&program).run(100_000).unwrap();
-        let pet = |n| DetectionModel::Parity {
-            tracking: Some(TrackingConfig {
-                scope: PiScope::Commit,
-                anti_pi: true,
-                pet_entries: Some(n),
-                mem_granule: 8,
-            }),
-        };
-        let models = [
-            DetectionModel::None,
-            DetectionModel::Parity { tracking: None },
-            DetectionModel::Parity {
-                tracking: Some(TrackingConfig::paper_combined()),
-            },
-            pet(8),
-            pet(512),
-        ];
-        for model in models {
-            for k in [0, 3, 8, 700, trace.len()] {
-                let committed = &trace.entries()[..k];
-                let mut watched = Detector::new(model);
-                for d in committed {
-                    assert!(!watched.on_commit(&entry(d.instr), d));
-                }
-                assert_eq!(
-                    format!("{:?}", Detector::after_commits(model, committed)),
-                    format!("{watched:?}"),
-                    "{model:?} after {k} commits"
-                );
-            }
-        }
     }
 
     #[test]

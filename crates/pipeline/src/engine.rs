@@ -324,10 +324,12 @@ fn run_window_fault<'a>(
 ///
 /// A snapshot holds only the machine state a restore needs, none of it
 /// specific to a detection model: no detection model acts before a
-/// strike, and the one fault-free detector state that is not empty, a
-/// PET buffer's log, is the last commits of the golden trace, which a
-/// restore rebuilds. It keeps no residency log either. Cache contents
-/// are stored compactly (occupied lines only).
+/// strike, so a restore starts a fresh detector. The one fault-free
+/// detector state that is not empty, a PET buffer's log of the last
+/// commits, is never read: a π entry is judged against the entries
+/// younger than itself only, after the same number of younger commits
+/// however full the log was. A snapshot keeps no residency log either.
+/// Cache contents are stored compactly (occupied lines only).
 #[derive(Clone)]
 pub struct Snapshot {
     cycle: Cycle,
@@ -450,9 +452,9 @@ impl<'a> Engine<'a> {
 
     /// Rebuilds an engine mid-run from a snapshot under `detection`, with
     /// an optional fault still to inject; the caller continues with
-    /// [`Engine::run_core`]`(snapshot.cycle)`. The detector starts in the
-    /// fault-free state the golden run reached by the snapshot cycle
-    /// ([`Detector::after_commits`]).
+    /// [`Engine::run_core`]`(snapshot.cycle)`. The detector starts fresh
+    /// ([`Detector::new`]): its fault-free state at the snapshot cycle
+    /// differs only in a PET buffer's log, which no verdict reads.
     ///
     /// With `with_residencies` the residency log starts empty at the
     /// snapshot cycle; without, it is switched off, which skips logging
@@ -488,8 +490,6 @@ impl<'a> Engine<'a> {
         engine.stall_until = snapshot.stall_until;
         engine.squashes = snapshot.squashes;
         engine.squashed_instrs = snapshot.squashed_instrs;
-        engine.detector =
-            Detector::after_commits(detection, &engine.trace[..snapshot.committed as usize]);
         engine
     }
 
@@ -1170,7 +1170,7 @@ mod tests {
 
     /// Resumed fault runs equal from-scratch ones under parity and under
     /// a Commit-scope PET model, the one model whose fault-free detector
-    /// state (the PET log) is not empty, which a restore rebuilds.
+    /// state (the PET log) is not empty, which a restore starts empty.
     #[test]
     fn resumed_fault_run_matches_from_scratch() {
         let (program, trace) = quick_run();

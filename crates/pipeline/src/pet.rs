@@ -219,6 +219,40 @@ mod tests {
         assert!(pet.is_empty());
     }
 
+    /// What was logged before a π entry never changes its verdict: pushed
+    /// into an empty log or a full one, it is evicted after the same
+    /// number of younger pushes and judged against the younger entries
+    /// only. A restored detector relies on this when it starts its log
+    /// empty.
+    #[test]
+    fn a_pi_entry_is_judged_alike_in_an_empty_and_a_full_log() {
+        let poisoned = entry(10, Some(1), [None, None], true);
+        let overwritten = [(Some(1), [None, None]), (Some(2), [None, None])];
+        let read_first = [(Some(2), [Some(1), None]), (Some(1), [None, None])];
+        for (younger, expected) in [
+            (overwritten, PetVerdict::ProvenDead),
+            (read_first, PetVerdict::MustSignal),
+        ] {
+            let judged = |prefill: bool| {
+                let mut pet = PetBuffer::new(4);
+                if prefill {
+                    // Older entries that would flip the verdict if scanned.
+                    for i in 0..4 {
+                        pet.push(entry(i, Some(1), [Some(1), None], false));
+                    }
+                }
+                assert!(pet.push(poisoned).is_empty());
+                (0..6u64).find_map(|n| {
+                    let (dest, reads) = younger[(n as usize).min(1)];
+                    let v = pet.push(entry(11 + n, dest, reads, false));
+                    (!v.is_empty()).then_some((n, v))
+                })
+            };
+            assert_eq!(judged(false), Some((3, vec![(10, expected)])));
+            assert_eq!(judged(true), judged(false));
+        }
+    }
+
     #[test]
     fn capacity_and_len_track() {
         let mut pet = PetBuffer::new(3);
