@@ -5,7 +5,7 @@ use ses_types::{Addr, SesError};
 
 use crate::memory::DataMemory;
 use crate::state::ArchState;
-use crate::trace::{DynInstr, ExecutionTrace};
+use crate::trace::{DynInstr, ExecutionTrace, SideEffect};
 
 /// Result of a (possibly fault-perturbed) functional run, used by the
 /// fault-injection outcome classifier.
@@ -206,6 +206,9 @@ impl<'p> Emulator<'p> {
                 break;
             }
         }
+        // A golden trace lives as long as its golden run: keep no growth
+        // slack.
+        entries.shrink_to_fit();
         Ok((
             ExecutionTrace::new(entries, self.output, halted),
             checkpoints,
@@ -428,12 +431,10 @@ impl<'p> Emulator<'p> {
             executed,
             reg_written: None,
             pred_written: None,
-            mem_read: None,
-            mem_written: None,
+            side_effect: SideEffect::None,
             taken: instr.op.is_conditional_branch().then_some(false),
             next_pc: fallthrough,
             call_depth: self.depth,
-            emitted: None,
         };
         self.index += 1;
         let mut halt = false;
@@ -479,7 +480,7 @@ impl<'p> Emulator<'p> {
                         Addr::new(s1.wrapping_add(instr.imm as i64 as u64)).block_base(8);
                     let v = self.mem.load(addr);
                     self.state.set_reg(instr.dest, v);
-                    record.mem_read = Some(addr);
+                    record.side_effect = SideEffect::MemRead(addr);
                     if !instr.dest.is_zero() {
                         record.reg_written = Some(instr.dest);
                     }
@@ -488,7 +489,7 @@ impl<'p> Emulator<'p> {
                     let addr =
                         Addr::new(s1.wrapping_add(instr.imm as i64 as u64)).block_base(8);
                     self.mem.store(addr, s2);
-                    record.mem_written = Some(addr);
+                    record.side_effect = SideEffect::MemWritten(addr);
                 }
                 Prefetch | Nop | Hint => {}
                 Br => {
@@ -512,7 +513,7 @@ impl<'p> Emulator<'p> {
                 }
                 Out => {
                     self.output.push(s1);
-                    record.emitted = Some(s1);
+                    record.side_effect = SideEffect::Emitted(s1);
                 }
                 Halt => {
                     halt = true;
@@ -589,8 +590,8 @@ mod tests {
         ]);
         let trace = Emulator::new(&p).run(100).unwrap();
         assert_eq!(trace.output(), &[99]);
-        assert_eq!(trace.entries()[2].mem_written, Some(Addr::new(0x2000)));
-        assert_eq!(trace.entries()[3].mem_read, Some(Addr::new(0x2000)));
+        assert_eq!(trace.entries()[2].mem_written(), Some(Addr::new(0x2000)));
+        assert_eq!(trace.entries()[3].mem_read(), Some(Addr::new(0x2000)));
     }
 
     #[test]

@@ -52,4 +52,4 @@ pub use emu::{Checkpoint, Emulator, MachineSnapshot, ResumedReplay, RunOutcome};
 pub use stepper::Stepper;
 pub use memory::DataMemory;
 pub use state::ArchState;
-pub use trace::{DynInstr, ExecutionTrace, TraceStats};
+pub use trace::{DynInstr, ExecutionTrace, SideEffect, TraceStats};

@@ -173,7 +173,7 @@ mod tests {
         ]);
         let mut s = Stepper::new(&p);
         let hit = s.run_until(|d| d.is_store()).unwrap().expect("store found");
-        assert_eq!(hit.mem_written, Some(Addr::new(0x2000)));
+        assert_eq!(hit.mem_written(), Some(Addr::new(0x2000)));
         assert_eq!(s.mem(Addr::new(0x2000)), 9, "state visible at the stop");
         assert_eq!(s.reg(r(2)), 9);
     }

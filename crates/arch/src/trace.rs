@@ -25,21 +25,58 @@ pub struct DynInstr {
     pub reg_written: Option<Reg>,
     /// The predicate register actually written.
     pub pred_written: Option<Pred>,
-    /// Word-aligned data address read (executed loads only).
-    pub mem_read: Option<Addr>,
-    /// Word-aligned data address written (executed stores only).
-    pub mem_written: Option<Addr>,
+    /// The memory access or output emission, if any (read through
+    /// [`DynInstr::mem_read`], [`DynInstr::mem_written`] and
+    /// [`DynInstr::emitted`]).
+    pub side_effect: SideEffect,
     /// For conditional branches: whether the branch was taken.
     pub taken: Option<bool>,
     /// Address of the next committed-path instruction.
     pub next_pc: Addr,
     /// Call nesting depth *at* this instruction (entry code is depth 0).
     pub call_depth: u32,
+}
+
+/// The memory or output side effect of one dynamic instruction. Only an
+/// executed `ld` reads, `st` writes and `out` emits, so a record holds at
+/// most one of them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SideEffect {
+    /// No memory access and no output.
+    None,
+    /// Word-aligned data address read (executed loads only).
+    MemRead(Addr),
+    /// Word-aligned data address written (executed stores only).
+    MemWritten(Addr),
     /// Value emitted to the output stream (executed `out` only).
-    pub emitted: Option<u64>,
+    Emitted(u64),
 }
 
 impl DynInstr {
+    /// Word-aligned data address read (executed loads only).
+    pub fn mem_read(&self) -> Option<Addr> {
+        match self.side_effect {
+            SideEffect::MemRead(a) => Some(a),
+            _ => None,
+        }
+    }
+
+    /// Word-aligned data address written (executed stores only).
+    pub fn mem_written(&self) -> Option<Addr> {
+        match self.side_effect {
+            SideEffect::MemWritten(a) => Some(a),
+            _ => None,
+        }
+    }
+
+    /// Value emitted to the output stream (executed `out` only).
+    pub fn emitted(&self) -> Option<u64> {
+        match self.side_effect {
+            SideEffect::Emitted(v) => Some(v),
+            _ => None,
+        }
+    }
+
     /// The general registers this dynamic instance actually read (empty when
     /// the guard was false).
     pub fn regs_read(&self) -> impl Iterator<Item = Reg> + '_ {
@@ -51,12 +88,12 @@ impl DynInstr {
 
     /// Whether this is an executed store.
     pub fn is_store(&self) -> bool {
-        self.mem_written.is_some()
+        self.mem_written().is_some()
     }
 
     /// Whether this dynamic instruction produced user-visible output.
     pub fn is_output(&self) -> bool {
-        self.emitted.is_some()
+        self.emitted().is_some()
     }
 
     /// Whether the instruction is a control transfer.
@@ -70,8 +107,8 @@ impl DynInstr {
     pub fn commits_state(&self) -> bool {
         self.reg_written.is_some()
             || self.pred_written.is_some()
-            || self.mem_written.is_some()
-            || self.emitted.is_some()
+            || self.mem_written().is_some()
+            || self.emitted().is_some()
     }
 
     /// Cross-checks the recorded side effects against what the static
@@ -107,16 +144,16 @@ impl DynInstr {
                 return Err(format!("wrote {p}, but pdest is {}", self.instr.pdest));
             }
         }
-        if self.mem_read.is_some() && !(self.executed && op == Opcode::Ld) {
+        if self.mem_read().is_some() && !(self.executed && op == Opcode::Ld) {
             return Err(format!("memory read recorded for {op}"));
         }
-        if self.mem_written.is_some() && !(self.executed && op == Opcode::St) {
+        if self.mem_written().is_some() && !(self.executed && op == Opcode::St) {
             return Err(format!("memory write recorded for {op}"));
         }
         if self.taken.is_some() != op.is_conditional_branch() {
             return Err(format!("branch outcome presence mismatches {op}"));
         }
-        if self.emitted.is_some() && !(self.executed && op == Opcode::Out) {
+        if self.emitted().is_some() && !(self.executed && op == Opcode::Out) {
             return Err(format!("output emission recorded for {op}"));
         }
         Ok(())
@@ -183,10 +220,10 @@ impl ExecutionTrace {
             if e.instr.is_neutral() {
                 stats.neutral += 1;
             }
-            if e.mem_read.is_some() {
+            if e.mem_read().is_some() {
                 stats.loads += 1;
             }
-            if e.mem_written.is_some() {
+            if e.mem_written().is_some() {
                 stats.stores += 1;
             }
             if e.instr.op.is_conditional_branch() {
@@ -268,12 +305,10 @@ mod tests {
             executed: true,
             reg_written: None,
             pred_written: None,
-            mem_read: None,
-            mem_written: None,
+            side_effect: SideEffect::None,
             taken: None,
             next_pc: Addr::new(0x1008 + index * 8),
             call_depth: 0,
-            emitted: None,
         }
     }
 
@@ -284,7 +319,7 @@ mod tests {
         e1.taken = Some(true);
         let mut e2 = dyn_nop(1);
         e2.instr = Instruction::ld(Reg::new(1), Reg::new(2), 0);
-        e2.mem_read = Some(Addr::new(0x2000));
+        e2.side_effect = SideEffect::MemRead(Addr::new(0x2000));
         e2.reg_written = Some(Reg::new(1));
         let e3 = dyn_nop(2);
         let trace = ExecutionTrace::new(vec![e1, e2, e3], vec![], true);
@@ -297,6 +332,24 @@ mod tests {
         assert!((s.taken_fraction() - 1.0).abs() < 1e-12);
         assert!(trace.halted());
         assert_eq!(trace.len(), 3);
+    }
+
+    #[test]
+    fn record_is_at_most_64_bytes() {
+        assert!(std::mem::size_of::<DynInstr>() <= 64);
+    }
+
+    #[test]
+    fn side_effect_accessors_are_exclusive() {
+        let mut e = dyn_nop(0);
+        e.side_effect = SideEffect::MemWritten(Addr::new(0x2000));
+        assert_eq!(e.mem_written(), Some(Addr::new(0x2000)));
+        assert_eq!((e.mem_read(), e.emitted()), (None, None));
+        assert!(e.is_store() && !e.is_output() && e.commits_state());
+        e.side_effect = SideEffect::Emitted(7);
+        assert_eq!(e.emitted(), Some(7));
+        assert_eq!((e.mem_read(), e.mem_written()), (None, None));
+        assert!(e.is_output() && !e.is_store());
     }
 
     #[test]

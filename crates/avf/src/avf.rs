@@ -165,7 +165,7 @@ impl AvfAnalysis {
             let before_ace = bits.ace;
             let before_valid = bits.valid_total();
             rs.accumulate(&mut bits);
-            let idx = ((rs.lifetime.alloc / bucket) as usize).min(timeline.len() - 1);
+            let idx = ((rs.lifetime.occupancy().0 / bucket) as usize).min(timeline.len() - 1);
             timeline[idx].valid += bits.valid_total() - before_valid;
             timeline[idx].ace += bits.ace - before_ace;
         }

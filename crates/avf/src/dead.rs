@@ -76,6 +76,16 @@ pub struct DeadInfo {
     pub return_attributed: bool,
 }
 
+/// What the backward pass knows about a location's later reads (up to
+/// the next def).
+#[derive(Debug, Clone, Copy, Default)]
+struct Reads {
+    /// Some later instruction reads the location.
+    any: bool,
+    /// A live later instruction reads it.
+    live: bool,
+}
+
 /// The per-trace-index dead map.
 #[derive(Debug, Clone)]
 pub struct DeadMap {
@@ -86,18 +96,17 @@ impl DeadMap {
     /// Runs the analysis over a committed trace.
     pub fn analyze(trace: &ExecutionTrace) -> Self {
         let entries = trace.entries();
-        let n = entries.len();
-        let mut live = vec![false; n];
-        let mut kind = vec![DeadKind::Live; n];
+        let mut kind = vec![DeadKind::Live; entries.len()];
 
         // --- Backward pass: def-use liveness -------------------------------
-        // pending register reads (after the current point, before any def)
-        let mut pending_reg_reads: Vec<Vec<usize>> = vec![Vec::new(); Reg::COUNT];
-        // pending loads per word address
-        let mut pending_loads: HashMap<u64, Vec<usize>> = HashMap::new();
+        // Per register, for the reads after the current point and before
+        // any def: whether there is one, and whether a live one is among
+        // them.
+        let mut reg_read = [Reads::default(); Reg::COUNT];
+        // The same per loaded word address; absent means never read.
+        let mut word_read: HashMap<u64, bool> = HashMap::new();
 
-        for idx in (0..n).rev() {
-            let d = &entries[idx];
+        for (idx, d) in entries.iter().enumerate().rev() {
             // Inherent liveness: anything whose effect is not a trackable
             // value. Falsely predicated and neutral instructions have no
             // effects (their categories are handled by the ACE classifier).
@@ -111,37 +120,36 @@ impl DeadMap {
             let mut classification = DeadKind::Live;
 
             if let Some(w) = d.reg_written {
-                let uses = std::mem::take(&mut pending_reg_reads[w.index()]);
-                if uses.is_empty() {
+                let reads = std::mem::take(&mut reg_read[w.index()]);
+                if !reads.any {
                     classification = DeadKind::FddReg;
-                } else if uses.iter().any(|&u| live[u]) {
+                } else if reads.live {
                     value_live = true;
                 } else {
                     classification = DeadKind::TddReg;
                 }
             }
-            if let Some(addr) = d.mem_written {
-                let uses = pending_loads.remove(&addr.as_u64()).unwrap_or_default();
-                if uses.is_empty() {
-                    classification = DeadKind::FddMem;
-                } else if uses.iter().any(|&u| live[u]) {
-                    value_live = true;
-                } else {
-                    classification = DeadKind::TddMem;
+            if let Some(addr) = d.mem_written() {
+                match word_read.remove(&addr.as_u64()) {
+                    None => classification = DeadKind::FddMem,
+                    Some(true) => value_live = true,
+                    Some(false) => classification = DeadKind::TddMem,
                 }
             }
 
-            live[idx] = inherently_live || value_live;
-            if !live[idx] && (d.reg_written.is_some() || d.mem_written.is_some()) {
+            let live = inherently_live || value_live;
+            if !live && (d.reg_written.is_some() || d.mem_written().is_some()) {
                 kind[idx] = classification;
             }
 
             // Register this instruction's own reads for earlier defs.
             for r in d.regs_read() {
-                pending_reg_reads[r.index()].push(idx);
+                let reads = &mut reg_read[r.index()];
+                reads.any = true;
+                reads.live |= live;
             }
-            if let Some(addr) = d.mem_read {
-                pending_loads.entry(addr.as_u64()).or_default().push(idx);
+            if let Some(addr) = d.mem_read() {
+                *word_read.entry(addr.as_u64()).or_default() |= live;
             }
         }
 
@@ -184,7 +192,7 @@ impl DeadMap {
                 }
                 prev_def[w.index()] = Some((idx, depth, gen[depth as usize]));
             }
-            if let Some(addr) = d.mem_written {
+            if let Some(addr) = d.mem_written() {
                 if let Some(pidx) = prev_store.insert(addr.as_u64(), idx) {
                     if info[pidx].kind == DeadKind::FddMem {
                         info[pidx].kill_distance = Some((idx - pidx) as u64);

@@ -7,7 +7,7 @@
 //! individual (bit × cycle) coordinates. This module is the canonical
 //! span representation:
 //!
-//! * [`LifetimeSpan`] — the `(slot, alloc, last_read, dealloc)` geometry
+//! * [`LifetimeSpan`] — the `(slot, alloc, boundary, dealloc)` geometry
 //!   of one residency, with the live/tail phase boundary drawn exactly
 //!   once for every consumer (ACE classification, the adaptive sampler's
 //!   strata, occupancy profiles);
@@ -87,34 +87,48 @@ pub const KIND_WIDTHS: [u64; 7] = {
 /// residencies are all tail. The ACE classifier and the adaptive
 /// sampler's strata both read these ranges from here, so they can never
 /// disagree about lifetimes.
+///
+/// A golden run keeps one span per residency, so the last read is stored
+/// only as the boundary it draws, and the slot as a `u32`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LifetimeSpan {
-    /// Queue slot index.
-    pub slot: usize,
-    /// Allocation cycle.
-    pub alloc: u64,
-    /// Last issue-read cycle (`None` if never issued).
-    pub last_read: Option<u64>,
-    /// Deallocation cycle.
-    pub dealloc: u64,
+    slot: u32,
+    alloc: u64,
+    /// Kept within `[alloc, dealloc]` when those are ordered.
+    boundary: u64,
+    dealloc: u64,
 }
 
 impl LifetimeSpan {
     /// The lifetime geometry of one residency record.
+    ///
+    /// # Panics
+    ///
+    /// If the slot index does not fit a `u32`.
     pub fn of(res: &Residency) -> LifetimeSpan {
+        let alloc = res.alloc.as_u64();
+        let dealloc = res.dealloc.as_u64();
+        let read = res.last_read.map_or(alloc, |c| c.as_u64());
         LifetimeSpan {
-            slot: res.slot,
-            alloc: res.alloc.as_u64(),
-            last_read: res.last_read.map(|c| c.as_u64()),
-            dealloc: res.dealloc.as_u64(),
+            slot: u32::try_from(res.slot).expect("queue slot index fits u32"),
+            alloc,
+            // `max` then `min`, not `clamp`: a malformed span (alloc past
+            // dealloc) must reach `ResidencySpans::check`, not panic here.
+            boundary: read.max(alloc).min(dealloc),
+            dealloc,
         }
+    }
+
+    /// The queue slot index.
+    pub fn slot(&self) -> usize {
+        self.slot as usize
     }
 
     /// The live/tail phase boundary: the last issue read, clamped into
     /// the occupancy (a never-read residency's boundary is its alloc, so
     /// the whole occupancy is tail).
     pub fn boundary(&self) -> u64 {
-        self.last_read.unwrap_or(self.alloc).clamp(self.alloc, self.dealloc)
+        self.boundary
     }
 
     /// The occupancy interval `[alloc, dealloc)`.
@@ -175,7 +189,7 @@ impl StrikeIndex {
     pub fn build(spans: &[LifetimeSpan], slots: usize) -> StrikeIndex {
         let mut per_slot: Vec<Vec<LifetimeSpan>> = vec![Vec::new(); slots];
         for &s in spans {
-            if let Some(v) = per_slot.get_mut(s.slot) {
+            if let Some(v) = per_slot.get_mut(s.slot()) {
                 v.push(s);
             }
         }
@@ -542,6 +556,11 @@ mod tests {
         assert_eq!(s.occupancy(), (10, 30));
         assert_eq!(s.valid_cycles(), 20);
         assert_eq!(s.exposed_cycles(), 15);
+    }
+
+    #[test]
+    fn span_is_at_most_32_bytes() {
+        assert!(std::mem::size_of::<LifetimeSpan>() <= 32);
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //!   baseline sweep also keeps Table 2's trace and program facts and
 //!   Figure 3's PET coverage, so no program is emulated twice;
 //! * Figure 1's four golden runs, shared by its three protection schemes;
-//! * the ablation runs on four benchmarks.
+//! * the ablation runs on four benchmarks, except on the baseline and
+//!   squash-L1 machines, whose rows the ablations read from those sweeps.
 //!
 //! Run with `cargo bench -p ses-bench --bench paper`.
 
@@ -68,7 +69,10 @@ fn main() {
     fig2(&base_rows);
     fig3(&facts);
     fig4(&base_rows, &l1_rows);
-    ablate();
+    ablate(&[
+        (PipelineConfig::default(), &base_rows),
+        (PipelineConfig::default().with_squash(Level::L1), &l1_rows),
+    ]);
 }
 
 /// Table 1's paper values: design point, IPC, SDC AVF %, DUE AVF %.
@@ -592,13 +596,27 @@ fn measure<const N: usize>(
     std::array::from_fn(|i| mean(runs.iter().map(|r| r[i])))
 }
 
-/// IPC, SDC AVF (percent) and idle fraction of one run.
-fn ipc_sdc_idle(run: &WorkloadRun) -> [f64; 3] {
-    [
-        run.result.ipc().value(),
-        run.avf.sdc_avf().percent(),
-        run.avf.state_fractions().idle,
-    ]
+/// Suite sweeps already run, with the machine each ran on.
+type Sweeps<'a> = [(PipelineConfig, &'a [BenchSummary])];
+
+/// Means of IPC, SDC AVF (percent) and idle fraction over the ablation
+/// benchmarks on one machine, read from a sweep on that machine when
+/// there is one (the summary rows hold the same values).
+fn ipc_sdc_idle(cfg: &PipelineConfig, sweeps: &Sweeps) -> [f64; 3] {
+    let Some((_, rows)) = sweeps.iter().find(|(swept, _)| swept == cfg) else {
+        return measure(cfg, |run| {
+            [
+                run.result.ipc().value(),
+                run.avf.sdc_avf().percent(),
+                run.avf.state_fractions().idle,
+            ]
+        });
+    };
+    let picked = ABLATION_BENCHES.map(|b| {
+        let r = rows.iter().find(|r| r.name == b).expect("bench in sweep");
+        [r.ipc.value(), r.sdc_avf.percent(), r.states.idle]
+    });
+    std::array::from_fn(|i| mean(picked.iter().map(|r| r[i])))
 }
 
 /// Ablation studies of the design choices DESIGN.md calls out: how
@@ -614,7 +632,7 @@ fn ipc_sdc_idle(run: &WorkloadRun) -> [f64; 3] {
 /// * **Squash vs throttle** — the paper's two actions, separately and
 ///   combined;
 /// * **Issue order** — in-order versus out-of-order.
-fn ablate() {
+fn ablate(sweeps: &Sweeps) {
     println!("\n=== Ablation 1: instruction-queue size ===\n");
     let mut t = Table::new(vec!["IQ entries", "IPC", "SDC AVF", "idle"]);
     let mut iq_rows = Vec::new();
@@ -623,7 +641,7 @@ fn ablate() {
             iq_entries: entries,
             ..PipelineConfig::default()
         };
-        let [ipc, sdc, idle] = measure(&cfg, ipc_sdc_idle);
+        let [ipc, sdc, idle] = ipc_sdc_idle(&cfg, sweeps);
         t.row(vec![
             entries.to_string(),
             format!("{ipc:.2}"),
@@ -649,7 +667,7 @@ fn ablate() {
             ifetch_stall_cycles: cycles,
             ..PipelineConfig::default()
         };
-        let [ipc, sdc, idle] = measure(&cfg, ipc_sdc_idle);
+        let [ipc, sdc, idle] = ipc_sdc_idle(&cfg, sweeps);
         t.row(vec![
             format!("{cycles}/{period}"),
             format!("{ipc:.2}"),
@@ -673,7 +691,7 @@ fn ablate() {
     for depth in [4u64, 8, 16] {
         let mut cfg = PipelineConfig::default().with_squash(Level::L1);
         cfg.frontend_depth = depth;
-        let [ipc, sdc, _] = measure(&cfg, ipc_sdc_idle);
+        let [ipc, sdc, _] = ipc_sdc_idle(&cfg, sweeps);
         t.row(vec![
             depth.to_string(),
             format!("{ipc:.2}"),
@@ -749,7 +767,7 @@ fn ablate() {
         ),
     ];
     for (name, cfg) in &actions {
-        let [ipc, sdc, _] = measure(cfg, ipc_sdc_idle);
+        let [ipc, sdc, _] = ipc_sdc_idle(cfg, sweeps);
         t.row(vec![
             (*name).into(),
             format!("{ipc:.2}"),
@@ -783,8 +801,8 @@ fn ablate() {
             ..PipelineConfig::default()
         };
         let sq_cfg = base_cfg.clone().with_squash(Level::L1);
-        let [ipc0, sdc0, _] = measure(&base_cfg, ipc_sdc_idle);
-        let [ipc1, sdc1, _] = measure(&sq_cfg, ipc_sdc_idle);
+        let [ipc0, sdc0, _] = ipc_sdc_idle(&base_cfg, sweeps);
+        let [ipc1, sdc1, _] = ipc_sdc_idle(&sq_cfg, sweeps);
         let cut = 1.0 - sdc1 / sdc0;
         let cost = 1.0 - ipc1 / ipc0;
         t.row(vec![

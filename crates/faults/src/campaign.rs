@@ -153,10 +153,6 @@ struct Injection {
 pub struct GoldenRun {
     program: Program,
     golden: ExecutionTrace,
-    /// Encoded golden instruction word per dynamic-trace index, for the
-    /// replay fast path (corrupted word == golden word is trivially
-    /// identical).
-    golden_words: Vec<u64>,
     /// Architectural checkpoints of the golden functional run, in index
     /// order and starting at index 0; each functional replay resumes from
     /// the last one at or before its corrupted index.
@@ -219,14 +215,14 @@ impl GoldenRun {
                 limit: max_instrs,
             });
         }
-        let golden_words = golden.entries().iter().map(|d| encode(&d.instr)).collect();
         let pipeline = Pipeline::new(config.pipeline.clone());
-        // Snapshot spacing needs the run length first: one plain sizing
-        // run ahead of the observed one.
-        let sizing = config.checkpoints.then(|| pipeline.run(&program, &golden));
-        let checkpoint_interval = sizing
-            .as_ref()
-            .map_or(0, |plain| (plain.cycles / 64).max(1));
+        // Snapshot spacing needs the run length first: one sizing run,
+        // without a residency log, ahead of the observed one.
+        let checkpoint_interval = if config.checkpoints {
+            (pipeline.run_lean(&program, &golden).cycles / 64).max(1)
+        } else {
+            0
+        };
         // No detection model acts before a strike, so one capture under
         // none serves every plan: a window restores its snapshot under the
         // plan's model. Pruning also needs the golden fingerprint stream.
@@ -241,10 +237,6 @@ impl GoldenRun {
             fingerprints: golden_fps,
             ..
         } = pipeline.run_golden(&program, &golden, DetectionModel::None, observers);
-        // Freed only after the observed run: freeing the sizing run's
-        // residency log before it measured about 10% slower prepare on
-        // crafty (where the allocator places the observed run's log).
-        drop(sizing);
         let replay_budget = (golden.len() as u64).saturating_mul(4).max(10_000);
         let lifetime_spans = ses_avf::lifetime_spans(&baseline);
         let strike_index = config
@@ -255,7 +247,6 @@ impl GoldenRun {
             lifetime_spans,
             program,
             golden,
-            golden_words,
             arch_checkpoints,
             pipeline,
             snapshots,
@@ -344,7 +335,8 @@ impl GoldenRun {
     /// Debug builds check one in eight emulated replays against a replay
     /// from program start.
     fn replay(&self, trace_idx: u64, corrupted_word: u64) -> (Replay, ReplayPath) {
-        if self.golden_words.get(trace_idx as usize) == Some(&corrupted_word) {
+        let record = self.golden.entries().get(trace_idx as usize);
+        if record.is_some_and(|d| encode(&d.instr) == corrupted_word) {
             return (Replay::Identical, ReplayPath::FastPath);
         }
         let resumed = Emulator::resume_with_override(
@@ -1196,7 +1188,7 @@ mod tests {
                 .filter(|&i| i < len)
             {
                 for flip in [1, 1 << 20, u64::MAX] {
-                    let word = c.golden_words[idx as usize] ^ flip;
+                    let word = encode(&c.golden().entries()[idx as usize].instr) ^ flip;
                     let want = c.replay_from_start(idx, word);
                     assert_eq!(c.replay(idx, word).0, want, "index {idx}, word {word:#x}");
                     differ += usize::from(want != Replay::Identical);

@@ -407,11 +407,9 @@ fn dyn_matches(golden: &DynInstr, replayed: &DynInstr) -> bool {
         && golden.executed == replayed.executed
         && golden.reg_written == replayed.reg_written
         && golden.pred_written == replayed.pred_written
-        && golden.mem_read == replayed.mem_read
-        && golden.mem_written == replayed.mem_written
+        && golden.side_effect == replayed.side_effect
         && golden.taken == replayed.taken
         && golden.next_pc == replayed.next_pc
-        && golden.emitted == replayed.emitted
 }
 
 /// Lockstep re-execution of every region's maximal recovery window.
@@ -469,12 +467,12 @@ fn check_region_replay(
                             got.pc,
                             got.reg_written,
                             got.pred_written,
-                            got.mem_written,
+                            got.mem_written(),
                             want.instr,
                             want.pc,
                             want.reg_written,
                             want.pred_written,
-                            want.mem_written,
+                            want.mem_written(),
                         ),
                     ));
                 }

@@ -708,6 +708,7 @@ fn pet_entry(d: &DynInstr, pi: bool) -> PetEntry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ses_arch::SideEffect;
     use ses_isa::Instruction;
     use ses_types::{Reg, SeqNo};
 
@@ -890,12 +891,10 @@ mod tests {
             executed: true,
             reg_written: Some(Reg::new(1)),
             pred_written: None,
-            mem_read: None,
-            mem_written: None,
+            side_effect: SideEffect::None,
             taken: None,
             next_pc: ses_types::Addr::new(0x1_0008),
             call_depth: 0,
-            emitted: None,
         };
         assert!(det.on_commit(&e, &d));
         assert!(matches!(

@@ -121,6 +121,16 @@ impl Pipeline {
             .result
     }
 
+    /// [`Pipeline::run`] without the residency log: the same result but
+    /// for an empty `residencies`, for callers that read only the run's
+    /// counts (a golden run's sizing pass reads only `cycles`).
+    pub fn run_lean(&self, program: &Program, trace: &ExecutionTrace) -> PipelineResult {
+        let mut engine =
+            Engine::new(&self.config, program, trace, None, DetectionModel::None).warmed();
+        engine.iq.set_residencies(None);
+        engine.run_core(Cycle::ZERO).0.result
+    }
+
     /// Runs the timing model with an optional injected fault under the
     /// given detection model.
     pub fn run_with_fault(
@@ -656,13 +666,13 @@ impl<'a> Engine<'a> {
         let block = self.cfg.hierarchy.l1.block_bytes;
         let mut touches: HashMap<u64, u32> = HashMap::new();
         for d in self.trace {
-            for addr in [d.mem_read, d.mem_written].into_iter().flatten() {
+            if let Some(addr) = d.mem_read().or(d.mem_written()) {
                 *touches.entry(addr.block_base(block).as_u64()).or_insert(0) += 1;
             }
         }
         let mut primed: std::collections::HashSet<u64> = std::collections::HashSet::new();
         for d in self.trace {
-            for addr in [d.mem_read, d.mem_written].into_iter().flatten() {
+            if let Some(addr) = d.mem_read().or(d.mem_written()) {
                 let base = addr.block_base(block).as_u64();
                 if touches.get(&base).copied().unwrap_or(0) >= 2 && primed.insert(base) {
                     self.hierarchy.access(addr, AccessKind::Load);
@@ -846,7 +856,7 @@ impl<'a> Engine<'a> {
         }
         match op {
             Opcode::Ld => {
-                let addr = d.mem_read.expect("executed load has an address");
+                let addr = d.mem_read().expect("executed load has an address");
                 let access = self.hierarchy.access(addr, AccessKind::Load);
                 let complete = now + access.latency;
                 // An L0 miss stalls in-order issue until the data returns.
@@ -871,7 +881,7 @@ impl<'a> Engine<'a> {
                 complete
             }
             Opcode::St => {
-                let addr = d.mem_written.expect("executed store has an address");
+                let addr = d.mem_written().expect("executed store has an address");
                 self.hierarchy.access(addr, AccessKind::Store);
                 now + 1 // the store buffer absorbs the latency
             }
@@ -1070,6 +1080,27 @@ mod tests {
         assert_eq!(observed.snapshots.len(), snapshots.len());
         assert_eq!(observed.fingerprints.len() as u64, plain.cycles);
         assert!(observed.stages.is_some());
+    }
+
+    /// A run without the residency log has every field of the plain run
+    /// but the log, on a squashing machine too.
+    #[test]
+    fn lean_run_matches_plain_run_but_the_log() {
+        let (program, trace) = quick_run();
+        for config in [
+            PipelineConfig::default(),
+            PipelineConfig::default().with_squash(ses_mem::Level::L1),
+        ] {
+            let pipeline = Pipeline::new(config);
+            let plain = pipeline.run(&program, &trace);
+            let lean = pipeline.run_lean(&program, &trace);
+            assert!(lean.residencies.is_empty() && !plain.residencies.is_empty());
+            let unlogged = PipelineResult {
+                residencies: Vec::new(),
+                ..plain
+            };
+            assert_eq!(lean, unlogged);
+        }
     }
 
     /// The convergence gate must compare against the golden stream it is

@@ -201,7 +201,7 @@ impl PiTracker {
                 src_pi = true;
             }
             if self.tracks_memory() {
-                if let Some(addr) = d.mem_read {
+                if let Some(addr) = d.mem_read() {
                     if self.mem_pi.is_marked(addr) {
                         src_pi = true;
                     }
@@ -214,7 +214,7 @@ impl PiTracker {
             if d.is_output() {
                 return PiStep::Signal(SignalPoint::IoCommit);
             }
-            if let Some(addr) = d.mem_written {
+            if let Some(addr) = d.mem_written() {
                 match self.scope {
                     PiScope::StoreCommit | PiScope::Register => {
                         return PiStep::Signal(SignalPoint::StoreCommit);
@@ -238,7 +238,7 @@ impl PiTracker {
 
         // 3. Clean stores scrub the memory π bit (overwrite-before-read).
         if !src_pi && self.tracks_memory() {
-            if let Some(addr) = d.mem_written {
+            if let Some(addr) = d.mem_written() {
                 if self.mem_pi.clear(addr) {
                     let key = addr.block_base(self.mem_pi.granule_bytes()).as_u64();
                     self.marked_order.retain(|&k| k != key);
@@ -263,7 +263,7 @@ impl PiTracker {
             // destination (e.g. a nop or prefetch under Register+ scopes):
             // nothing can consume the poison later, and the hardware
             // cannot prove it dead, so it must signal at commit.
-            if d.mem_written.is_none() && !d.is_output() && !d.is_control() {
+            if d.mem_written().is_none() && !d.is_output() && !d.is_control() {
                 return PiStep::Signal(SignalPoint::Commit);
             }
         }
@@ -275,6 +275,7 @@ impl PiTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ses_arch::SideEffect;
     use ses_isa::Instruction;
     use ses_types::Addr;
 
@@ -286,12 +287,10 @@ mod tests {
             executed: true,
             reg_written: instr.reg_write().filter(|r| !r.is_zero()),
             pred_written: instr.pred_write(),
-            mem_read: None,
-            mem_written: None,
+            side_effect: SideEffect::None,
             taken: None,
             next_pc: Addr::new(0x1_0000 + (idx + 1) * 8),
             call_depth: 0,
-            emitted: None,
         }
     }
 
@@ -351,7 +350,7 @@ mod tests {
         );
         // Poisoned store signals at store commit.
         let mut st = dyn_instr(Instruction::st(r(10), r(3), 0), 3);
-        st.mem_written = Some(Addr::new(0x2000));
+        st.side_effect = SideEffect::MemWritten(Addr::new(0x2000));
         assert_eq!(
             t.on_commit(&st, false),
             PiStep::Signal(SignalPoint::StoreCommit)
@@ -375,16 +374,16 @@ mod tests {
         t.on_commit(&dyn_instr(Instruction::add(r(1), r(5), r(6)), 0), true);
         // Poisoned store: marks the block, no signal.
         let mut st = dyn_instr(Instruction::st(r(10), r(1), 0), 1);
-        st.mem_written = Some(Addr::new(0x2000));
+        st.side_effect = SideEffect::MemWritten(Addr::new(0x2000));
         assert_eq!(t.on_commit(&st, false), PiStep::Quiet);
         assert!(t.poison_pending());
         // A load of that block poisons its destination.
         let mut ld = dyn_instr(Instruction::ld(r(7), r(10), 0), 2);
-        ld.mem_read = Some(Addr::new(0x2000));
+        ld.side_effect = SideEffect::MemRead(Addr::new(0x2000));
         assert_eq!(t.on_commit(&ld, false), PiStep::Quiet);
         // Output of the poisoned register finally signals at I/O.
         let mut out = dyn_instr(Instruction::out(r(7)), 3);
-        out.emitted = Some(0);
+        out.side_effect = SideEffect::Emitted(0);
         assert_eq!(t.on_commit(&out, false), PiStep::Signal(SignalPoint::IoCommit));
     }
 
@@ -393,11 +392,11 @@ mod tests {
         let mut t = PiTracker::new(PiScope::Memory, 8);
         t.on_commit(&dyn_instr(Instruction::add(r(1), r(5), r(6)), 0), true);
         let mut st = dyn_instr(Instruction::st(r(10), r(1), 0), 1);
-        st.mem_written = Some(Addr::new(0x2000));
+        st.side_effect = SideEffect::MemWritten(Addr::new(0x2000));
         t.on_commit(&st, false);
         // Clean store to the same block: dead store, poison dies.
         let mut st2 = dyn_instr(Instruction::st(r(10), r(9), 0), 2);
-        st2.mem_written = Some(Addr::new(0x2000));
+        st2.side_effect = SideEffect::MemWritten(Addr::new(0x2000));
         t.on_commit(&st2, false);
         // r1 still poisoned though -- scrub it too.
         t.on_commit(&dyn_instr(Instruction::movi(r(1), 0), 3), false);
@@ -428,7 +427,7 @@ mod tests {
         let store = |idx: u64, addr: u64, tr: &mut PiTracker| {
             // Keep r1 poisoned by re-poisoning via self reads: store r1.
             let mut st = dyn_instr(Instruction::st(r(10), r(1), 0), idx);
-            st.mem_written = Some(Addr::new(addr));
+            st.side_effect = SideEffect::MemWritten(Addr::new(addr));
             tr.on_commit(&st, false)
         };
         assert_eq!(store(1, 0x1000, &mut t), PiStep::Quiet);
@@ -447,16 +446,16 @@ mod tests {
         // Poison two blocks.
         for (i, a) in [(1u64, 0x1000u64), (2, 0x2000)] {
             let mut st = dyn_instr(Instruction::st(r(10), r(1), 0), i);
-            st.mem_written = Some(Addr::new(a));
+            st.side_effect = SideEffect::MemWritten(Addr::new(a));
             assert_eq!(t.on_commit(&st, false), PiStep::Quiet);
         }
         // A clean store overwrites block 0x1000: the poison dies there.
         let mut clean = dyn_instr(Instruction::st(r(10), r(9), 0), 3);
-        clean.mem_written = Some(Addr::new(0x1000));
+        clean.side_effect = SideEffect::MemWritten(Addr::new(0x1000));
         assert_eq!(t.on_commit(&clean, false), PiStep::Quiet);
         // Now a third poisoned block fits without a writeback signal.
         let mut st = dyn_instr(Instruction::st(r(10), r(1), 0), 4);
-        st.mem_written = Some(Addr::new(0x3000));
+        st.side_effect = SideEffect::MemWritten(Addr::new(0x3000));
         assert_eq!(t.on_commit(&st, false), PiStep::Quiet);
     }
 
@@ -465,13 +464,13 @@ mod tests {
         let mut t = PiTracker::new(PiScope::CacheOnly { capacity: 8 }, 8);
         t.on_commit(&dyn_instr(Instruction::add(r(1), r(5), r(6)), 0), true);
         let mut st = dyn_instr(Instruction::st(r(10), r(1), 0), 1);
-        st.mem_written = Some(Addr::new(0x2000));
+        st.side_effect = SideEffect::MemWritten(Addr::new(0x2000));
         t.on_commit(&st, false);
         let mut ld = dyn_instr(Instruction::ld(r(7), r(10), 0), 2);
-        ld.mem_read = Some(Addr::new(0x2000));
+        ld.side_effect = SideEffect::MemRead(Addr::new(0x2000));
         assert_eq!(t.on_commit(&ld, false), PiStep::Quiet);
         let mut out = dyn_instr(Instruction::out(r(7)), 3);
-        out.emitted = Some(0);
+        out.side_effect = SideEffect::Emitted(0);
         assert_eq!(
             t.on_commit(&out, false),
             PiStep::Signal(SignalPoint::IoCommit)

@@ -152,7 +152,7 @@ pub fn lifetime_cells(spans: &[LifetimeSpan]) -> Vec<LifetimeCell> {
     for s in spans {
         if let Some((start, end)) = s.live_range() {
             cells.push(LifetimeCell {
-                slot: s.slot,
+                slot: s.slot(),
                 start,
                 end,
                 phase: Phase::Live,
@@ -160,7 +160,7 @@ pub fn lifetime_cells(spans: &[LifetimeSpan]) -> Vec<LifetimeCell> {
         }
         if let Some((start, end)) = s.tail_range() {
             cells.push(LifetimeCell {
-                slot: s.slot,
+                slot: s.slot(),
                 start,
                 end,
                 phase: Phase::Tail,

@@ -548,7 +548,7 @@ mod tests {
         let p = synthesize(&spec);
         let trace = Emulator::new(&p).run(100_000).unwrap();
         for e in trace.entries() {
-            if let Some(a) = e.mem_read {
+            if let Some(a) = e.mem_read() {
                 let a = a.as_u64();
                 if (A_BASE as u64..A_BASE as u64 + 0x10_0000).contains(&a) {
                     assert!(
@@ -570,7 +570,7 @@ mod tests {
             trace
                 .entries()
                 .iter()
-                .filter_map(|e| e.mem_read)
+                .filter_map(|e| e.mem_read())
                 .all(|a| !(c_lo..c_hi).contains(&a.as_u64())),
             "no load may touch the dead-store region"
         );
@@ -578,7 +578,7 @@ mod tests {
             trace
                 .entries()
                 .iter()
-                .filter_map(|e| e.mem_written)
+                .filter_map(|e| e.mem_written())
                 .any(|a| (c_lo..c_hi).contains(&a.as_u64())),
             "dead stores must exist"
         );

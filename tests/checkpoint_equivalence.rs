@@ -265,7 +265,7 @@ fn check_checkpointed_replays(program: &Program, budget: u64, interval: u64) {
     let planted_addr = golden
         .entries()
         .iter()
-        .find_map(|d| d.mem_written)
+        .find_map(|d| d.mem_written())
         .expect("the program stores to memory");
     let mut planted = ckpts.clone();
     let (mut differ, mut crashed, mut timed_out) = (0, 0, 0);

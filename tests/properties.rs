@@ -299,7 +299,7 @@ mod recovery {
 
 // --- pi-bit tracker state invariants -------------------------------------
 
-use ses_arch::DynInstr;
+use ses_arch::{DynInstr, SideEffect};
 use ses_isa::Instruction;
 use ses_pipeline::{PiScope, PiTracker};
 use ses_types::{Addr, Reg};
@@ -317,12 +317,10 @@ fn reg_op((kind, d, s1, s2): (u8, u8, u8, u8), idx: u64) -> DynInstr {
         executed: true,
         reg_written: instr.reg_write().filter(|r| !r.is_zero()),
         pred_written: instr.pred_write(),
-        mem_read: None,
-        mem_written: None,
+        side_effect: SideEffect::None,
         taken: None,
         next_pc: Addr::new(0x1_0000 + (idx + 1) * 8),
         call_depth: 0,
-        emitted: None,
     }
 }
 
