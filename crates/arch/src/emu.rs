@@ -172,6 +172,25 @@ impl<'p> Emulator<'p> {
         self.run_checkpointed(max_instrs, 0).map(|(trace, _)| trace)
     }
 
+    /// [`run`](Self::run) recording into `entries`, whose contents are
+    /// discarded and whose allocation is kept: a sweep hands each run the
+    /// buffer of the previous one ([`ExecutionTrace::into_entries`]).
+    /// Unlike [`run`](Self::run), the trace keeps the buffer's spare
+    /// capacity.
+    ///
+    /// # Errors
+    ///
+    /// As [`run`](Self::run).
+    pub fn run_into(
+        mut self,
+        max_instrs: u64,
+        mut entries: Vec<DynInstr>,
+    ) -> Result<ExecutionTrace, SesError> {
+        entries.clear();
+        let halted = self.record(max_instrs, 0, &mut entries, &mut Vec::new())?;
+        Ok(ExecutionTrace::new(entries, self.output, halted))
+    }
+
     /// Like [`run`](Self::run), also capturing a [`Checkpoint`] before
     /// every dynamic index divisible by `interval`, index 0 included
     /// (`interval == 0` captures none). The trace is identical to
@@ -187,7 +206,27 @@ impl<'p> Emulator<'p> {
     ) -> Result<(ExecutionTrace, Vec<Checkpoint>), SesError> {
         let mut entries = Vec::new();
         let mut checkpoints = Vec::new();
-        let mut halted = false;
+        let halted = self.record(max_instrs, interval, &mut entries, &mut checkpoints)?;
+        // A golden trace lives as long as its golden run: keep no growth
+        // slack.
+        entries.shrink_to_fit();
+        Ok((
+            ExecutionTrace::new(entries, self.output, halted),
+            checkpoints,
+        ))
+    }
+
+    /// The recording loop of [`run_checkpointed`](Self::run_checkpointed)
+    /// and [`run_into`](Self::run_into): appends the trace to `entries` and
+    /// the checkpoints to `checkpoints` until `halt` or `max_instrs`
+    /// records, returning whether the program halted.
+    fn record(
+        &mut self,
+        max_instrs: u64,
+        interval: u64,
+        entries: &mut Vec<DynInstr>,
+        checkpoints: &mut Vec<Checkpoint>,
+    ) -> Result<bool, SesError> {
         while (entries.len() as u64) < max_instrs {
             if interval > 0 && self.index.is_multiple_of(interval) {
                 checkpoints.push(Checkpoint {
@@ -202,17 +241,10 @@ impl<'p> Emulator<'p> {
             let effect = self.exec_one(instr, pc);
             entries.push(effect.record);
             if effect.halt {
-                halted = true;
-                break;
+                return Ok(true);
             }
         }
-        // A golden trace lives as long as its golden run: keep no growth
-        // slack.
-        entries.shrink_to_fit();
-        Ok((
-            ExecutionTrace::new(entries, self.output, halted),
-            checkpoints,
-        ))
+        Ok(false)
     }
 
     /// Runs the program with the corrupted instruction word `word`
@@ -559,6 +591,30 @@ mod tests {
         assert_eq!(s.cond_branches, 5);
         assert_eq!(s.taken_branches, 4);
         assert_eq!(s.outputs, 1);
+    }
+
+    /// A recycled buffer yields the trace a fresh run records, stale
+    /// records and all discarded, and keeps its allocation; a run cut by
+    /// the budget reports it the same way.
+    #[test]
+    fn run_into_a_recycled_buffer_matches_a_fresh_run() {
+        let p = Program::new(vec![
+            Instruction::movi(r(1), 7),
+            Instruction::out(r(1)),
+            Instruction::halt(),
+        ]);
+        let stale = Emulator::new(&p).run(100).unwrap().into_entries();
+        let mut buffer = [&stale[..]; 4].concat();
+        buffer.reserve(64);
+        let at = buffer.as_ptr();
+        let recycled = Emulator::new(&p).run_into(100, buffer).unwrap();
+        assert_eq!(recycled, Emulator::new(&p).run(100).unwrap());
+        assert_eq!(recycled.entries().as_ptr(), at);
+        let cut = Emulator::new(&p)
+            .run_into(2, recycled.into_entries())
+            .unwrap();
+        assert_eq!(cut, Emulator::new(&p).run(2).unwrap());
+        assert!(!cut.halted());
     }
 
     #[test]

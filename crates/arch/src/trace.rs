@@ -252,6 +252,12 @@ impl ExecutionTrace {
         &self.entries
     }
 
+    /// Takes the trace apart, returning its record buffer for
+    /// [`Emulator::run_into`](crate::Emulator::run_into) to reuse.
+    pub fn into_entries(self) -> Vec<DynInstr> {
+        self.entries
+    }
+
     /// Number of dynamic instructions.
     pub fn len(&self) -> usize {
         self.entries.len()

@@ -15,7 +15,8 @@
 //!   bit-kind mask of the positions that stay ACE;
 //! * [`Segment`] — a half-open cycle range tagged with its class and ACE
 //!   mask;
-//! * [`ResidencySpans`] — the (at most two) segments of one residency:
+//! * [`ResidencySpans`] — one residency's lifetime and the ACE class of
+//!   its exposed phase, read as (at most two) segments:
 //!   `[alloc → last-issue-read)` exposed, `[last-read → retire/squash)`
 //!   unread (a never-read residency is one unread segment);
 //! * [`SpanSet`] — all residency spans of one timing run.
@@ -168,8 +169,8 @@ pub fn lifetime_spans(result: &PipelineResult) -> Vec<LifetimeSpan> {
 }
 
 /// A per-slot, binary-searchable index over a run's lifetime spans,
-/// answering "which residency (if any) holds `slot` at `cycle`" in
-/// O(log residencies-per-slot).
+/// answering "is `slot` occupied at `cycle`" in O(log
+/// residencies-per-slot).
 ///
 /// The timing model inserts before it injects and retires before it
 /// injects within a cycle, so slot occupancy at the strike point is
@@ -177,34 +178,41 @@ pub fn lifetime_spans(result: &PipelineResult) -> Vec<LifetimeSpan> {
 /// an empty slot and is [`SlotIdle`] by construction, with no simulation
 /// needed (the campaign executor's idle shortcut).
 ///
+/// It keeps only each slot's occupancy intervals, not the spans
+/// themselves, which the golden run already holds.
+///
 /// [`SlotIdle`]: ses_pipeline::FaultOutcome::SlotIdle
 #[derive(Debug, Clone)]
 pub struct StrikeIndex {
-    per_slot: Vec<Vec<LifetimeSpan>>,
+    /// Per slot, the `(alloc, dealloc)` occupancy intervals sorted by
+    /// `alloc`.
+    per_slot: Vec<Vec<(u64, u64)>>,
 }
 
 impl StrikeIndex {
     /// Builds the index from a run's lifetime spans over `slots` queue
     /// slots.
     pub fn build(spans: &[LifetimeSpan], slots: usize) -> StrikeIndex {
-        let mut per_slot: Vec<Vec<LifetimeSpan>> = vec![Vec::new(); slots];
-        for &s in spans {
+        let mut per_slot: Vec<Vec<(u64, u64)>> = vec![Vec::new(); slots];
+        for s in spans {
             if let Some(v) = per_slot.get_mut(s.slot()) {
-                v.push(s);
+                v.push(s.occupancy());
             }
         }
         for v in &mut per_slot {
-            v.sort_unstable_by_key(|s| s.alloc);
+            v.sort_unstable();
+            v.shrink_to_fit();
         }
         StrikeIndex { per_slot }
     }
 
-    /// The residency holding `slot` at `cycle`, if any.
-    pub fn span_at(&self, slot: usize, cycle: u64) -> Option<&LifetimeSpan> {
-        let spans = self.per_slot.get(slot)?;
-        let idx = spans.partition_point(|s| s.alloc <= cycle);
-        let cand = spans.get(idx.checked_sub(1)?)?;
-        (cycle < cand.dealloc).then_some(cand)
+    /// Whether a residency holds `slot` at `cycle`.
+    pub fn occupied(&self, slot: usize, cycle: u64) -> bool {
+        let Some(intervals) = self.per_slot.get(slot) else {
+            return false;
+        };
+        let after = intervals.partition_point(|&(alloc, _)| alloc <= cycle);
+        after.checked_sub(1).is_some_and(|i| cycle < intervals[i].1)
     }
 }
 
@@ -293,17 +301,16 @@ impl Segment {
 }
 
 /// The segments of one residency: the exposed window and the unread
-/// tail, either of which may be absent.
+/// tail, either of which may be absent. Both are drawn from the lifetime
+/// geometry, so a residency stores only that and the exposed window's
+/// class (40 bytes: a run's span set is as long as its residency log).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResidencySpans {
     /// The lifetime geometry the segments tile.
     pub lifetime: LifetimeSpan,
-    /// The exposed segment `[alloc, last_read)`, if the entry was ever
-    /// read.
-    pub exposed: Option<Segment>,
-    /// The unread segment `[boundary, dealloc)` (Ex-ACE tail, or the
-    /// whole occupancy for a never-read entry), if non-empty.
-    pub tail: Option<Segment>,
+    /// The ACE class of the exposed segment (unused when the entry was
+    /// never read and so has none).
+    pub class: SpanClass,
 }
 
 impl ResidencySpans {
@@ -311,27 +318,35 @@ impl ResidencySpans {
     /// lifetime geometry, the exposed segment's ACE class from the
     /// occupant, how the residency ended, predication, and the dead map.
     pub fn derive(res: &Residency, dead: &DeadMap) -> ResidencySpans {
-        let lifetime = LifetimeSpan::of(res);
-        let exposed = lifetime.live_range().map(|(s, e)| Segment {
-            start: s,
-            end: e,
-            class: exposed_class(res, dead),
-        });
-        let tail = lifetime.tail_range().map(|(s, e)| Segment {
-            start: s,
-            end: e,
-            class: SpanClass::Unread,
-        });
         ResidencySpans {
-            lifetime,
-            exposed,
-            tail,
+            lifetime: LifetimeSpan::of(res),
+            class: exposed_class(res, dead),
         }
     }
 
+    /// The exposed segment `[alloc, last_read)`, if the entry was ever
+    /// read.
+    pub fn exposed(&self) -> Option<Segment> {
+        self.lifetime.live_range().map(|(start, end)| Segment {
+            start,
+            end,
+            class: self.class,
+        })
+    }
+
+    /// The unread segment `[boundary, dealloc)` (Ex-ACE tail, or the
+    /// whole occupancy for a never-read entry), if non-empty.
+    pub fn tail(&self) -> Option<Segment> {
+        self.lifetime.tail_range().map(|(start, end)| Segment {
+            start,
+            end,
+            class: SpanClass::Unread,
+        })
+    }
+
     /// The segments present, in cycle order.
-    pub fn segments(&self) -> impl Iterator<Item = &Segment> {
-        self.exposed.iter().chain(self.tail.iter())
+    pub fn segments(&self) -> impl Iterator<Item = Segment> {
+        self.exposed().into_iter().chain(self.tail())
     }
 
     /// The bit-cycle contributions of this residency, by span arithmetic:
@@ -405,15 +420,17 @@ impl ResidencySpans {
                 l.valid_cycles()
             ));
         }
-        if let Some(seg) = &self.exposed {
-            if seg.class == SpanClass::Unread {
-                return Err("exposed segment tagged Unread".into());
-            }
+        if self
+            .exposed()
+            .is_some_and(|seg| seg.class == SpanClass::Unread)
+        {
+            return Err("exposed segment tagged Unread".into());
         }
-        if let Some(seg) = &self.tail {
-            if seg.class != SpanClass::Unread {
-                return Err("tail segment not tagged Unread".into());
-            }
+        if self
+            .tail()
+            .is_some_and(|seg| seg.class != SpanClass::Unread)
+        {
+            return Err("tail segment not tagged Unread".into());
         }
         Ok(())
     }
@@ -458,15 +475,37 @@ impl SpanSet {
     /// Derives the span set of a timing run against the dead map of its
     /// trace. O(residencies); no loop iterates cycles.
     pub fn derive(result: &PipelineResult, dead: &DeadMap) -> SpanSet {
+        SpanSet::derive_into(result, dead, Vec::new())
+    }
+
+    /// [`SpanSet::derive`] into `spans`, whose contents are discarded and
+    /// whose allocation is kept: a sweep hands each run the buffer of the
+    /// previous one ([`SpanSet::into_vec`]). A buffer too small grows to
+    /// exactly the residency count.
+    pub fn derive_into(
+        result: &PipelineResult,
+        dead: &DeadMap,
+        mut spans: Vec<ResidencySpans>,
+    ) -> SpanSet {
+        spans.clear();
+        spans.reserve_exact(result.residencies.len());
+        spans.extend(
+            result
+                .residencies
+                .iter()
+                .map(|r| ResidencySpans::derive(r, dead)),
+        );
         SpanSet {
             cycles: result.cycles,
             iq_capacity: result.iq_capacity as u64,
-            spans: result
-                .residencies
-                .iter()
-                .map(|r| ResidencySpans::derive(r, dead))
-                .collect(),
+            spans,
         }
+    }
+
+    /// Takes the set apart, returning its span buffer for
+    /// [`SpanSet::derive_into`] to reuse.
+    pub fn into_vec(self) -> Vec<ResidencySpans> {
+        self.spans
     }
 
     /// The per-residency spans, in residency-log order.
@@ -561,6 +600,28 @@ mod tests {
     #[test]
     fn span_is_at_most_32_bytes() {
         assert!(std::mem::size_of::<LifetimeSpan>() <= 32);
+        assert!(std::mem::size_of::<ResidencySpans>() <= 40);
+    }
+
+    #[test]
+    fn strike_index_occupancy_is_half_open() {
+        let spans = [
+            LifetimeSpan::of(&residency(10, Some(25), 30)),
+            LifetimeSpan::of(&residency(40, None, 41)),
+        ];
+        let index = StrikeIndex::build(&spans, 4);
+        for (cycle, want) in [
+            (9, false),
+            (10, true),
+            (29, true),
+            (30, false),
+            (40, true),
+            (41, false),
+        ] {
+            assert_eq!(index.occupied(3, cycle), want, "cycle {cycle}");
+        }
+        assert!(!index.occupied(2, 20), "another slot is empty");
+        assert!(!index.occupied(4, 20), "a slot past the queue is empty");
     }
 
     #[test]
@@ -612,6 +673,16 @@ mod tests {
         let rs = ResidencySpans::derive(&residency(10, Some(25), 30), &dead);
         rs.check().unwrap();
         assert_eq!(rs.segments().count(), 2);
+        assert_eq!(rs.exposed().map(|s| (s.start, s.end)), Some((10, 25)));
+        assert_eq!(
+            rs.tail().map(|s| (s.start, s.end, s.class)),
+            Some((25, 30, SpanClass::Unread))
+        );
+        let unread = ResidencySpans {
+            class: SpanClass::Unread,
+            ..rs
+        };
+        assert!(unread.check().is_err(), "an exposed segment tagged Unread");
         let b = rs.bits();
         assert_eq!(b.valid_total(), 20 * 64);
         assert_eq!(b.unread, 5 * 64);

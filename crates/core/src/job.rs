@@ -850,7 +850,7 @@ impl SuiteJob {
         // parallel sweep instead of re-running everything afterwards.
         let (rows, details): (Vec<_>, Vec<_>) = if self.level == TelemetryLevel::Full {
             run_suite_with(&machine, self.threads, |_, run| {
-                (run.summary(), artifact::workload_detail(&run))
+                (run.summary(), artifact::workload_detail(run))
             })
             .map_err(|e| JobError::internal(e.to_string()))?
             .into_iter()

@@ -41,7 +41,9 @@ mod suite_runner;
 pub mod telemetry;
 
 pub use compare::{compare_suites, Comparison};
-pub use run::{run_workload, BenchSummary, TechniqueCoverage, WorkloadRun};
+pub use run::{
+    run_workload, run_workload_in, BenchSummary, RunBuffers, TechniqueCoverage, WorkloadRun,
+};
 pub use suite_runner::{run_suite, run_suite_with};
 
 // Re-export the vocabulary a downstream user needs, so `ses-core` is a

@@ -1,9 +1,9 @@
 //! Single-workload runs and their summaries.
 
-use ses_arch::{Emulator, ExecutionTrace};
-use ses_avf::{AvfAnalysis, DeadMap, SpanSet, StateFractions, Technique};
+use ses_arch::{DynInstr, Emulator, ExecutionTrace};
+use ses_avf::{AvfAnalysis, DeadMap, ResidencySpans, SpanSet, StateFractions, Technique};
 use ses_isa::Program;
-use ses_pipeline::{Pipeline, PipelineConfig, PipelineResult};
+use ses_pipeline::{Pipeline, PipelineConfig, PipelineResult, Residency};
 use ses_types::{Avf, Ipc, SesError};
 use ses_workloads::{synthesize, Category, WorkloadSpec};
 
@@ -29,7 +29,7 @@ pub struct TechniqueCoverage {
 }
 
 /// Compact per-benchmark result row (what the paper's figures plot).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BenchSummary {
     /// Workload name.
     pub name: String,
@@ -88,9 +88,9 @@ pub struct WorkloadRun {
     pub dead: DeadMap,
     /// The timing result (includes the residency log).
     pub result: PipelineResult,
-    /// The canonical interval representation of the residency log — the
-    /// one span derivation `avf` was aggregated from, kept so downstream
-    /// consumers (samplers, oracles) never re-derive lifetimes.
+    /// The canonical interval representation of the residency log: the
+    /// one span derivation `avf` was aggregated from, kept for callers
+    /// that want per-residency segments without deriving them again.
     pub spans: SpanSet,
     /// The ACE/AVF analysis (aggregated from `spans` by span
     /// arithmetic).
@@ -98,6 +98,16 @@ pub struct WorkloadRun {
 }
 
 impl WorkloadRun {
+    /// Takes the run apart, returning its trace, residency-log and span
+    /// buffers for the next [`run_workload_in`].
+    pub fn into_buffers(self) -> RunBuffers {
+        RunBuffers {
+            trace: self.trace.into_entries(),
+            residencies: self.result.residencies,
+            spans: self.spans.into_vec(),
+        }
+    }
+
     /// Builds the compact summary row.
     pub fn summary(&self) -> BenchSummary {
         let coverage = TechniqueCoverage {
@@ -131,6 +141,18 @@ impl WorkloadRun {
     }
 }
 
+/// The three largest buffers of a [`WorkloadRun`], one record per dynamic
+/// instruction or per residency: a sweep worker hands them from one run to
+/// the next ([`WorkloadRun::into_buffers`]) instead of freeing them and
+/// faulting fresh pages in for every workload. Their contents never carry
+/// over; only their allocations do.
+#[derive(Debug, Default)]
+pub struct RunBuffers {
+    trace: Vec<DynInstr>,
+    residencies: Vec<Residency>,
+    spans: Vec<ResidencySpans>,
+}
+
 /// Synthesises, functionally executes, times, and analyses one workload.
 ///
 /// # Errors
@@ -141,9 +163,24 @@ pub fn run_workload(
     spec: &WorkloadSpec,
     pipeline: &PipelineConfig,
 ) -> Result<WorkloadRun, SesError> {
+    run_workload_in(spec, pipeline, RunBuffers::default())
+}
+
+/// [`run_workload`] recording its trace, residency log and span set into
+/// recycled `buffers`. The run is the one [`run_workload`] returns,
+/// whatever the buffers held.
+///
+/// # Errors
+///
+/// As [`run_workload`].
+pub fn run_workload_in(
+    spec: &WorkloadSpec,
+    pipeline: &PipelineConfig,
+    buffers: RunBuffers,
+) -> Result<WorkloadRun, SesError> {
     let program = synthesize(spec);
     let budget = spec.target_dynamic * 4;
-    let trace = Emulator::new(&program).run(budget)?;
+    let trace = Emulator::new(&program).run_into(budget, buffers.trace)?;
     if !trace.halted() {
         return Err(SesError::BudgetExceeded {
             resource: "instructions",
@@ -151,8 +188,8 @@ pub fn run_workload(
         });
     }
     let dead = DeadMap::analyze(&trace);
-    let result = Pipeline::new(pipeline.clone()).run(&program, &trace);
-    let spans = SpanSet::derive(&result, &dead);
+    let result = Pipeline::new(pipeline.clone()).run_into(&program, &trace, buffers.residencies);
+    let spans = SpanSet::derive_into(&result, &dead, buffers.spans);
     let avf = AvfAnalysis::from_spans(&spans);
     Ok(WorkloadRun {
         spec: spec.clone(),
@@ -186,6 +223,44 @@ mod tests {
         // (nothing).
         let resid = s.residual_false_due(s.coverage.pi_memory, run.avf.total_bit_cycles());
         assert!(resid.fraction() <= s.false_due_avf.fraction());
+    }
+
+    /// A run on buffers recycled from a larger one equals a fresh run in
+    /// every buffer and every derived figure (a missed `clear` would leave
+    /// the larger run's records behind), and reuses the allocations.
+    #[test]
+    fn recycled_buffers_give_the_fresh_run() {
+        let cfg = PipelineConfig::default();
+        let big = WorkloadSpec {
+            target_dynamic: 40_000,
+            ..WorkloadSpec::quick("reuse-big", 5)
+        };
+        let small = WorkloadSpec::quick("reuse-small", 6);
+        let buffers = run_workload(&big, &cfg).unwrap().into_buffers();
+        let at = (
+            buffers.trace.as_ptr(),
+            buffers.residencies.as_ptr(),
+            buffers.spans.as_ptr(),
+        );
+        let fresh = run_workload(&small, &cfg).unwrap();
+        assert!(fresh.trace.len() < buffers.trace.len());
+        assert!(fresh.result.residencies.len() < buffers.residencies.len());
+        let reused = run_workload_in(&small, &cfg, buffers).unwrap();
+        assert_eq!(reused.trace, fresh.trace);
+        assert_eq!(reused.result, fresh.result);
+        assert_eq!(reused.spans.residencies(), fresh.spans.residencies());
+        assert_eq!(reused.spans.cycles(), fresh.spans.cycles());
+        assert_eq!(reused.avf.decomposition(), fresh.avf.decomposition());
+        assert_eq!(reused.summary(), fresh.summary());
+        assert_eq!(
+            (
+                reused.trace.entries().as_ptr(),
+                reused.result.residencies.as_ptr(),
+                reused.spans.residencies().as_ptr(),
+            ),
+            at,
+            "recycled buffers keep their allocations"
+        );
     }
 
     #[test]

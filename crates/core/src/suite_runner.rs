@@ -1,10 +1,10 @@
 //! Whole-suite sweeps.
 
 use ses_pipeline::PipelineConfig;
-use ses_types::{parallel_map, SesError};
+use ses_types::{parallel_map_with, SesError};
 use ses_workloads::suite;
 
-use crate::run::{run_workload, BenchSummary, WorkloadRun};
+use crate::run::{run_workload_in, BenchSummary, RunBuffers, WorkloadRun};
 
 /// Runs the full 26-benchmark suite under one machine configuration,
 /// in parallel, returning compact summaries in suite order.
@@ -23,7 +23,9 @@ pub fn run_suite(pipeline: &PipelineConfig) -> Result<Vec<BenchSummary>, SesErro
 /// each finished [`WorkloadRun`] (plus its suite index) to whatever the
 /// caller wants to keep — a summary row, a telemetry record, or both —
 /// and results come back in suite order regardless of which worker
-/// finished first, so any thread count yields identical output.
+/// finished first, so any thread count yields identical output. Each
+/// worker then hands the run's big buffers to its next workload
+/// ([`RunBuffers`]), so the projection sees the run only by reference.
 ///
 /// # Errors
 ///
@@ -32,11 +34,14 @@ pub fn run_suite(pipeline: &PipelineConfig) -> Result<Vec<BenchSummary>, SesErro
 pub fn run_suite_with<T: Send>(
     pipeline: &PipelineConfig,
     threads: usize,
-    project: impl Fn(usize, WorkloadRun) -> T + Sync,
+    project: impl Fn(usize, &WorkloadRun) -> T + Sync,
 ) -> Result<Vec<T>, SesError> {
     let specs = suite();
-    parallel_map(specs.len(), threads, |i| {
-        run_workload(&specs[i], pipeline).map(|run| project(i, run))
+    parallel_map_with(specs.len(), threads, |buffers: &mut RunBuffers, i| {
+        let run = run_workload_in(&specs[i], pipeline, std::mem::take(buffers))?;
+        let row = project(i, &run);
+        *buffers = run.into_buffers();
+        Ok(row)
     })
     .into_iter()
     .collect()
@@ -45,6 +50,7 @@ pub fn run_suite_with<T: Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run::run_workload;
 
     // Suite-wide runs are exercised by the paper harness and integration
     // tests; here we only check the plumbing of their building block on

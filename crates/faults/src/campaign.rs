@@ -321,7 +321,7 @@ impl GoldenRun {
     fn idle_strike(&self, fault: &FaultSpec) -> bool {
         self.strike_index
             .as_ref()
-            .is_some_and(|index| index.span_at(fault.slot, fault.cycle.as_u64()).is_none())
+            .is_some_and(|index| !index.occupied(fault.slot, fault.cycle.as_u64()))
     }
 
     /// Re-runs the functional emulator with the corrupted word substituted

@@ -31,5 +31,5 @@ mod rates;
 
 pub use error::{ConfigError, SesError};
 pub use ids::{Addr, Cycle, Pred, Reg, SeqNo};
-pub use par::{parallel_map, worker_count};
+pub use par::{parallel_map, parallel_map_with, worker_count};
 pub use rates::{Avf, Fit, Ipc, Mitf, Mtbf, Mttf, FIT_HOURS, HOURS_PER_YEAR};
