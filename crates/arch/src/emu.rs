@@ -297,7 +297,10 @@ impl<'p> Emulator<'p> {
         word: u64,
         max_instrs: u64,
     ) -> ResumedReplay {
-        assert!(golden.halted(), "a replay can only rejoin a halted golden run");
+        assert!(
+            golden.halted(),
+            "a replay can only rejoin a halted golden run"
+        );
         let at = checkpoints
             .partition_point(|c| c.index() <= trace_idx)
             .checked_sub(1)
@@ -508,8 +511,7 @@ impl<'p> Emulator<'p> {
                     }
                 }
                 Ld => {
-                    let addr =
-                        Addr::new(s1.wrapping_add(instr.imm as i64 as u64)).block_base(8);
+                    let addr = Addr::new(s1.wrapping_add(instr.imm as i64 as u64)).block_base(8);
                     let v = self.mem.load(addr);
                     self.state.set_reg(instr.dest, v);
                     record.side_effect = SideEffect::MemRead(addr);
@@ -518,8 +520,7 @@ impl<'p> Emulator<'p> {
                     }
                 }
                 St => {
-                    let addr =
-                        Addr::new(s1.wrapping_add(instr.imm as i64 as u64)).block_base(8);
+                    let addr = Addr::new(s1.wrapping_add(instr.imm as i64 as u64)).block_base(8);
                     self.mem.store(addr, s2);
                     record.side_effect = SideEffect::MemWritten(addr);
                 }
@@ -755,7 +756,10 @@ mod tests {
         let masked = ses_isa::encode(&Instruction::movi(r(2), 6));
         let resumed = Emulator::resume_with_override(&p, &golden, &ckpts, 0, masked, 100);
         assert_eq!(resumed.converged_at, Some(2));
-        assert_eq!(resumed.outcome, RunOutcome::Completed { output: vec![7, 1] });
+        assert_eq!(
+            resumed.outcome,
+            RunOutcome::Completed { output: vec![7, 1] }
+        );
         // One instruction short of the halt, the golden continuation (and
         // so the converged replay) times out.
         let short = Emulator::resume_with_override(&p, &golden, &ckpts, 0, masked, 5);
@@ -765,7 +769,10 @@ mod tests {
         let live = ses_isa::encode(&Instruction::movi(r(2), 2));
         let resumed = Emulator::resume_with_override(&p, &golden, &ckpts, 1, live, 100);
         assert_eq!(resumed.converged_at, None);
-        assert_eq!(resumed.outcome, RunOutcome::Completed { output: vec![7, 2] });
+        assert_eq!(
+            resumed.outcome,
+            RunOutcome::Completed { output: vec![7, 2] }
+        );
     }
 
     #[test]

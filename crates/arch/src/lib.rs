@@ -49,7 +49,7 @@ mod stepper;
 mod trace;
 
 pub use emu::{Checkpoint, Emulator, MachineSnapshot, ResumedReplay, RunOutcome};
-pub use stepper::Stepper;
 pub use memory::DataMemory;
 pub use state::ArchState;
+pub use stepper::Stepper;
 pub use trace::{DynInstr, ExecutionTrace, SideEffect, TraceStats};

@@ -302,9 +302,7 @@ impl AvfAnalysis {
                 (self.bits.cause(DeadFddReg) as f64 * frac) as u64
             }
             Technique::PiRegister => self.bits.cause(DeadFddReg),
-            Technique::PiStoreCommit => {
-                self.bits.cause(DeadFddReg) + self.bits.cause(DeadTddReg)
-            }
+            Technique::PiStoreCommit => self.bits.cause(DeadFddReg) + self.bits.cause(DeadTddReg),
             Technique::PiMemory => {
                 self.bits.cause(DeadFddReg)
                     + self.bits.cause(DeadTddReg)
@@ -318,8 +316,8 @@ impl AvfAnalysis {
     /// given dead-instruction technique cumulatively (the stacked bars of
     /// Figure 2).
     pub fn residual_false_due(&self, dead_technique: Option<Technique>, dead: &DeadMap) -> Avf {
-        let mut covered = self.covered_by(Technique::PiAtCommit, dead)
-            + self.covered_by(Technique::AntiPi, dead);
+        let mut covered =
+            self.covered_by(Technique::PiAtCommit, dead) + self.covered_by(Technique::AntiPi, dead);
         if let Some(t) = dead_technique {
             covered += self.covered_by(t, dead);
         }
@@ -329,11 +327,7 @@ impl AvfAnalysis {
 
     /// The DUE AVF of a parity-protected queue running the given cumulative
     /// tracking configuration (true DUE + residual false DUE).
-    pub fn due_avf_with_tracking(
-        &self,
-        dead_technique: Option<Technique>,
-        dead: &DeadMap,
-    ) -> Avf {
+    pub fn due_avf_with_tracking(&self, dead_technique: Option<Technique>, dead: &DeadMap) -> Avf {
         self.true_due_avf()
             .saturating_add(self.residual_false_due(dead_technique, dead))
     }

@@ -44,10 +44,10 @@ impl RegFileAvf {
         let mut total_defs = 0u64;
 
         let close = |slot: &mut Option<(u64, Option<u64>, bool)>,
-                         end: u64,
-                         per_reg_ace: &mut Vec<u64>,
-                         per_reg_valid: &mut Vec<u64>,
-                         reg: usize| {
+                     end: u64,
+                     per_reg_ace: &mut Vec<u64>,
+                     per_reg_valid: &mut Vec<u64>,
+                     reg: usize| {
             if let Some((def, last_read, is_dead)) = slot.take() {
                 per_reg_valid[reg] += end - def;
                 if !is_dead {
@@ -177,10 +177,7 @@ mod tests {
 
     #[test]
     fn unread_register_has_zero_avf() {
-        let a = analyze(vec![
-            Instruction::movi(r(2), 9),
-            Instruction::halt(),
-        ]);
+        let a = analyze(vec![Instruction::movi(r(2), 9), Instruction::halt()]);
         assert_eq!(a.reg_avf(r(2)), Avf::ZERO);
         assert!(a.reg_valid_fraction(r(2)) > 0.0, "valid but never ACE");
     }

@@ -224,10 +224,7 @@ impl RegionMap {
             // Trailing boundary: overwriting a live-in closes the region
             // *after* this instruction, so the clobber is never inside any
             // re-executed prefix.
-            let clobbers = e
-                .reg_written
-                .map(|r| live.has_reg(r))
-                .unwrap_or(false)
+            let clobbers = e.reg_written.map(|r| live.has_reg(r)).unwrap_or(false)
                 || e.pred_written.map(|p| live.has_pred(p)).unwrap_or(false);
             if clobbers {
                 regions.push(Region {
@@ -290,9 +287,7 @@ impl RegionMap {
         if idx >= self.trace_len {
             return None;
         }
-        let i = self
-            .regions
-            .partition_point(|r| r.end <= idx);
+        let i = self.regions.partition_point(|r| r.end <= idx);
         debug_assert!(self.regions[i].contains(idx));
         Some(i)
     }
@@ -457,7 +452,11 @@ mod tests {
         let first = map.regions()[0];
         assert_eq!((first.start, first.end), (0, 2));
         assert!(first.trailing_clobber);
-        assert_eq!(first.replay_window(), (0, 1), "the clobber is never replayed");
+        assert_eq!(
+            first.replay_window(),
+            (0, 1),
+            "the clobber is never replayed"
+        );
         assert_eq!(map.regions()[1].cause, BoundaryKind::LiveInOverwrite);
     }
 

@@ -143,8 +143,14 @@ fn timed_campaigns() -> CampaignTiming {
         match &first {
             None => first = Some((sr, cr)),
             Some((fs, fc)) => {
-                assert_eq!(&sr, fs, "scratch outcomes must be deterministic across reps");
-                assert_eq!(&cr, fc, "checkpointed outcomes must be deterministic across reps");
+                assert_eq!(
+                    &sr, fs,
+                    "scratch outcomes must be deterministic across reps"
+                );
+                assert_eq!(
+                    &cr, fc,
+                    "checkpointed outcomes must be deterministic across reps"
+                );
             }
         }
     }
@@ -217,7 +223,10 @@ fn timed_pruned_campaigns() -> PruneTiming {
         match &first {
             None => first = Some((tr, pr)),
             Some((ft, fp)) => {
-                assert_eq!(&tr, ft, "tracked outcomes must be deterministic across reps");
+                assert_eq!(
+                    &tr, ft,
+                    "tracked outcomes must be deterministic across reps"
+                );
                 assert_eq!(&pr, fp, "pruned outcomes must be deterministic across reps");
             }
         }
@@ -259,12 +268,8 @@ fn trials_to_target_ci() -> (AdaptiveCampaignReport, UniformRun, f64, f64) {
     let report = AdaptiveSession::new(&campaign, cfg).run();
     let adaptive_wall = t.elapsed().as_secs_f64();
     let t = Instant::now();
-    let uniform = campaign.run_uniform_to_target(
-        report.estimate.halfwidth,
-        MetricKind::DueAvf,
-        64,
-        200_000,
-    );
+    let uniform =
+        campaign.run_uniform_to_target(report.estimate.halfwidth, MetricKind::DueAvf, 64, 200_000);
     let uniform_wall = t.elapsed().as_secs_f64();
     (report, uniform, adaptive_wall, uniform_wall)
 }
@@ -329,7 +334,9 @@ fn main() {
     );
 
     println!("\n=== Campaign speed: convergence-pruned vs checkpointed injection ===");
-    println!("({INJECTIONS} injections, crafty, combined pi-bit tracking, identical fault sequence)\n");
+    println!(
+        "({INJECTIONS} injections, crafty, combined pi-bit tracking, identical fault sequence)\n"
+    );
     let pruned = timed_pruned_campaigns();
     assert_eq!(
         pruned.tracked_report, pruned.pruned_report,

@@ -61,8 +61,7 @@ pub fn compare_suites(
 ) -> Result<Vec<Comparison>, SesError> {
     let b = run_suite(base)?;
     let v = run_suite(variant)?;
-    Ok(b
-        .into_iter()
+    Ok(b.into_iter()
         .zip(v)
         .map(|(base, variant)| {
             debug_assert_eq!(base.name, variant.name);

@@ -53,22 +53,18 @@ pub use ses_avf::{
     RegionFault, RegionMap, StateFractions, Technique, TimelinePoint,
 };
 pub use ses_faults::{
-    build_strata, build_strata_with, class_instances, ecc_fault, mask_for_class,
-    read_probability, run_ecc_campaign, AdaptiveCampaignConfig, AdaptiveCampaignReport,
-    AdaptiveSession, Campaign, CampaignConfig, CampaignPerf, CampaignReport, DetailedReport,
-    EccCampaignConfig, EccCampaignReport, GoldenRun, LatencyDistribution, MetricKind, Outcome,
-    PatternDistribution, PatternModel, PruneReport, RecoveryDecision, RecoveryPolicy,
-    RecoveryReport, ResidualModel, StratumReport, UniformRun,
-};
-pub use ses_sampler::{
-    AdaptiveCheckpoint, AdaptiveConfig, AdaptiveScheduler, BitClass, FaultCoord,
-    OccupancyProfile, PatternClass, RoundRecord, Strata, StratifiedEstimate, StratumKey,
+    build_strata, build_strata_with, class_instances, ecc_fault, mask_for_class, read_probability,
+    run_ecc_campaign, AdaptiveCampaignConfig, AdaptiveCampaignReport, AdaptiveSession, Campaign,
+    CampaignConfig, CampaignPerf, CampaignReport, DetailedReport, EccCampaignConfig,
+    EccCampaignReport, GoldenRun, LatencyDistribution, MetricKind, Outcome, PatternDistribution,
+    PatternModel, PruneReport, RecoveryDecision, RecoveryPolicy, RecoveryReport, ResidualModel,
+    StratumReport, UniformRun,
 };
 pub use ses_mem::{ClassProfile, EccClass, EccDomain, EccScheme, Level, WordVerdict};
-pub use ses_metrics::{geomean, mean, RateInterval, RatePoint, ReliabilityModel, Table};
-pub use ses_metrics::{fit_to_mttf, raw_fit_per_bit, Environment, TechNode};
-pub use ses_metrics::{JsonParseError, JsonValue, TelemetryLevel, SCHEMA_VERSION};
 pub use ses_metrics::binomial_ci95;
+pub use ses_metrics::{fit_to_mttf, raw_fit_per_bit, Environment, TechNode};
+pub use ses_metrics::{geomean, mean, RateInterval, RatePoint, ReliabilityModel, Table};
+pub use ses_metrics::{JsonParseError, JsonValue, TelemetryLevel, SCHEMA_VERSION};
 pub use ses_oracle::{
     check_program, run_fuzz, splitmix64, Divergence, DivergenceKind, FuzzConfig, FuzzFailure,
     FuzzReport, InjectionCheck, OracleConfig,
@@ -76,6 +72,10 @@ pub use ses_oracle::{
 pub use ses_pipeline::{
     DetectionModel, FaultSpec, IssueOrder, PiScope, Pipeline, PipelineConfig, PipelineResult,
     PredictorKind, Snapshot, SquashPolicy, ThrottlePolicy, TrackingConfig,
+};
+pub use ses_sampler::{
+    AdaptiveCheckpoint, AdaptiveConfig, AdaptiveScheduler, BitClass, FaultCoord, OccupancyProfile,
+    PatternClass, RoundRecord, Strata, StratifiedEstimate, StratumKey,
 };
 pub use ses_types::{Avf, Cycle, Fit, Ipc, Mitf, Mttf, SesError};
 pub use ses_workloads::{spec_by_name, suite, synthesize, Category, TraceMix, WorkloadSpec};

@@ -413,11 +413,7 @@ mod tests {
         // The masked mass is exactly the idle slot-cycles: occupied
         // cycles per the residency log, times 64 bits, is the sampled
         // size.
-        let occupied: u64 = c
-            .lifetime_spans()
-            .iter()
-            .map(|s| s.valid_cycles())
-            .sum();
+        let occupied: u64 = c.lifetime_spans().iter().map(|s| s.valid_cycles()).sum();
         assert_eq!(strata.sampled_size(), occupied * 64);
     }
 

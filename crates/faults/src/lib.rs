@@ -58,8 +58,6 @@ pub use adaptive::{
 pub use campaign::{Campaign, CampaignConfig, DetailedReport, GoldenRun, UniformRun};
 pub use ecc_campaign::{read_probability, run_ecc_campaign, EccCampaignConfig, EccCampaignReport};
 pub use outcome::Outcome;
-pub use pattern::{
-    class_instances, ecc_fault, mask_for_class, PatternDistribution, ResidualModel,
-};
+pub use pattern::{class_instances, ecc_fault, mask_for_class, PatternDistribution, ResidualModel};
 pub use recovery::{LatencyDistribution, RecoveryDecision, RecoveryPolicy, RecoveryReport};
 pub use report::{CampaignPerf, CampaignReport, PruneReport};

@@ -55,7 +55,11 @@ impl Outcome {
     pub fn is_failure(self) -> bool {
         matches!(
             self,
-            Outcome::Sdc | Outcome::FalseDue | Outcome::TrueDue | Outcome::SuppressedSdc | Outcome::Hang
+            Outcome::Sdc
+                | Outcome::FalseDue
+                | Outcome::TrueDue
+                | Outcome::SuppressedSdc
+                | Outcome::Hang
         )
     }
 

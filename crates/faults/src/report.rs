@@ -134,7 +134,10 @@ pub struct CampaignReport {
 
 impl PartialEq for CampaignReport {
     fn eq(&self, other: &Self) -> bool {
-        self.total == other.total && Outcome::ALL.iter().all(|&o| self.count(o) == other.count(o))
+        self.total == other.total
+            && Outcome::ALL
+                .iter()
+                .all(|&o| self.count(o) == other.count(o))
     }
 }
 
@@ -227,7 +230,13 @@ impl fmt::Display for CampaignReport {
         for o in Outcome::ALL {
             let c = self.count(o);
             if c > 0 {
-                writeln!(f, "  {:<18} {:>6}  ({:.1}%)", o.label(), c, self.fraction(o) * 100.0)?;
+                writeln!(
+                    f,
+                    "  {:<18} {:>6}  ({:.1}%)",
+                    o.label(),
+                    c,
+                    self.fraction(o) * 100.0
+                )?;
             }
         }
         if self.perf.inject_wall > Duration::ZERO {

@@ -403,7 +403,7 @@ mod tests {
         .unwrap();
         let trace = {
             // 5+4+3+2+1 = 15
-            
+
             ses_run(&p)
         };
         assert_eq!(trace, vec![15]);
@@ -439,8 +439,7 @@ mod tests {
                             (regs[i.src1.index()] as i64) < (regs[i.src2.index()] as i64)
                     }
                     Opcode::Br => {
-                        target =
-                            ses_types::Addr::new((pc.as_u64() as i64 + i.imm as i64) as u64)
+                        target = ses_types::Addr::new((pc.as_u64() as i64 + i.imm as i64) as u64)
                     }
                     Opcode::Out => out.push(regs[i.src1.index()]),
                     Opcode::Halt => return out,

@@ -166,10 +166,7 @@ mod tests {
     #[test]
     fn ace_rules_match_paper() {
         // Dead instructions: only destination specifiers stay ACE.
-        let ace_dead: Vec<_> = BitKind::ALL
-            .iter()
-            .filter(|k| k.ace_when_dead())
-            .collect();
+        let ace_dead: Vec<_> = BitKind::ALL.iter().filter(|k| k.ace_when_dead()).collect();
         assert_eq!(ace_dead, vec![&BitKind::DestSpec, &BitKind::PredDestSpec]);
 
         // Neutral instructions: only opcode bits stay ACE.

@@ -42,7 +42,15 @@ impl Default for Instruction {
 
 impl Instruction {
     /// A fully specified instruction; prefer the named constructors below.
-    pub fn raw(op: Opcode, qp: Pred, dest: Reg, src1: Reg, src2: Reg, pdest: Pred, imm: i32) -> Self {
+    pub fn raw(
+        op: Opcode,
+        qp: Pred,
+        dest: Reg,
+        src1: Reg,
+        src2: Reg,
+        pdest: Pred,
+        imm: i32,
+    ) -> Self {
         Instruction {
             op,
             qp,
@@ -274,12 +282,20 @@ impl fmt::Display for Instruction {
         write!(f, "({}) ", self.qp)?;
         match self.op {
             Add | Sub | Mul | And | Or | Xor | Shl | Shr => {
-                write!(f, "{} {} = {}, {}", self.op, self.dest, self.src1, self.src2)
+                write!(
+                    f,
+                    "{} {} = {}, {}",
+                    self.op, self.dest, self.src1, self.src2
+                )
             }
             AddI => write!(f, "addi {} = {}, {}", self.dest, self.src1, self.imm),
             MovI => write!(f, "movi {} = {}", self.dest, self.imm),
             CmpEq | CmpLt => {
-                write!(f, "{} {} = {}, {}", self.op, self.pdest, self.src1, self.src2)
+                write!(
+                    f,
+                    "{} {} = {}, {}",
+                    self.op, self.pdest, self.src1, self.src2
+                )
             }
             Ld => write!(f, "ld8 {} = [{} + {}]", self.dest, self.src1, self.imm),
             St => write!(f, "st8 [{} + {}] = {}", self.src1, self.imm, self.src2),
@@ -355,7 +371,10 @@ mod tests {
             Instruction::br(Pred::new(1), -16).to_string(),
             "(p1) br -16"
         );
-        assert_eq!(Instruction::st(r(1), r(2), 8).to_string(), "(p0) st8 [r1 + 8] = r2");
+        assert_eq!(
+            Instruction::st(r(1), r(2), 8).to_string(),
+            "(p0) st8 [r1 + 8] = r2"
+        );
         assert_eq!(Instruction::halt().to_string(), "(p0) halt");
         assert_eq!(Instruction::movi(r(5), -7).to_string(), "(p0) movi r5 = -7");
     }

@@ -167,7 +167,10 @@ impl Opcode {
     /// Whether this opcode reads `src2`.
     pub const fn reads_src2(self) -> bool {
         use Opcode::*;
-        matches!(self, Add | Sub | Mul | And | Or | Xor | Shl | Shr | CmpEq | CmpLt | St)
+        matches!(
+            self,
+            Add | Sub | Mul | And | Or | Xor | Shl | Shr | CmpEq | CmpLt | St
+        )
     }
 
     /// Whether this opcode uses the immediate field.

@@ -175,10 +175,7 @@ impl ProgramBuilder {
     ///
     /// Panics if the label was already bound.
     pub fn bind(&mut self, label: Label) {
-        assert!(
-            self.labels[label.0].is_none(),
-            "label bound more than once"
-        );
+        assert!(self.labels[label.0].is_none(), "label bound more than once");
         self.labels[label.0] = Some(self.items.len());
     }
 

@@ -32,7 +32,9 @@ impl CacheConfig {
         }
         let blocks = self.size_bytes / self.block_bytes;
         if blocks == 0 || !self.size_bytes.is_multiple_of(self.block_bytes) {
-            return Err(ConfigError::new("cache size must be a multiple of block size"));
+            return Err(ConfigError::new(
+                "cache size must be a multiple of block size",
+            ));
         }
         if !blocks.is_multiple_of(self.associativity as u64) {
             return Err(ConfigError::new(
@@ -146,16 +148,13 @@ impl Cache {
 
         self.misses += 1;
         // Choose victim: an invalid way, else the oldest line.
-        let victim_pos = set
-            .iter()
-            .position(|l| l.is_none())
-            .unwrap_or_else(|| {
-                set.iter()
-                    .enumerate()
-                    .max_by_key(|(_, l)| l.map(|l| l.age).unwrap_or(u32::MAX))
-                    .map(|(i, _)| i)
-                    .expect("non-empty set")
-            });
+        let victim_pos = set.iter().position(|l| l.is_none()).unwrap_or_else(|| {
+            set.iter()
+                .enumerate()
+                .max_by_key(|(_, l)| l.map(|l| l.age).unwrap_or(u32::MAX))
+                .map(|(i, _)| i)
+                .expect("non-empty set")
+        });
         let dirty_victim = set[victim_pos].filter(|l| l.dirty).map(|l| {
             let block = (l.tag << set_bits) | set_idx as u64;
             Addr::new(block << block_shift)

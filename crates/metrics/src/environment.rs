@@ -179,7 +179,10 @@ mod tests {
         let sea = ReliabilityModel::for_scenario(TechNode::N16, Environment::Consumer);
         let air = ReliabilityModel::for_scenario(TechNode::N16, Environment::Avionics);
         assert!((air.raw_fit_per_bit / sea.raw_fit_per_bit - 300.0).abs() < 1e-9);
-        assert_eq!(sea.structure_bits, ReliabilityModel::default().structure_bits);
+        assert_eq!(
+            sea.structure_bits,
+            ReliabilityModel::default().structure_bits
+        );
         // One Mbit of 16 nm SRAM at sea level must come back to the
         // headline per-Mbit figure.
         let per_mbit = sea.raw_fit_per_bit * (1u64 << 20) as f64;

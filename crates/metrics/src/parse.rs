@@ -22,7 +22,11 @@ pub struct JsonParseError {
 
 impl std::fmt::Display for JsonParseError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "json parse error at byte {}: {}", self.offset, self.message)
+        write!(
+            f,
+            "json parse error at byte {}: {}",
+            self.offset, self.message
+        )
     }
 }
 
@@ -166,21 +170,22 @@ impl<'a> Parser<'a> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| JsonParseError {
-                                    offset: self.pos,
-                                    message: "truncated \\u escape".into(),
+                            let hex =
+                                self.bytes.get(self.pos + 1..self.pos + 5).ok_or_else(|| {
+                                    JsonParseError {
+                                        offset: self.pos,
+                                        message: "truncated \\u escape".into(),
+                                    }
                                 })?;
                             let hex = std::str::from_utf8(hex).map_err(|_| JsonParseError {
                                 offset: self.pos,
                                 message: "non-ascii \\u escape".into(),
                             })?;
-                            let code = u32::from_str_radix(hex, 16).map_err(|_| JsonParseError {
-                                offset: self.pos,
-                                message: "bad \\u escape".into(),
-                            })?;
+                            let code =
+                                u32::from_str_radix(hex, 16).map_err(|_| JsonParseError {
+                                    offset: self.pos,
+                                    message: "bad \\u escape".into(),
+                                })?;
                             // Surrogates are rejected rather than paired:
                             // the renderer never emits them.
                             let c = char::from_u32(code).ok_or_else(|| JsonParseError {
@@ -274,9 +279,7 @@ impl JsonValue {
     /// one [`JsonValue::render`] would emit first.
     pub fn get(&self, key: &str) -> Option<&JsonValue> {
         match self {
-            JsonValue::Object(fields) => {
-                fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-            }
+            JsonValue::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
     }
@@ -345,7 +348,11 @@ mod tests {
             .set("nothing", JsonValue::Null)
             .set(
                 "rows",
-                vec![JsonValue::U64(1), JsonValue::F64(0.5), JsonValue::Str("x".into())],
+                vec![
+                    JsonValue::U64(1),
+                    JsonValue::F64(0.5),
+                    JsonValue::Str("x".into()),
+                ],
             );
         let text = doc.render();
         let parsed = JsonValue::parse(&text).expect("parse");
@@ -365,9 +372,25 @@ mod tests {
     #[test]
     fn hostile_inputs_error_instead_of_panicking() {
         for bad in [
-            "", "{", "}", "[1,", "{\"a\"}", "{\"a\":}", "\"unterminated",
-            "tru", "nul", "01x", "1 2", "{\"a\":1,}", "[1 2]", "\u{1}",
-            "\"\\q\"", "\"\\u12\"", "\"\\ud800\"", "nan", "1e999",
+            "",
+            "{",
+            "}",
+            "[1,",
+            "{\"a\"}",
+            "{\"a\":}",
+            "\"unterminated",
+            "tru",
+            "nul",
+            "01x",
+            "1 2",
+            "{\"a\":1,}",
+            "[1 2]",
+            "\u{1}",
+            "\"\\q\"",
+            "\"\\u12\"",
+            "\"\\ud800\"",
+            "nan",
+            "1e999",
         ] {
             assert!(JsonValue::parse(bad).is_err(), "{bad:?} must fail");
         }
@@ -386,7 +409,10 @@ mod tests {
         assert_eq!(doc.get("seed").and_then(JsonValue::as_u64), Some(2026));
         assert_eq!(doc.get("hw").and_then(JsonValue::as_f64), Some(0.5));
         assert_eq!(doc.get("on").and_then(JsonValue::as_bool), Some(true));
-        assert_eq!(doc.get("xs").and_then(JsonValue::as_array).map(<[_]>::len), Some(1));
+        assert_eq!(
+            doc.get("xs").and_then(JsonValue::as_array).map(<[_]>::len),
+            Some(1)
+        );
         assert!(doc.get("missing").is_none());
         assert!(JsonValue::U64(1).get("x").is_none());
     }
@@ -394,6 +420,9 @@ mod tests {
     #[test]
     fn whitespace_and_nesting_parse() {
         let v = JsonValue::parse(" { \"a\" : [ { } , [ ] , null ] } ").unwrap();
-        assert_eq!(v.get("a").and_then(JsonValue::as_array).map(<[_]>::len), Some(3));
+        assert_eq!(
+            v.get("a").and_then(JsonValue::as_array).map(<[_]>::len),
+            Some(3)
+        );
     }
 }

@@ -267,14 +267,20 @@ pub fn check_program_mutated(
             return Err(Divergence::new(
                 DivergenceKind::StreamCoverage,
                 Some(i),
-                format!("expected trace index {i}, retired slot carries {}", rec.trace_idx),
+                format!(
+                    "expected trace index {i}, retired slot carries {}",
+                    rec.trace_idx
+                ),
             ));
         }
         if rec.instr != entry.instr {
             return Err(Divergence::new(
                 DivergenceKind::InstrMismatch,
                 Some(i),
-                format!("pipeline retired `{}`, emulator committed `{}`", rec.instr, entry.instr),
+                format!(
+                    "pipeline retired `{}`, emulator committed `{}`",
+                    rec.instr, entry.instr
+                ),
             ));
         }
         if rec.falsely_predicated == entry.executed {
@@ -283,7 +289,11 @@ pub fn check_program_mutated(
                 Some(i),
                 format!(
                     "pipeline saw guard {}, emulator executed = {}",
-                    if rec.falsely_predicated { "false" } else { "true" },
+                    if rec.falsely_predicated {
+                        "false"
+                    } else {
+                        "true"
+                    },
                     entry.executed
                 ),
             ));
@@ -332,10 +342,7 @@ pub fn check_program_mutated(
         return Err(Divergence::new(
             DivergenceKind::StateFractions,
             None,
-            format!(
-                "fractions sum to {}",
-                s.idle + s.unread + s.unace + s.ace
-            ),
+            format!("fractions sum to {}", s.idle + s.unread + s.unace + s.ace),
         ));
     }
 
@@ -426,8 +433,9 @@ fn check_region_replay(
     trace: &ExecutionTrace,
     regions: &RegionMap,
 ) -> Result<(), Divergence> {
-    let diverge =
-        |idx: Option<u64>, detail: String| Divergence::new(DivergenceKind::RecoveryDivergence, idx, detail);
+    let diverge = |idx: Option<u64>, detail: String| {
+        Divergence::new(DivergenceKind::RecoveryDivergence, idx, detail)
+    };
     let entries = trace.entries();
     let mut walker = Stepper::new(program);
     let mut cursor: u64 = 0;
@@ -447,12 +455,8 @@ fn check_region_replay(
             for idx in lo..hi {
                 let got = replay
                     .step()
-                    .map_err(|e| {
-                        diverge(Some(idx), format!("region re-execution faulted: {e}"))
-                    })?
-                    .ok_or_else(|| {
-                        diverge(Some(idx), "region re-execution halted early".into())
-                    })?;
+                    .map_err(|e| diverge(Some(idx), format!("region re-execution faulted: {e}")))?
+                    .ok_or_else(|| diverge(Some(idx), "region re-execution halted early".into()))?;
                 let want = &entries[idx as usize];
                 if !dyn_matches(want, &got) {
                     return Err(diverge(
@@ -578,7 +582,11 @@ mod tests {
         for seed in 0..10u64 {
             let program = ses_workloads::fuzz_program(seed);
             if let Err(d) = check_program(&program, &config) {
-                assert_eq!(d.kind, DivergenceKind::RecoveryDivergence, "seed {seed}: {d}");
+                assert_eq!(
+                    d.kind,
+                    DivergenceKind::RecoveryDivergence,
+                    "seed {seed}: {d}"
+                );
                 caught += 1;
             }
         }

@@ -3,9 +3,7 @@
 use ses_isa::{disassemble, Program};
 use ses_workloads::{fuzz_program_with, FuzzProgramSpec};
 
-use crate::check::{
-    check_program_mutated, Divergence, InjectionCheck, Mutation, OracleConfig,
-};
+use crate::check::{check_program_mutated, Divergence, InjectionCheck, Mutation, OracleConfig};
 use crate::shrink::shrink;
 
 /// SplitMix64: decorrelates per-iteration program seeds from the single

@@ -193,9 +193,7 @@ impl<'a> FrontEnd<'a> {
             }
         }
         self.pipe.push_back(FetchedInstr {
-            occupant: Occupant::CorrectPath {
-                trace_idx: d.index,
-            },
+            occupant: Occupant::CorrectPath { trace_idx: d.index },
             instr: d.instr,
             seq: self.next_seq.bump(),
             falsely_predicated: !d.executed,

@@ -384,7 +384,10 @@ mod tests {
         // Output of the poisoned register finally signals at I/O.
         let mut out = dyn_instr(Instruction::out(r(7)), 3);
         out.side_effect = SideEffect::Emitted(0);
-        assert_eq!(t.on_commit(&out, false), PiStep::Signal(SignalPoint::IoCommit));
+        assert_eq!(
+            t.on_commit(&out, false),
+            PiStep::Signal(SignalPoint::IoCommit)
+        );
     }
 
     #[test]

@@ -44,7 +44,11 @@ fn straightline_code_fills_and_drains() {
     assert_eq!(result.squashes, 0);
     assert_eq!(result.mispredictions, 0, "no conditional branches");
     // Every retired residency must have been read before retiring.
-    for res in result.residencies.iter().filter(|x| x.end == ResidencyEnd::Retired) {
+    for res in result
+        .residencies
+        .iter()
+        .filter(|x| x.end == ResidencyEnd::Retired)
+    {
         assert!(res.last_read.is_some(), "retired entries were issued");
         assert!(res.last_read.unwrap() >= res.alloc);
         assert!(res.dealloc >= res.last_read.unwrap());
@@ -64,7 +68,10 @@ fn residency_log_covers_every_commit_exactly_once_without_squash() {
             }
         }
     }
-    assert!(seen.iter().all(|&c| c == 1), "each instruction retires once");
+    assert!(
+        seen.iter().all(|&c| c == 1),
+        "each instruction retires once"
+    );
 }
 
 /// A program with one load that always misses to memory, followed by a
@@ -106,7 +113,10 @@ fn squash_removes_the_miss_shadow() {
 
     let base = Pipeline::new(base_cfg).run(&p, &trace);
     let squashed = Pipeline::new(squash_cfg).run(&p, &trace);
-    assert!(squashed.squashes >= 1, "the cold miss must trigger a squash");
+    assert!(
+        squashed.squashes >= 1,
+        "the cold miss must trigger a squash"
+    );
     assert!(squashed.squashed_instrs > 0);
 
     // Squashed run: the tail instructions' residencies start much later
@@ -142,7 +152,10 @@ fn squashed_instructions_refetch_and_retire() {
         res.end == ResidencyEnd::Retired
             && matches!(res.occupant, Occupant::CorrectPath { trace_idx } if trace_idx == idx)
     });
-    assert!(retired, "squashed instruction {idx} must refetch and retire");
+    assert!(
+        retired,
+        "squashed instruction {idx} must refetch and retire"
+    );
 }
 
 /// A loop with a data-dependent (alternating) branch to exercise
@@ -265,12 +278,8 @@ fn fault_after_run_ends_is_idle() {
     let p = straightline(10);
     let trace = Emulator::new(&p).run(1000).unwrap();
     let fault = FaultSpec::single(Cycle::new(1_000_000), 0, 0);
-    let result = Pipeline::new(quiet_config()).run_with_fault(
-        &p,
-        &trace,
-        Some(fault),
-        DetectionModel::None,
-    );
+    let result =
+        Pipeline::new(quiet_config()).run_with_fault(&p, &trace, Some(fault), DetectionModel::None);
     assert_eq!(result.fault, Some(FaultOutcome::SlotIdle));
 }
 

@@ -74,7 +74,10 @@ fn quick_run() -> (Program, ExecutionTrace) {
 fn lean_window_replay_allocates_nothing_per_cycle() {
     let (program, trace) = quick_run();
     let pipeline = Pipeline::new(PipelineConfig::default());
-    for detection in [DetectionModel::None, DetectionModel::Parity { tracking: None }] {
+    for detection in [
+        DetectionModel::None,
+        DetectionModel::Parity { tracking: None },
+    ] {
         let (golden, snapshots) = pipeline.run_with_snapshots(&program, &trace, detection, 1_000);
         let fault = FaultSpec::single(Cycle::new(golden.cycles - 1), 0, 9);
         for snapshot in [None, Some(&snapshots[1])] {

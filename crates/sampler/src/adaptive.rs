@@ -32,8 +32,8 @@
 
 use ses_metrics::binomial_ci95;
 
-use crate::stratify::{FaultCoord, Strata};
 use crate::splitmix64;
+use crate::stratify::{FaultCoord, Strata};
 
 /// Configuration of one adaptive campaign.
 #[derive(Debug, Clone, PartialEq)]
@@ -172,7 +172,10 @@ pub struct StratifiedEstimate {
 impl StratifiedEstimate {
     /// The pooled interval, unclamped: `estimate ± halfwidth`.
     pub fn interval(&self) -> (f64, f64) {
-        (self.estimate - self.halfwidth, self.estimate + self.halfwidth)
+        (
+            self.estimate - self.halfwidth,
+            self.estimate + self.halfwidth,
+        )
     }
 
     /// The weighted union bound over per-stratum intervals:
@@ -239,7 +242,10 @@ impl AdaptiveScheduler {
     /// Panics if the partition is empty or the target half-width is not
     /// positive.
     pub fn new(strata: Strata, cfg: AdaptiveConfig) -> Self {
-        assert!(!strata.is_empty(), "cannot schedule over an empty partition");
+        assert!(
+            !strata.is_empty(),
+            "cannot schedule over an empty partition"
+        );
         assert!(
             cfg.target_halfwidth > 0.0,
             "target half-width must be positive"
@@ -349,8 +355,13 @@ impl AdaptiveScheduler {
         // priority ∝ weight × smoothed σ, largest-remainder rounding,
         // every active stratum gets at least one trial, and no stratum
         // gets more than it still needs to close.
-        let active: Vec<usize> = (0..self.states.len()).filter(|&i| self.is_active(i)).collect();
-        let caps: Vec<u64> = active.iter().map(|&i| self.needed_trials(i).max(1)).collect();
+        let active: Vec<usize> = (0..self.states.len())
+            .filter(|&i| self.is_active(i))
+            .collect();
+        let caps: Vec<u64> = active
+            .iter()
+            .map(|&i| self.needed_trials(i).max(1))
+            .collect();
         let priorities: Vec<f64> = active
             .iter()
             .map(|&i| {
@@ -437,7 +448,9 @@ impl AdaptiveScheduler {
         }
         self.round += 1;
         let est = self.estimate();
-        let active = (0..self.states.len()).filter(|&i| self.is_active(i)).count();
+        let active = (0..self.states.len())
+            .filter(|&i| self.is_active(i))
+            .count();
         let cumulative: u64 = self.states.iter().map(|s| s.trials).sum();
         self.trajectory.push(RoundRecord {
             round: closing,

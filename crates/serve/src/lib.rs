@@ -30,5 +30,5 @@ pub mod http;
 pub mod server;
 
 pub use client::{http_get, http_post, Response};
+pub use server::{ServeConfig, Server};
 pub use ses_core::job::{job_key_hash, JobError, JobSpec, SharedRuns};
-pub use server::{Server, ServeConfig};

@@ -202,8 +202,7 @@ fn handle_connection(shared: &Shared, stream: &mut TcpStream) {
     };
     match route(shared, &request) {
         Ok((extra, body)) => {
-            let headers: Vec<(&str, &str)> =
-                extra.iter().map(|(k, v)| (*k, v.as_str())).collect();
+            let headers: Vec<(&str, &str)> = extra.iter().map(|(k, v)| (*k, v.as_str())).collect();
             let _ = write_response(stream, 200, &headers, &body);
         }
         Err(e) => {
@@ -237,7 +236,10 @@ fn route(shared: &Shared, request: &Request) -> Result<RouteOk, HttpError> {
             404,
             format!("unknown route '{}'", request.path),
         )),
-        (method, _) => Err(HttpError::new(405, format!("method '{method}' not allowed"))),
+        (method, _) => Err(HttpError::new(
+            405,
+            format!("method '{method}' not allowed"),
+        )),
     }
 }
 
@@ -257,9 +259,8 @@ fn serve_job(shared: &Shared, kind: &str, body: &[u8]) -> Result<RouteOk, HttpEr
         // A panicking job must not take the worker down: catch it and
         // answer 500 (the artifact pipeline itself never panics on valid
         // configs; this is belt-and-braces for the robustness battery).
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            spec.execute(&shared.runs)
-        }));
+        let result =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| spec.execute(&shared.runs)));
         match result {
             Ok(Ok(bytes)) => Ok(Arc::new(bytes)),
             Ok(Err(e)) => Err(HttpError::new(e.status, e.message)),
@@ -288,7 +289,10 @@ fn stats_body(shared: &Shared) -> String {
         .set("artifact", "serve_stats")
         .set("requests", shared.requests.load(Ordering::Relaxed))
         .set("errors", shared.errors.load(Ordering::Relaxed))
-        .set("jobs_executed", shared.jobs_executed.load(Ordering::Relaxed))
+        .set(
+            "jobs_executed",
+            shared.jobs_executed.load(Ordering::Relaxed),
+        )
         .set("workers", shared.threads)
         .set("prepared_campaigns", shared.runs.len());
     let mut c = JsonValue::object();

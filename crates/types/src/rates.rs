@@ -136,7 +136,10 @@ impl Mttf {
     ///
     /// Panics if `fit` is zero (an error-free device has unbounded MTTF).
     pub fn from_fit(fit: Fit) -> Self {
-        assert!(fit.value() > 0.0, "cannot form an MTTF from a zero FIT rate");
+        assert!(
+            fit.value() > 0.0,
+            "cannot form an MTTF from a zero FIT rate"
+        );
         Mttf(FIT_HOURS / fit.value())
     }
 
@@ -233,7 +236,10 @@ impl Avf {
     ///
     /// Panics if `ace > total`.
     pub fn from_bit_cycles(ace: u64, total: u64) -> Self {
-        assert!(ace <= total, "ACE bit-cycles ({ace}) exceed total ({total})");
+        assert!(
+            ace <= total,
+            "ACE bit-cycles ({ace}) exceed total ({total})"
+        );
         if total == 0 {
             Avf::ZERO
         } else {

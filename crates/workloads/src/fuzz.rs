@@ -278,14 +278,23 @@ fn emit_atom(
     match atom {
         Atom::Alu => {
             let op = ALU_OPS[rng.gen_range(0..ALU_OPS.len() as u32) as usize];
-            b.push(Instruction::alu(op, pool_reg(rng), pool_reg(rng), pool_reg(rng)));
+            b.push(Instruction::alu(
+                op,
+                pool_reg(rng),
+                pool_reg(rng),
+                pool_reg(rng),
+            ));
         }
         Atom::AluImm => {
             let dest = pool_reg(rng);
             if rng.gen_range(0..2u32) == 0 {
                 b.push(Instruction::movi(dest, rng.gen_range(0i32..4000) - 2000));
             } else {
-                b.push(Instruction::addi(dest, pool_reg(rng), rng.gen_range(0i32..200) - 100));
+                b.push(Instruction::addi(
+                    dest,
+                    pool_reg(rng),
+                    rng.gen_range(0i32..200) - 100,
+                ));
             }
         }
         Atom::StoreScratch => {
@@ -328,7 +337,11 @@ fn emit_atom(
             // decides, so some of these sit near 50/50 and mispredict.
             let pr = take_pred(next_pred);
             let skip = b.new_label();
-            b.push(Instruction::addi(r(6), pool_reg(rng), -(rng.gen_range(0..2000u32) as i32)));
+            b.push(Instruction::addi(
+                r(6),
+                pool_reg(rng),
+                -(rng.gen_range(0..2000u32) as i32),
+            ));
             b.push(Instruction::cmp_lt(pr, r(6), Reg::ZERO));
             b.branch(pr, skip);
             for _ in 0..rng.gen_range(1..4u32) {

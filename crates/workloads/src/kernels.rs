@@ -173,7 +173,7 @@ pub fn sieve() -> Kernel {
     b.push(Instruction::cmp_eq(p(3), r(8), r(5)));
     b.branch(p(3), skip);
     b.push(Instruction::add(r(2), r(2), r(5))); // count += 1
-    // mark multiples: j = 2*i; while j < N { flags[j] = 1; j += i }
+                                                // mark multiples: j = 2*i; while j < N { flags[j] = 1; j += i }
     b.push(Instruction::add(r(9), r(1), r(1))); // j = 2i
     b.bind(inner);
     b.push(Instruction::cmp_lt(p(4), r(9), r(4)));
@@ -372,7 +372,7 @@ pub fn insertion_sort() -> Kernel {
     b.push(Instruction::add(r(8), r(8), r(3)));
     b.push(Instruction::ld(r(9), r(8), 0)); // a[j]
     b.push(Instruction::ld(r(10), r(8), -8)); // a[j-1]
-    // Swap needed iff a[j] < a[j-1]; otherwise fall through to done_j.
+                                              // Swap needed iff a[j] < a[j-1]; otherwise fall through to done_j.
     b.push(Instruction::cmp_lt(p(2), r(9), r(10)));
     b.push(Instruction::st(r(8), r(10), 0).guarded_by(p(2)));
     b.push(Instruction::st(r(8), r(9), -8).guarded_by(p(2)));

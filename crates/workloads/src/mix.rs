@@ -79,7 +79,11 @@ mod tests {
         let trace = Emulator::new(&p).run(100_000).unwrap();
         let m = TraceMix::measure(&trace);
         assert_eq!(m.total, trace.len() as u64);
-        assert!((m.class_sum() - 1.0).abs() < 0.01, "sum {:.3}", m.class_sum());
+        assert!(
+            (m.class_sum() - 1.0).abs() < 0.01,
+            "sum {:.3}",
+            m.class_sum()
+        );
         assert!(m.alu > 0.2, "ALU-dominated, got {:.2}", m.alu);
         assert!(m.neutral > 0.02);
         assert!(m.load > 0.02 && m.store > 0.01);

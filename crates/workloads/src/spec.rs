@@ -129,10 +129,7 @@ impl WorkloadSpec {
     /// Returns a message describing the first violated constraint.
     pub fn validate(&self) -> Result<(), String> {
         if !self.working_set_bytes.is_power_of_two() {
-            return Err(format!(
-                "{}: working set must be a power of two",
-                self.name
-            ));
+            return Err(format!("{}: working set must be a power of two", self.name));
         }
         if self.stride_bytes == 0 || !self.stride_bytes.is_multiple_of(8) {
             return Err(format!(

@@ -93,19 +93,19 @@ pub fn suite() -> Vec<WorkloadSpec> {
         // `ammp` queues work behind critical memory-latency misses: the
         // paper's squash outlier (~90 % AVF reduction for little IPC).
         spec("ammp", FP, 0x2001, 64 * 1024, 8192, 0, fp_mix(23, 1)), // memory
-        spec("applu", FP, 0x2002, 256, 128, 7, fp_mix(23, 1)),     // L2
-        spec("apsi", FP, 0x2003, 32, 128, 3, fp_mix(26, 1)),       // L1
-        spec("art", FP, 0x2004, 64 * 1024, 1024, 1, fp_mix(26, 1)), // memory
-        spec("equake", FP, 0x2005, 256, 128, 7, fp_mix(23, 1)),    // L2
-        spec("facerec", FP, 0x2006, 32, 64, 3, fp_mix(26, 1)),     // L1
-        spec("fma3d", FP, 0x2007, 64, 256, 3, fp_mix(27, 1)),      // L1
-        spec("galgel", FP, 0x2008, 8, 16, 0, fp_mix(22, 0)),       // L0
-        spec("lucas", FP, 0x2009, 256, 128, 7, fp_mix(23, 1)),     // L2
-        spec("mesa", FP, 0x200a, 4, 16, 0, fp_mix(21, 0)),         // L0
-        spec("mgrid", FP, 0x200b, 32, 128, 3, fp_mix(23, 1)),      // L1
-        spec("sixtrack", FP, 0x200c, 8, 8, 0, fp_mix(22, 0)),      // L0
-        spec("swim", FP, 0x200d, 256, 128, 7, fp_mix(23, 1)),      // L2
-        spec("wupwise", FP, 0x200e, 32, 64, 3, fp_mix(22, 1)),     // L1
+        spec("applu", FP, 0x2002, 256, 128, 7, fp_mix(23, 1)),       // L2
+        spec("apsi", FP, 0x2003, 32, 128, 3, fp_mix(26, 1)),         // L1
+        spec("art", FP, 0x2004, 64 * 1024, 1024, 1, fp_mix(26, 1)),  // memory
+        spec("equake", FP, 0x2005, 256, 128, 7, fp_mix(23, 1)),      // L2
+        spec("facerec", FP, 0x2006, 32, 64, 3, fp_mix(26, 1)),       // L1
+        spec("fma3d", FP, 0x2007, 64, 256, 3, fp_mix(27, 1)),        // L1
+        spec("galgel", FP, 0x2008, 8, 16, 0, fp_mix(22, 0)),         // L0
+        spec("lucas", FP, 0x2009, 256, 128, 7, fp_mix(23, 1)),       // L2
+        spec("mesa", FP, 0x200a, 4, 16, 0, fp_mix(21, 0)),           // L0
+        spec("mgrid", FP, 0x200b, 32, 128, 3, fp_mix(23, 1)),        // L1
+        spec("sixtrack", FP, 0x200c, 8, 8, 0, fp_mix(22, 0)),        // L0
+        spec("swim", FP, 0x200d, 256, 128, 7, fp_mix(23, 1)),        // L2
+        spec("wupwise", FP, 0x200e, 32, 64, 3, fp_mix(22, 1)),       // L1
     ]
 }
 
@@ -122,10 +122,7 @@ mod tests {
     fn suite_has_26_entries_split_12_14() {
         let s = suite();
         assert_eq!(s.len(), 26);
-        let ints = s
-            .iter()
-            .filter(|w| w.category == Category::Integer)
-            .count();
+        let ints = s.iter().filter(|w| w.category == Category::Integer).count();
         assert_eq!(ints, 12);
         assert_eq!(s.len() - ints, 14);
     }
@@ -154,7 +151,10 @@ mod tests {
         assert!(spec_by_name("mcf").is_some());
         assert!(spec_by_name("ammp").is_some());
         assert!(spec_by_name("doom3").is_none());
-        assert_eq!(spec_by_name("mcf").unwrap().working_set_bytes, 64 * 1024 * 1024);
+        assert_eq!(
+            spec_by_name("mcf").unwrap().working_set_bytes,
+            64 * 1024 * 1024
+        );
     }
 
     #[test]

@@ -4,16 +4,17 @@
 //!
 //! Run with `cargo run --release --example false_due_tracking`.
 
-use ses_core::{
-    run_workload, spec_by_name, FalseDueCause, PipelineConfig, Table, Technique,
-};
+use ses_core::{run_workload, spec_by_name, FalseDueCause, PipelineConfig, Table, Technique};
 
 fn main() -> Result<(), ses_core::SesError> {
     let spec = spec_by_name("gap").expect("suite benchmark");
     let run = run_workload(&spec, &PipelineConfig::default())?;
     let avf = &run.avf;
 
-    println!("benchmark: {} ({} committed instructions)", spec.name, run.result.committed);
+    println!(
+        "benchmark: {} ({} committed instructions)",
+        spec.name, run.result.committed
+    );
     println!("parity-protected DUE AVF : {}", avf.due_avf());
     println!("  true DUE (= SDC AVF)   : {}", avf.true_due_avf());
     println!("  false DUE              : {}\n", avf.false_due_avf());

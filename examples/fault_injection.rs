@@ -5,8 +5,7 @@
 //! Run with `cargo run --release --example fault_injection`.
 
 use ses_core::{
-    Campaign, CampaignConfig, DetectionModel, Outcome, PiScope, Table, TrackingConfig,
-    WorkloadSpec,
+    Campaign, CampaignConfig, DetectionModel, Outcome, PiScope, Table, TrackingConfig, WorkloadSpec,
 };
 
 fn main() -> Result<(), ses_core::SesError> {

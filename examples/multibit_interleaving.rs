@@ -12,8 +12,16 @@ fn main() -> Result<(), ses_core::SesError> {
     let injections = 300;
 
     let runs: [(&str, DetectionModel, bool); 4] = [
-        ("parity, single-bit faults", DetectionModel::Parity { tracking: None }, false),
-        ("parity, double-bit faults", DetectionModel::Parity { tracking: None }, true),
+        (
+            "parity, single-bit faults",
+            DetectionModel::Parity { tracking: None },
+            false,
+        ),
+        (
+            "parity, double-bit faults",
+            DetectionModel::Parity { tracking: None },
+            true,
+        ),
         (
             "2-way interleaved parity, double-bit",
             DetectionModel::InterleavedParity {

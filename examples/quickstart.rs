@@ -18,10 +18,7 @@ fn main() -> Result<(), ses_core::SesError> {
     println!("baseline:  IPC {:.2}", b.ipc.value());
     println!("  SDC AVF (unprotected queue)      : {}", b.sdc_avf);
     println!("  DUE AVF (parity-protected queue) : {}", b.due_avf);
-    println!(
-        "  ... of which false DUE           : {}",
-        b.false_due_avf
-    );
+    println!("  ... of which false DUE           : {}", b.false_due_avf);
 
     // 3. Technique 1 — exposure reduction: squash the queue on L1 load
     //    misses so instructions don't sit exposed to strikes during stalls.
@@ -51,7 +48,13 @@ fn main() -> Result<(), ses_core::SesError> {
     // 5. The MITF trade-off (paper section 3.2): worthwhile if AVF falls
     //    more than IPC.
     let model = ReliabilityModel::default();
-    let mut t = Table::new(vec!["design point", "IPC", "SDC AVF", "SDC MTTF", "SDC MITF"]);
+    let mut t = Table::new(vec![
+        "design point",
+        "IPC",
+        "SDC AVF",
+        "SDC MTTF",
+        "SDC MITF",
+    ]);
     for (name, ipc, avf) in [
         ("baseline", b.ipc, b.sdc_avf),
         ("squash L1", s.ipc, s.sdc_avf),

@@ -13,7 +13,11 @@ fn main() -> Result<(), ses_core::SesError> {
     let dead = DeadMap::analyze(&trace);
     let rf = RegFileAvf::analyze(&trace, &dead);
 
-    println!("benchmark: {} ({} committed instructions)", spec.name, trace.len());
+    println!(
+        "benchmark: {} ({} committed instructions)",
+        spec.name,
+        trace.len()
+    );
     println!("register-file AVF (mean over 64 registers): {}", rf.avf());
     println!(
         "dynamically dead register definitions: {:.1}% of all defs",

@@ -16,9 +16,18 @@ fn main() -> Result<(), ses_core::SesError> {
     let benches = ["eon", "gzip", "twolf", "ammp"];
     let configs: [(&str, PipelineConfig); 4] = [
         ("baseline", PipelineConfig::default()),
-        ("squash L1", PipelineConfig::default().with_squash(Level::L1)),
-        ("squash L0", PipelineConfig::default().with_squash(Level::L0)),
-        ("throttle L1", PipelineConfig::default().with_throttle(Level::L1)),
+        (
+            "squash L1",
+            PipelineConfig::default().with_squash(Level::L1),
+        ),
+        (
+            "squash L0",
+            PipelineConfig::default().with_squash(Level::L0),
+        ),
+        (
+            "throttle L1",
+            PipelineConfig::default().with_throttle(Level::L1),
+        ),
     ];
 
     for bench in benches {

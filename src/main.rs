@@ -73,8 +73,7 @@ impl Telemetry {
     /// Writes the artifact if `--json` was given.
     fn emit(&self, doc: &JsonValue) -> Result<(), String> {
         if let Some(path) = &self.json {
-            artifact::write_artifact(path, doc)
-                .map_err(|e| format!("{}: {e}", path.display()))?;
+            artifact::write_artifact(path, doc).map_err(|e| format!("{}: {e}", path.display()))?;
             eprintln!("wrote {}", path.display());
         }
         Ok(())
@@ -174,7 +173,13 @@ fn cmd_list(tel: &Telemetry) -> Result<(), String> {
 
 fn print_suite(rows: &[BenchSummary]) {
     let mut t = Table::new(vec![
-        "bench", "class", "IPC", "SDC AVF", "DUE AVF", "false DUE", "squashes",
+        "bench",
+        "class",
+        "IPC",
+        "SDC AVF",
+        "DUE AVF",
+        "false DUE",
+        "squashes",
     ]);
     for r in rows {
         t.row(vec![
@@ -289,7 +294,12 @@ fn cmd_bench(name: &str, args: &[String], tel: &Telemetry) -> Result<(), String>
         } else {
             None
         };
-        tel.emit(&artifact::run_artifact(&cfg, &run, stages.as_ref(), tel.level))?;
+        tel.emit(&artifact::run_artifact(
+            &cfg,
+            &run,
+            stages.as_ref(),
+            tel.level,
+        ))?;
     }
     Ok(())
 }
@@ -434,8 +444,7 @@ fn cmd_campaign(args: &[String], tel: &Telemetry) -> Result<(), String> {
     let pattern = strikes.pattern();
 
     if !adaptive {
-        let uniform =
-            campaign.run_uniform_to_target(target_halfwidth, metric, 64, max_injections);
+        let uniform = campaign.run_uniform_to_target(target_halfwidth, metric, 64, max_injections);
         println!(
             "uniform campaign: {} trials, {} {:.2}% +/- {:.2}% (target {:.2}%)",
             uniform.trials,
@@ -525,7 +534,12 @@ fn print_ecc_grid(distribution: &PatternDistribution, workloads: &[(String, f64,
     for (name, ipc, p_read, probes) in workloads {
         println!("{name}: P(read) = {p_read:.4} over {probes} probes, IPC {ipc:.3}");
     }
-    let mut t = Table::new(vec!["scheme", "check bits", "residual detected", "residual silent"]);
+    let mut t = Table::new(vec![
+        "scheme",
+        "check bits",
+        "residual detected",
+        "residual silent",
+    ]);
     for &scheme in &EccScheme::ALL {
         let domain = EccDomain::new(scheme);
         let res = ses_core::ResidualModel::analytic(distribution, &domain);
@@ -568,8 +582,14 @@ fn cmd_pet(name: &str, tel: &Telemetry) -> Result<(), String> {
             .map(|&size| {
                 let mut v = JsonValue::object();
                 v.set("entries", size)
-                    .set("coverage_fdd_reg", run.dead.pet_coverage_fdd_reg(size, true))
-                    .set("coverage_with_memory", run.dead.pet_coverage_with_memory(size))
+                    .set(
+                        "coverage_fdd_reg",
+                        run.dead.pet_coverage_fdd_reg(size, true),
+                    )
+                    .set(
+                        "coverage_with_memory",
+                        run.dead.pet_coverage_with_memory(size),
+                    )
                     .set(
                         "residual_false_due",
                         run.avf
@@ -648,7 +668,11 @@ fn cmd_run_asm(path: &str, tel: &Telemetry) -> Result<(), String> {
     if !trace.halted() {
         return Err("program did not halt within 10M instructions".into());
     }
-    println!("{} static, {} dynamic instructions", program.len(), trace.len());
+    println!(
+        "{} static, {} dynamic instructions",
+        program.len(),
+        trace.len()
+    );
     println!("output: {:?}", trace.output());
 
     let dead = ses_core::DeadMap::analyze(&trace);
@@ -690,7 +714,9 @@ fn cmd_fuzz(args: &[String], tel: &Telemetry) -> Result<(), String> {
     let region_fault = fields.parsed("region_fault", |s| match s {
         "ignore-acc" => Ok(RegionFault::IgnoreReg(Reg::new(2))),
         "ignore-stores" => Ok(RegionFault::IgnoreStores),
-        other => Err(format!("unknown region fault '{other}' (use ignore-acc/ignore-stores)")),
+        other => Err(format!(
+            "unknown region fault '{other}' (use ignore-acc/ignore-stores)"
+        )),
     })?;
     let no_shrink = fields.bool("no_shrink")?.unwrap_or(false);
     let JobSpec::Fuzz(job) = JobSpec::from_fields("fuzz", fields)? else {
@@ -779,9 +805,15 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let mut fields = Fields::from_args("serve", args)?;
     let defaults = ses_serve::ServeConfig::default();
     let config = ses_serve::ServeConfig {
-        addr: fields.string("addr")?.unwrap_or_else(|| "127.0.0.1:7878".into()),
-        threads: fields.u64("threads")?.map_or(defaults.threads, |n| n as usize),
-        cache_bytes: fields.u64("cache_bytes")?.map_or(defaults.cache_bytes, |n| n as usize),
+        addr: fields
+            .string("addr")?
+            .unwrap_or_else(|| "127.0.0.1:7878".into()),
+        threads: fields
+            .u64("threads")?
+            .map_or(defaults.threads, |n| n as usize),
+        cache_bytes: fields
+            .u64("cache_bytes")?
+            .map_or(defaults.cache_bytes, |n| n as usize),
         max_body_bytes: fields
             .u64("max_body_bytes")?
             .map_or(defaults.max_body_bytes, |n| n as usize),
@@ -789,7 +821,9 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     fields.finish()?;
     let server = ses_serve::Server::start(&config).map_err(|e| e.to_string())?;
     println!("serving on http://{}", server.addr());
-    println!("routes: POST /v1/campaign /v1/suite /v1/ecc-grid /v1/fuzz  GET /v1/stats /v1/healthz");
+    println!(
+        "routes: POST /v1/campaign /v1/suite /v1/ecc-grid /v1/fuzz  GET /v1/stats /v1/healthz"
+    );
     // Foreground daemon: park until killed.
     loop {
         std::thread::park();

@@ -14,8 +14,8 @@ use ses_core::{
     TrackingConfig, WorkloadSpec,
 };
 use ses_isa::{encode, Program};
-use ses_types::Reg;
 use ses_pipeline::{FaultOutcome, FaultRun, Pipeline, PipelineConfig, PipelineResult};
+use ses_types::Reg;
 
 fn campaign_pair(detection: DetectionModel, injections: u32) -> (Campaign, Campaign) {
     let spec = WorkloadSpec::quick("ckpt-equiv", 23);
@@ -341,6 +341,9 @@ fn checkpointed_functional_replay_matches_replay_from_start() {
 fn checkpointed_functional_replay_matches_on_a_fuzzed_program() {
     let text = include_str!("corpus/fuzz-00-910a2dec89025cc1.s");
     let program = ses_isa::assemble(text).expect("corpus program assembles");
-    let len = Emulator::new(&program).run(1_000_000).expect("golden run").len() as u64;
+    let len = Emulator::new(&program)
+        .run(1_000_000)
+        .expect("golden run")
+        .len() as u64;
     check_checkpointed_replays(&program, len * 4, (len / 32).max(1));
 }

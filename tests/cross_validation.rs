@@ -10,8 +10,8 @@
 //! [`binomial_ci95`] helper rather than ad-hoc constants.
 
 use ses_core::{
-    binomial_ci95, run_workload, Campaign, CampaignConfig, DetectionModel, Outcome,
-    PipelineConfig, WorkloadSpec,
+    binomial_ci95, run_workload, Campaign, CampaignConfig, DetectionModel, Outcome, PipelineConfig,
+    WorkloadSpec,
 };
 
 const INJECTIONS: u32 = 300;

@@ -85,12 +85,19 @@ fn campaign_artifact_is_thread_count_invariant() {
     };
     let (one, iq) = run_with(1);
     let (four, _) = run_with(4);
-    assert_eq!(one.samples(), four.samples(), "per-fault outcomes must match");
+    assert_eq!(
+        one.samples(),
+        four.samples(),
+        "per-fault outcomes must match"
+    );
     // The Summary artifact excludes wall-clock and scheduling-dependent
     // counters, so it must be byte-identical across worker counts.
     let a = campaign_artifact("det", &one, iq, TelemetryLevel::Summary).render();
     let b = campaign_artifact("det", &four, iq, TelemetryLevel::Summary).render();
-    assert_eq!(a, b, "campaign telemetry artifact must not depend on threads");
+    assert_eq!(
+        a, b,
+        "campaign telemetry artifact must not depend on threads"
+    );
 }
 
 #[test]
@@ -154,8 +161,14 @@ fn adaptive_artifact_is_thread_count_invariant() {
     let one = render_with(1);
     let two = render_with(2);
     let eight = render_with(8);
-    assert_eq!(one, two, "adaptive artifact must not depend on threads (1 vs 2)");
-    assert_eq!(one, eight, "adaptive artifact must not depend on threads (1 vs 8)");
+    assert_eq!(
+        one, two,
+        "adaptive artifact must not depend on threads (1 vs 2)"
+    );
+    assert_eq!(
+        one, eight,
+        "adaptive artifact must not depend on threads (1 vs 8)"
+    );
 }
 
 /// Stopping an adaptive campaign mid-flight, checkpointing the scheduler,
@@ -280,8 +293,14 @@ fn pattern_adaptive_artifact_is_thread_count_invariant_and_resumable() {
     let one = run_with(1);
     let two = run_with(2);
     let eight = run_with(8);
-    assert_eq!(one, two, "ECC adaptive artifact must not depend on threads (1 vs 2)");
-    assert_eq!(one, eight, "ECC adaptive artifact must not depend on threads (1 vs 8)");
+    assert_eq!(
+        one, two,
+        "ECC adaptive artifact must not depend on threads (1 vs 2)"
+    );
+    assert_eq!(
+        one, eight,
+        "ECC adaptive artifact must not depend on threads (1 vs 8)"
+    );
     assert!(
         one.contains("\"pattern_model\""),
         "multi-bit artifact must carry the spatial-strike stanza"
@@ -332,9 +351,20 @@ fn recovery_artifact_is_thread_count_invariant() {
         campaign_artifact("recovery-threads", &detailed, iq, TelemetryLevel::Summary).render()
     };
     let one = render(1);
-    assert_eq!(one, render(2), "recovery artifact must not depend on threads (1 vs 2)");
-    assert_eq!(one, render(8), "recovery artifact must not depend on threads (1 vs 8)");
-    assert!(one.contains("\"recovery\""), "artifact must carry the recovery stanza");
+    assert_eq!(
+        one,
+        render(2),
+        "recovery artifact must not depend on threads (1 vs 2)"
+    );
+    assert_eq!(
+        one,
+        render(8),
+        "recovery artifact must not depend on threads (1 vs 8)"
+    );
+    assert!(
+        one.contains("\"recovery\""),
+        "artifact must carry the recovery stanza"
+    );
 }
 
 /// A prepared campaign is immutable: two detailed runs on one shared
@@ -404,9 +434,7 @@ fn concurrent_runs_on_one_campaign_match_a_lone_run() {
 /// records cycles skipped — so equality is on samples and stanza.)
 #[test]
 fn recovery_survives_checkpoint_resume() {
-    use ses_core::{
-        Campaign, CampaignConfig, DetectionModel, LatencyDistribution, RecoveryPolicy,
-    };
+    use ses_core::{Campaign, CampaignConfig, DetectionModel, LatencyDistribution, RecoveryPolicy};
     let spec = WorkloadSpec::quick("recovery-ckpt", 23);
     let run = |checkpoints: bool| {
         let config = CampaignConfig {
@@ -426,7 +454,11 @@ fn recovery_survives_checkpoint_resume() {
         checkpointed.perf().cycles_skipped > 0,
         "the checkpointed run must actually exercise snapshot resume"
     );
-    assert_eq!(scratch.samples(), checkpointed.samples(), "per-fault outcomes must match");
+    assert_eq!(
+        scratch.samples(),
+        checkpointed.samples(),
+        "per-fault outcomes must match"
+    );
     assert_eq!(
         scratch.recovery(),
         checkpointed.recovery(),
@@ -450,11 +482,20 @@ fn latency_off_artifact_has_no_recovery_stanza() {
     };
     let iq = config.pipeline.iq_entries;
     let detailed = Campaign::prepare(&spec, config).unwrap().run_detailed();
-    assert!(detailed.recovery().is_none(), "legacy runs must not grow a recovery report");
+    assert!(
+        detailed.recovery().is_none(),
+        "legacy runs must not grow a recovery report"
+    );
     let rendered =
         campaign_artifact("latency-off", &detailed, iq, TelemetryLevel::Summary).render();
-    assert!(!rendered.contains("\"recovery\""), "no recovery stanza on legacy runs");
-    assert!(!rendered.contains("\"recovered\""), "no recovered outcome key on legacy runs");
+    assert!(
+        !rendered.contains("\"recovery\""),
+        "no recovery stanza on legacy runs"
+    );
+    assert!(
+        !rendered.contains("\"recovered\""),
+        "no recovered outcome key on legacy runs"
+    );
 }
 
 /// Guard for pre-pruning artifact compatibility: a campaign run without
@@ -473,12 +514,20 @@ fn prune_off_artifact_has_no_pruning_stanza() {
     };
     let iq = config.pipeline.iq_entries;
     let detailed = Campaign::prepare(&spec, config).unwrap().run_detailed();
-    assert!(detailed.prune().is_none(), "legacy runs must not grow a prune report");
-    let rendered =
-        campaign_artifact("prune-off", &detailed, iq, TelemetryLevel::Summary).render();
-    assert!(!rendered.contains("\"pruning\""), "no pruning stanza on legacy runs");
+    assert!(
+        detailed.prune().is_none(),
+        "legacy runs must not grow a prune report"
+    );
+    let rendered = campaign_artifact("prune-off", &detailed, iq, TelemetryLevel::Summary).render();
+    assert!(
+        !rendered.contains("\"pruning\""),
+        "no pruning stanza on legacy runs"
+    );
     let full = campaign_artifact("prune-off", &detailed, iq, TelemetryLevel::Full).render();
-    assert!(!full.contains("\"pruning\""), "no pruning stanza at Full level either");
+    assert!(
+        !full.contains("\"pruning\""),
+        "no pruning stanza at Full level either"
+    );
 }
 
 /// The single-bit adaptive artifact pre-dates the spatial-strike engine:
@@ -524,5 +573,8 @@ fn single_bit_adaptive_artifact_has_no_pattern_stanza() {
     )
     .render();
     assert!(!rendered.contains("pattern_model"));
-    assert!(!rendered.contains("/single"), "stratum labels must stay unsuffixed");
+    assert!(
+        !rendered.contains("/single"),
+        "stratum labels must stay unsuffixed"
+    );
 }

@@ -33,8 +33,7 @@ fn suite_benchmark_full_stack() {
         .iter()
         .map(|r| r.valid_cycles() * 64)
         .sum();
-    let classified =
-        ((s.unread + s.unace + s.ace) * avf.total_bit_cycles() as f64).round() as u64;
+    let classified = ((s.unread + s.unace + s.ace) * avf.total_bit_cycles() as f64).round() as u64;
     assert_eq!(occupied_bits, classified, "no bit-cycle lost");
 
     // Reliability model plumbs through.
@@ -44,7 +43,7 @@ fn suite_benchmark_full_stack() {
 }
 
 #[test]
-fn adding_parity_more_than_matters(){
+fn adding_parity_more_than_matters() {
     // Paper §4.1: adding error detection converts SDC to DUE and *raises*
     // the total error contribution (false DUE on top of true DUE).
     let spec = spec_by_name("mesa").expect("mesa in suite");
@@ -64,8 +63,8 @@ fn combined_techniques_reproduce_headline_result() {
     // parity-protected queue substantially for ~2% IPC.
     let spec = spec_by_name("twolf").expect("twolf in suite");
     let base = run_workload(&spec, &PipelineConfig::default()).expect("base");
-    let sq = run_workload(&spec, &PipelineConfig::default().with_squash(Level::L1))
-        .expect("squash");
+    let sq =
+        run_workload(&spec, &PipelineConfig::default().with_squash(Level::L1)).expect("squash");
 
     let due_base = base.avf.due_avf();
     let due_combined = sq
@@ -84,8 +83,8 @@ fn combined_techniques_reproduce_headline_result() {
 fn mitf_figure_of_merit_improves_under_squash() {
     let spec = spec_by_name("equake").expect("equake in suite");
     let base = run_workload(&spec, &PipelineConfig::default()).expect("base");
-    let sq = run_workload(&spec, &PipelineConfig::default().with_squash(Level::L1))
-        .expect("squash");
+    let sq =
+        run_workload(&spec, &PipelineConfig::default().with_squash(Level::L1)).expect("squash");
     let fom = |ipc: Ipc, avf: ses_core::Avf| ipc.value() / avf.fraction();
     assert!(
         fom(sq.result.ipc(), sq.avf.sdc_avf()) > fom(base.result.ipc(), base.avf.sdc_avf()),

@@ -18,9 +18,7 @@ use std::path::Path;
 
 use ses_core::job::{JobOutput, JobSpec, SharedRuns};
 use ses_core::telemetry::{run_artifact, suite_artifact};
-use ses_core::{
-    run_suite, run_workload, spec_by_name, Level, PipelineConfig, TelemetryLevel,
-};
+use ses_core::{run_suite, run_workload, spec_by_name, Level, PipelineConfig, TelemetryLevel};
 
 fn golden(name: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -206,7 +204,10 @@ fn recovery_artifact_matches_golden() {
 #[test]
 fn perturbed_recovery_artifact_is_caught() {
     let golden_text = golden("campaign_recovery.json");
-    assert!(golden_text.contains("\"recovery\""), "golden must carry the recovery stanza");
+    assert!(
+        golden_text.contains("\"recovery\""),
+        "golden must carry the recovery stanza"
+    );
     assert_ne!(
         job_artifact(&format!("{RECOVERY} --seed 2027")),
         golden_text,

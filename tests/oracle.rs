@@ -24,7 +24,11 @@ fn fuzz_campaign_on_clean_engine_finds_nothing() {
     assert!(
         report.clean(),
         "clean engine must not diverge: {:?}",
-        report.failures.iter().map(|f| &f.divergence).collect::<Vec<_>>()
+        report
+            .failures
+            .iter()
+            .map(|f| &f.divergence)
+            .collect::<Vec<_>>()
     );
     assert_eq!(report.iterations, 60);
     assert_eq!(report.injection_checks, 2);

@@ -12,10 +12,10 @@ fn arb_spec() -> impl Strategy<Value = WorkloadSpec> {
         (
             any::<u64>(),
             prop_oneof![Just(Category::Integer), Just(Category::FloatingPoint)],
-            1u8..5,  // arith
-            0u8..3,  // load_live
-            0u8..2,  // load_far
-            0u8..2,  // load_deep
+            1u8..5, // arith
+            0u8..3, // load_live
+            0u8..2, // load_far
+            0u8..2, // load_deep
         ),
         (
             0u8..2,    // store_live
@@ -28,7 +28,10 @@ fn arb_spec() -> impl Strategy<Value = WorkloadSpec> {
         ),
     )
         .prop_map(
-            |((seed, category, arith, ll, lf, ld), (sl, dc, neutral, br, call, ws_log2, stride))| {
+            |(
+                (seed, category, arith, ll, lf, ld),
+                (sl, dc, neutral, br, call, ws_log2, stride),
+            )| {
                 WorkloadSpec {
                     name: format!("prop-{seed:x}"),
                     category,
@@ -207,7 +210,9 @@ mod recovery {
             detect_latency: latency,
             ..CampaignConfig::default()
         };
-        Campaign::prepare(spec, config).expect("campaign prepares").run_detailed()
+        Campaign::prepare(spec, config)
+            .expect("campaign prepares")
+            .run_detailed()
     }
 
     /// With zero detection latency every would-be DUE lands inside the
@@ -307,7 +312,11 @@ use ses_types::{Addr, Reg};
 /// One register-file op for the tracker: 0 = add d,s1,s2; 1 = movi d.
 fn reg_op((kind, d, s1, s2): (u8, u8, u8, u8), idx: u64) -> DynInstr {
     let instr = match kind % 2 {
-        0 => Instruction::add(Reg::new(d % 8 + 1), Reg::new(s1 % 8 + 1), Reg::new(s2 % 8 + 1)),
+        0 => Instruction::add(
+            Reg::new(d % 8 + 1),
+            Reg::new(s1 % 8 + 1),
+            Reg::new(s2 % 8 + 1),
+        ),
         _ => Instruction::movi(Reg::new(d % 8 + 1), i32::from(s1)),
     };
     DynInstr {
@@ -383,9 +392,7 @@ mod adaptive_estimator {
     /// A deterministic pseudo-random outcome field over coordinates with
     /// bit-dependent density, so strata genuinely differ in proportion.
     fn synthetic_outcome(seed: u64, c: &FaultCoord) -> bool {
-        let h = splitmix64(
-            seed ^ (c.cycle << 20) ^ ((c.slot as u64) << 8) ^ u64::from(c.bit),
-        );
+        let h = splitmix64(seed ^ (c.cycle << 20) ^ ((c.slot as u64) << 8) ^ u64::from(c.bit));
         h % 1000 < 60 + 500 * u64::from(c.bit < 12)
     }
 
@@ -615,8 +622,8 @@ fn adaptive_exhaustive_agrees_with_census_on_small_program() {
 /// The shared quick campaign for the spatial-strike properties below:
 /// prepared once, injected many times.
 fn ecc_prop_campaign() -> &'static ses_core::Campaign {
-    use std::sync::OnceLock;
     use ses_core::{Campaign, CampaignConfig, DetectionModel};
+    use std::sync::OnceLock;
     static CAMPAIGN: OnceLock<Campaign> = OnceLock::new();
     CAMPAIGN.get_or_init(|| {
         Campaign::prepare(

@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
 use ses_core::JsonValue;
-use ses_serve::{http_get, http_post, JobSpec, Server, ServeConfig};
+use ses_serve::{http_get, http_post, JobSpec, ServeConfig, Server};
 
 fn start_server(threads: usize, cache_bytes: usize) -> Server {
     Server::start(&ServeConfig {
@@ -71,7 +71,14 @@ fn served_campaign_artifacts_match_cli_across_server_threads() {
     // Plain fixed-budget campaign (the CLI `inject` path; seed is the
     // CLI's fixed 2026), recovery flavour with its `recovery` stanza, and
     // ECC flavour with its `pattern_model` stanza.
-    let plain_cli = cli_artifact(&["inject", "crafty", "--injections", "60", "--model", "parity"]);
+    let plain_cli = cli_artifact(&[
+        "inject",
+        "crafty",
+        "--injections",
+        "60",
+        "--model",
+        "parity",
+    ]);
     let recovery_cli = cli_artifact(&[
         "campaign",
         "crafty",
@@ -146,18 +153,16 @@ fn served_campaign_artifacts_match_cli_across_server_threads() {
 fn served_suite_artifact_matches_cli() {
     let cli = cli_artifact(&["suite", "--squash", "l1", "--threads", "2"]);
     let server = start_server(2, 64 << 20);
-    let resp = post_ok(
-        server.addr(),
-        "suite",
-        r#"{"squash": "l1", "threads": 2}"#,
-    );
+    let resp = post_ok(server.addr(), "suite", r#"{"squash": "l1", "threads": 2}"#);
     assert_eq!(resp.body_str(), cli);
     server.shutdown();
 }
 
 #[test]
 fn served_ecc_grid_artifact_matches_cli() {
-    let cli = cli_artifact(&["ecc-grid", "crafty", "mcf", "--probes", "120", "--seed", "5"]);
+    let cli = cli_artifact(&[
+        "ecc-grid", "crafty", "mcf", "--probes", "120", "--seed", "5",
+    ]);
     let server = start_server(2, 64 << 20);
     let resp = post_ok(
         server.addr(),
@@ -460,7 +465,11 @@ fn concurrent_stress_identical_bytes_and_hit_counter_matches_dedup() {
     // means each distinct job computes once, every other request is a hit.
     let misses = responses.iter().filter(|(_, c, _)| c == "miss").count();
     let hits = responses.iter().filter(|(_, c, _)| c == "hit").count();
-    assert_eq!(misses, jobs.len(), "each distinct job computes exactly once");
+    assert_eq!(
+        misses,
+        jobs.len(),
+        "each distinct job computes exactly once"
+    );
     assert_eq!(hits, total - jobs.len());
 
     let stats = http_get(addr, "/v1/stats").expect("stats");

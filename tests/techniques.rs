@@ -23,8 +23,7 @@ fn throttling_reduces_exposure_less_than_squashing() {
     // its own it reduces exposure, but less than squashing does.
     let spec = spec_by_name("equake").expect("equake in suite");
     let base = run_workload(&spec, &PipelineConfig::default()).unwrap();
-    let thr =
-        run_workload(&spec, &PipelineConfig::default().with_throttle(Level::L1)).unwrap();
+    let thr = run_workload(&spec, &PipelineConfig::default().with_throttle(Level::L1)).unwrap();
     let sq = run_workload(&spec, &PipelineConfig::default().with_squash(Level::L1)).unwrap();
 
     assert!(thr.result.throttled_cycles > 0, "throttle must engage");
@@ -43,8 +42,7 @@ fn squash_on_memory_trigger_fires_rarely() {
     // A Memory-level trigger only fires on accesses that miss L2 entirely.
     let spec = spec_by_name("gzip").expect("gzip in suite");
     let l1 = run_workload(&spec, &PipelineConfig::default().with_squash(Level::L1)).unwrap();
-    let mem =
-        run_workload(&spec, &PipelineConfig::default().with_squash(Level::L2)).unwrap();
+    let mem = run_workload(&spec, &PipelineConfig::default().with_squash(Level::L2)).unwrap();
     assert!(mem.result.squashes <= l1.result.squashes);
 }
 
@@ -63,11 +61,7 @@ fn policies_default_to_off() {
 fn tracking_scopes_are_strictly_ordered_on_real_workloads() {
     let spec = spec_by_name("vortex").expect("vortex in suite");
     let run = run_workload(&spec, &PipelineConfig::default()).unwrap();
-    let due = |t| {
-        run.avf
-            .due_avf_with_tracking(Some(t), &run.dead)
-            .fraction()
-    };
+    let due = |t| run.avf.due_avf_with_tracking(Some(t), &run.dead).fraction();
     let parity = run.avf.due_avf().fraction();
     let commit_only = run.avf.due_avf_with_tracking(None, &run.dead).fraction();
     let reg = due(Technique::PiRegister);
@@ -208,13 +202,25 @@ fn idempotent_recovery_completes_the_technique_trade_space() {
         assert!(legacy_due > 0, "{name}: the campaign needs detections");
 
         // Zero-latency conservation of the analytic DUE + SDC totals.
-        assert_eq!(z.due_avf_estimate(), 0.0, "{name}: zero latency recovers every DUE");
+        assert_eq!(
+            z.due_avf_estimate(),
+            0.0,
+            "{name}: zero latency recovers every DUE"
+        );
         assert_eq!(z.count(Outcome::Recovered), legacy_due);
-        assert_eq!(z.sdc_avf_estimate(), l.sdc_avf_estimate(), "{name}: SDC untouched");
+        assert_eq!(
+            z.sdc_avf_estimate(),
+            l.sdc_avf_estimate(),
+            "{name}: SDC untouched"
+        );
 
         // Any-latency conservation: re-labelled, never invented or lost.
         let rt = latent.recovery().expect("recovery stanza");
-        assert_eq!(rt.recovered + rt.fallback_due, legacy_due, "{name}: mass conserved");
+        assert_eq!(
+            rt.recovered + rt.fallback_due,
+            legacy_due,
+            "{name}: mass conserved"
+        );
         assert!(t.due_avf_estimate() <= l.due_avf_estimate());
 
         // π-bit tracking is floored by true DUE; recovery is not.
@@ -223,15 +229,20 @@ fn idempotent_recovery_completes_the_technique_trade_space() {
         let tracked = run.avf.due_avf_with_tracking(None, &run.dead).fraction();
         let floor = run.avf.true_due_avf().fraction();
         assert!(tracked < parity, "{name}: pi-bit must cut false DUE");
-        assert!(floor > 0.0, "{name}: a true-DUE floor must exist for the trade to bind");
-        assert!(tracked >= floor, "{name}: tracking cannot go below the floor");
+        assert!(
+            floor > 0.0,
+            "{name}: a true-DUE floor must exist for the trade to bind"
+        );
+        assert!(
+            tracked >= floor,
+            "{name}: tracking cannot go below the floor"
+        );
 
         // Recovery's amortised instruction cost versus squashing's
         // always-on IPC cost.
         let rz = zero.recovery().expect("recovery stanza");
         let committed = campaign.baseline_ipc() * campaign.baseline_cycles() as f64;
-        let recovery_cost =
-            rz.reexec_instructions as f64 / (200.0 * committed);
+        let recovery_cost = rz.reexec_instructions as f64 / (200.0 * committed);
         let squashed =
             run_workload(&spec, &PipelineConfig::default().with_squash(Level::L1)).unwrap();
         let squash_loss = 1.0 - squashed.result.ipc().value() / run.result.ipc().value();
@@ -258,9 +269,7 @@ fn ecc_buys_residual_coverage_with_area_instead_of_ipc() {
     //    unprotected domain worse than all of them;
     //  * on a real workload, ECC improves the SDC MITF without moving
     //    IPC at all, whereas squashing moves IPC to get its gain.
-    use ses_core::{
-        EccDomain, EccScheme, PatternDistribution, ReliabilityModel, ResidualModel,
-    };
+    use ses_core::{EccDomain, EccScheme, PatternDistribution, ReliabilityModel, ResidualModel};
     use ses_types::Avf;
 
     let dist = PatternDistribution::default();
