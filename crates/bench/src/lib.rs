@@ -1,1 +1,2 @@
-//! Criterion micro-benchmarks and table/figure regeneration harness live in `benches/`.
+//! The paper's table/figure regeneration harness and the AVF and campaign
+//! speed gates live in `benches/`.

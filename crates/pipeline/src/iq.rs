@@ -150,11 +150,6 @@ impl InstructionQueue {
         self.capacity() - self.occupied()
     }
 
-    /// Whether the queue is full.
-    pub fn is_full(&self) -> bool {
-        self.free() == 0
-    }
-
     /// Inserts an entry into the lowest free slot, returning the slot index.
     ///
     /// # Panics

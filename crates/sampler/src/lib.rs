@@ -37,7 +37,7 @@ pub use stratify::{
 // The span geometry the cells derive from is ses-avf's canonical
 // interval representation; re-exported so campaign code can name it
 // without depending on ses-avf directly.
-pub use ses_avf::{lifetime_spans, occupancy_intervals, LifetimeSpan};
+pub use ses_avf::{lifetime_spans, LifetimeSpan};
 
 /// SplitMix64: the canonical 64-bit seed mixer. One application per
 /// (stratum × round) derives independent, thread-count-invariant sample
