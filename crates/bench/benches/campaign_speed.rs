@@ -14,8 +14,8 @@ use std::time::Instant;
 
 use ses_core::{
     AdaptiveCampaignConfig, AdaptiveCampaignReport, AdaptiveConfig, AdaptiveSession, Campaign,
-    CampaignConfig, CampaignReport, DetectionModel, MetricKind, PruneReport, TrackingConfig,
-    UniformRun, WorkloadSpec,
+    CampaignConfig, CampaignPerf, CampaignReport, DetectionModel, GoldenRun, MetricKind,
+    PruneReport, TrackingConfig, UniformRun, WorkloadSpec,
 };
 use ses_pipeline::{DetectionModel as PipelineDetection, Observers, Pipeline, PipelineConfig};
 
@@ -177,30 +177,31 @@ struct PruneTiming {
     pruned_wall: f64,
     speedup: f64,
     prune: PruneReport,
+    /// The pruned run's accounting, which holds its injections and the
+    /// cycles it simulated.
+    perf: CampaignPerf,
 }
 
 /// Times the convergence-pruned executor against the plain checkpointed
 /// path it extends on the standard 1000-injection crafty campaign, both
 /// under the paper's combined π-bit tracking model (the configuration
-/// whose quiescence oracle lets fingerprint pruning fire) and over the
-/// identical fault sequence. Same interleaved-pair / median-ratio
-/// discipline as [`timed_campaigns`].
+/// whose quiescence oracle lets the convergence gate fire) and over the
+/// identical fault sequence, both planned on one golden run. Same
+/// interleaved-pair / median-ratio discipline as [`timed_campaigns`].
 fn timed_pruned_campaigns() -> PruneTiming {
-    let prepare_crafty = |prune: bool| {
-        let spec = ses_core::spec_by_name("crafty").expect("crafty workload");
-        let config = CampaignConfig {
-            injections: INJECTIONS,
-            seed: 0xBE,
-            detection: DetectionModel::Parity {
-                tracking: Some(TrackingConfig::paper_combined()),
-            },
-            prune,
-            ..CampaignConfig::default()
-        };
-        Campaign::prepare(&spec, config).expect("campaign prepare")
+    let spec = ses_core::spec_by_name("crafty").expect("crafty workload");
+    let config = |prune: bool| CampaignConfig {
+        injections: INJECTIONS,
+        seed: 0xBE,
+        detection: DetectionModel::Parity {
+            tracking: Some(TrackingConfig::paper_combined()),
+        },
+        prune,
+        ..CampaignConfig::default()
     };
-    let tracked = prepare_crafty(false);
-    let pruned = prepare_crafty(true);
+    let golden = std::sync::Arc::new(GoldenRun::prepare(&spec, &config(false)).expect("prepare"));
+    let tracked = Campaign::on(std::sync::Arc::clone(&golden), config(false));
+    let pruned = Campaign::on(golden, config(true));
 
     let reps = reps();
     let mut ratios = Vec::with_capacity(reps);
@@ -208,6 +209,7 @@ fn timed_pruned_campaigns() -> PruneTiming {
     let mut pruned_wall = f64::INFINITY;
     let mut first: Option<(CampaignReport, CampaignReport)> = None;
     let mut prune = None;
+    let mut perf = CampaignPerf::default();
     for _ in 0..reps {
         let clock = Instant::now();
         let tr = std::hint::black_box(tracked.run());
@@ -217,6 +219,7 @@ fn timed_pruned_campaigns() -> PruneTiming {
         let pw = clock.elapsed().as_secs_f64();
         let pr = detailed.summary();
         prune = detailed.prune().copied();
+        perf = detailed.perf();
         ratios.push(tw / pw.max(1e-9));
         tracked_wall = tracked_wall.min(tw);
         pruned_wall = pruned_wall.min(pw);
@@ -242,6 +245,7 @@ fn timed_pruned_campaigns() -> PruneTiming {
         pruned_wall,
         speedup,
         prune,
+        perf,
     }
 }
 
@@ -353,12 +357,12 @@ fn main() {
         reps()
     );
     println!(
-        "prune accounting:       {:.1}% of injections stopped early ({} idle, {} fp), \
+        "prune accounting:       {:.1}% of injections stopped early ({} idle, {} gate), \
          {:.0} mean replay cycles",
-        pruned.prune.stop_fraction() * 100.0,
+        pruned.prune.stop_fraction(pruned.perf.injections) * 100.0,
         pruned.prune.idle_skips,
-        pruned.prune.fp_stops,
-        pruned.prune.mean_replay_cycles(),
+        pruned.prune.gate_stops,
+        pruned.perf.mean_cycles_simulated(),
     );
     println!(
         "pruning speedup:        {:.2}x (median of {} interleaved pairs)",
@@ -422,8 +426,8 @@ fn main() {
         pruned.tracked_wall,
         pruned.pruned_wall,
         pruned.speedup,
-        pruned.prune.stop_fraction(),
-        pruned.prune.mean_replay_cycles(),
+        pruned.prune.stop_fraction(pruned.perf.injections),
+        pruned.perf.mean_cycles_simulated(),
         telemetry_off,
         telemetry_on,
         telemetry_ratio,

@@ -2,8 +2,8 @@
 //!
 //! One cache serves both caching layers of the daemon: rendered artifacts
 //! keyed by canonical job string (weighed in key plus body bytes) and
-//! prepared golden runs keyed by workload, model and `prune` (weighed 1
-//! each, so the budget is a count). Keys are full canonical strings, so
+//! prepared golden runs keyed by workload alone (weighed 1 each, so the
+//! budget is a count). Keys are full canonical strings, so
 //! collisions are impossible by construction.
 //!
 //! The cache is *single-flight*: when several callers ask for the same

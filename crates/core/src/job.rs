@@ -445,8 +445,8 @@ pub struct CampaignJob {
     model_label: &'static str,
     strikes: EccFields,
     level: TelemetryLevel,
-    /// What the job runs: its golden field (`prune`) and its run plan.
-    /// The ECC flavour takes only its budget and seed.
+    /// What the job runs: its run plan. The ECC flavour takes only its
+    /// budget and seed.
     config: Box<CampaignConfig>,
 }
 
@@ -798,10 +798,10 @@ impl CampaignJob {
     }
 
     /// The key of the golden run this job injects against: every campaign
-    /// job on one workload and `prune` setting shares it, whatever its
-    /// detection model.
+    /// job on one workload shares it, whatever its detection model and
+    /// pruning.
     fn golden_key(&self) -> String {
-        golden_key(&self.workload, self.config.prune)
+        golden_key(&self.workload)
     }
 
     fn run(&self, shared: &SharedRuns) -> Result<JobOutput, JobError> {
@@ -889,12 +889,12 @@ impl EccGridJob {
 
     /// Each workload contributes only its measured read probability (a
     /// forced-signal single-bit probe) and baseline IPC; everything else
-    /// is exact enumeration. The probe runs on the workload's unpruned
-    /// golden run, the one every unpruned campaign shares.
+    /// is exact enumeration. The probe runs unpruned on the workload's
+    /// golden run, the one every campaign on it shares.
     fn run(&self, shared: &SharedRuns) -> Result<JobOutput, JobError> {
         let mut workloads = Vec::new();
         for name in &self.workloads {
-            let key = golden_key(name, false);
+            let key = golden_key(name);
             let campaign = shared.campaign(&key, name, CampaignConfig::default())?;
             let p_read = read_probability(&campaign, self.probes, self.seed);
             workloads.push((name.clone(), campaign.baseline_ipc(), p_read, self.probes));
@@ -949,16 +949,16 @@ impl FuzzJob {
     }
 }
 
-/// The [`SharedRuns`] key of a golden run: the workload and `prune`, the
-/// only job fields that shape it (no detection model acts before a
-/// strike).
-fn golden_key(workload: &str, prune: bool) -> String {
-    format!("golden workload={workload} prune={prune}")
+/// The [`SharedRuns`] key of a golden run: the workload, the only job
+/// field that shapes it (no detection model acts before a strike, and
+/// pruning is part of the run plan).
+fn golden_key(workload: &str) -> String {
+    format!("golden workload={workload}")
 }
 
 /// Bounded cache of prepared golden runs, shared across jobs so every run
-/// plan on one workload and `prune` setting pays for the golden run once,
-/// whatever its detection model. It is single-flight: concurrent jobs on
+/// plan on one workload pays for the golden run once, whatever its
+/// detection model and pruning. It is single-flight: concurrent jobs on
 /// one key prepare it once while the others wait.
 pub struct SharedRuns(ResultCache<Arc<GoldenRun>>);
 
@@ -1023,16 +1023,17 @@ mod tests {
         );
         let off = parse_job("campaign", r#"{"workload": "crafty"}"#).unwrap();
         assert_ne!(job.canonical(), off.canonical());
-        // The prepared state differs too: pruning records fingerprints.
+        // The prepared state does not: pruning is part of the run plan.
         let (JobSpec::Campaign(on), JobSpec::Campaign(off)) = (&job, &off) else {
             panic!("campaign jobs expected");
         };
-        assert_eq!(on.golden_key(), "golden workload=crafty prune=true");
-        assert_ne!(on.golden_key(), off.golden_key());
+        assert_eq!(on.golden_key(), "golden workload=crafty");
+        assert_eq!(on.golden_key(), off.golden_key());
     }
 
-    /// Jobs that differ only in their run plan, detection model included,
-    /// share one golden run, and sharing never moves a byte.
+    /// Jobs that differ only in their run plan, detection model and
+    /// pruning included, share one golden run, and sharing never moves a
+    /// byte.
     #[test]
     fn jobs_differing_only_in_plan_share_one_golden_run() {
         let campaigns = [
@@ -1044,6 +1045,7 @@ mod tests {
             r#"{"workload": "crafty", "injections": 20, "ecc": "sec-ded", "model": "none"}"#,
             r#"{"workload": "crafty", "injections": 10, "model": "none"}"#,
             r#"{"workload": "crafty", "injections": 10, "model": "tracking"}"#,
+            r#"{"workload": "crafty", "injections": 10, "model": "tracking", "prune": true}"#,
         ];
         let jobs = campaigns.map(|body| ("campaign", body));
         let grid = ("ecc-grid", r#"{"workloads": ["crafty"], "probes": 20}"#);
@@ -1053,7 +1055,8 @@ mod tests {
             let alone = job.execute(&SharedRuns::default()).unwrap();
             assert_eq!(job.execute(&shared).unwrap(), alone, "{body}");
         }
-        // One golden run for every model, the ECC campaign and the grid.
+        // One golden run for every model, both pruning settings, the ECC
+        // campaign and the grid.
         assert_eq!(shared.len(), 1);
     }
 

@@ -260,14 +260,18 @@ pub fn campaign_artifact(
         doc.set("recovery", r);
     }
     if let Some(prune) = report.prune() {
+        let perf = report.perf();
         let mut pr = JsonValue::object();
         pr.set("idle_skips", prune.idle_skips)
-            .set("fp_stops", prune.fp_stops)
-            .set("replay_cycles", prune.replay_cycles)
+            .set("fp_stops", prune.gate_stops)
+            .set("replay_cycles", perf.cycles_simulated)
             .set("cycles_saved", prune.cycles_saved)
-            .set("stop_fraction", prune.stop_fraction())
-            .set("mean_replay_cycles", prune.mean_replay_cycles())
-            .set("mean_cycles_saved", prune.mean_cycles_saved());
+            .set("stop_fraction", prune.stop_fraction(perf.injections))
+            .set("mean_replay_cycles", perf.mean_cycles_simulated())
+            .set(
+                "mean_cycles_saved",
+                prune.mean_cycles_saved(perf.injections),
+            );
         doc.set("pruning", pr);
     }
     let kinds: Vec<JsonValue> = report

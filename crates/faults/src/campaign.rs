@@ -19,12 +19,13 @@
 //! and a campaign's reports are independent of thread scheduling and of
 //! concurrent runs.
 //!
-//! [`CampaignConfig::prune`] switches three shortcuts on: the golden run
-//! also records a fingerprint stream (a rolling hash of the
-//! fault-reachable machine state per cycle) and a strike index; a strike
-//! on a provably idle coordinate resolves without simulating; and each
-//! replay stops the moment its fingerprint rejoins the golden stream at
-//! the same cycle. Verdicts are identical either way.
+//! [`CampaignConfig::prune`] is a run-plan field that switches two
+//! shortcuts on: a strike on a provably idle coordinate resolves without
+//! simulating, answered by a strike index the golden run builds on the
+//! first pruned plan's first use; and each replay stops at the first
+//! cycle where its verdict is decided and the struck slot is clean again,
+//! after which it provably replays the golden tail. Verdicts are
+//! identical either way.
 //!
 //! Debug builds audit every eighth injection of a batch against the two
 //! references, the timing replay from cycle 0 and the functional replay
@@ -82,12 +83,12 @@ pub struct CampaignConfig {
     /// idempotent-region re-execution when the deferred signal still lands
     /// inside the fault's region.
     pub recovery: RecoveryPolicy,
-    /// Enable convergence pruning: prepare records a per-cycle golden
-    /// fingerprint stream and a strike index, strikes on idle coordinates
-    /// resolve without simulating, and each faulted replay stops as soon
-    /// as its state fingerprint rejoins the golden stream. Off by default.
-    /// Verdicts are identical either way; only wall-clock, the cycles
-    /// simulated and the pruning telemetry stanza change.
+    /// Enable convergence pruning: strikes on idle coordinates resolve
+    /// without simulating, and each faulted replay stops at the
+    /// convergence gate, once its verdict is decided and the struck slot
+    /// is clean. Off by default. A run-plan field: the golden run does not
+    /// depend on it. Verdicts are identical either way; only wall-clock,
+    /// the cycles simulated and the pruning telemetry stanza change.
     pub prune: bool,
 }
 
@@ -149,9 +150,9 @@ struct Injection {
 
 /// The immutable fault-free state every injection is judged against. It
 /// depends only on the workload and the golden fields of
-/// [`CampaignConfig`] (`pipeline`, `checkpoints`, `prune`), so any number
-/// of run plans share one ([`Campaign::on`]), whatever their detection
-/// models: no model acts before a strike.
+/// [`CampaignConfig`] (`pipeline`, `checkpoints`), so any number of run
+/// plans share one ([`Campaign::on`]), whatever their detection models
+/// and pruning: no model acts before a strike.
 pub struct GoldenRun {
     program: Program,
     golden: ExecutionTrace,
@@ -169,12 +170,9 @@ pub struct GoldenRun {
     checkpoint_interval: u64,
     replay_budget: u64,
     prepare_wall: Duration,
-    /// Golden per-cycle fingerprint stream for the convergence gate;
-    /// empty unless [`CampaignConfig::prune`] is enabled.
-    golden_fps: Vec<u64>,
-    /// Per-slot residency interval index for the idle shortcut; built
-    /// only when pruning is enabled.
-    strike_index: Option<ses_avf::StrikeIndex>,
+    /// Per-slot residency interval index for the idle shortcut, built on
+    /// first use by a plan with [`CampaignConfig::prune`].
+    strike_index: OnceLock<ses_avf::StrikeIndex>,
     /// Idempotent-region partition of the golden trace, analysed on first
     /// use by a plan with [`RecoveryPolicy::Idempotent`].
     regions: OnceLock<ses_avf::RegionMap>,
@@ -227,23 +225,18 @@ impl GoldenRun {
         };
         // No detection model acts before a strike, so one capture under
         // none serves every plan: a window restores its snapshot under the
-        // plan's model. Pruning also needs the golden fingerprint stream.
+        // plan's model.
         let observers = Observers {
             snapshot_interval: checkpoint_interval,
-            fingerprints: config.prune,
-            stage_bucket: None,
+            ..Observers::default()
         };
         let ObservedRun {
             result: baseline,
             snapshots,
-            fingerprints: golden_fps,
             ..
         } = pipeline.run_golden(&program, &golden, DetectionModel::None, observers);
         let replay_budget = (golden.len() as u64).saturating_mul(4).max(10_000);
         let lifetime_spans = ses_avf::lifetime_spans(&baseline);
-        let strike_index = config
-            .prune
-            .then(|| ses_avf::StrikeIndex::build(&lifetime_spans, config.pipeline.iq_entries));
         Ok(GoldenRun {
             baseline_cycles: baseline.cycles,
             lifetime_spans,
@@ -255,8 +248,7 @@ impl GoldenRun {
             checkpoint_interval,
             replay_budget,
             prepare_wall: start.elapsed(),
-            golden_fps,
-            strike_index,
+            strike_index: OnceLock::new(),
             regions: OnceLock::new(),
         })
     }
@@ -315,15 +307,6 @@ impl GoldenRun {
         let slot = rng.gen_range(0..self.iq_entries());
         let bit = rng.gen_range(0..64u32);
         (cycle, slot, bit, rng)
-    }
-
-    /// Whether pruning's idle shortcut resolves `fault`: nothing occupies
-    /// the struck coordinate at the strike cycle, so a replay would
-    /// simulate to the strike only to observe `SlotIdle`.
-    fn idle_strike(&self, fault: &FaultSpec) -> bool {
-        self.strike_index
-            .as_ref()
-            .is_some_and(|index| !index.occupied(fault.slot, fault.cycle.as_u64()))
     }
 
     /// Re-runs the functional emulator with the corrupted word substituted
@@ -405,8 +388,7 @@ impl Campaign {
     pub fn on(golden_run: Arc<GoldenRun>, config: CampaignConfig) -> Self {
         assert!(
             *golden_run.pipeline.config() == config.pipeline
-                && (golden_run.checkpoint_interval > 0) == config.checkpoints
-                && golden_run.strike_index.is_some() == config.prune,
+                && (golden_run.checkpoint_interval > 0) == config.checkpoints,
             "the campaign config's golden fields differ from the golden run's"
         );
         Campaign { golden_run, config }
@@ -440,11 +422,10 @@ impl Campaign {
     pub fn inject_batch(&self, faults: &[FaultSpec]) -> DetailedReport {
         let start = Instant::now();
         let injections = self.windowed_run(faults);
-        let n = faults.len() as u32;
         let mut perf = CampaignPerf {
             prepare_wall: self.prepare_wall,
             inject_wall: start.elapsed(),
-            injections: n,
+            injections: faults.len() as u32,
             checkpoints: self.snapshots.len(),
             checkpoint_interval: self.checkpoint_interval,
             ..CampaignPerf::default()
@@ -454,10 +435,7 @@ impl Campaign {
             mean_region_len: regions.mean_len(),
             ..RecoveryReport::default()
         });
-        let mut prune = self.config.prune.then(|| PruneReport {
-            injections: n,
-            ..PruneReport::default()
-        });
+        let mut prune = self.config.prune.then(PruneReport::default);
         for inj in &injections {
             // Every fault is charged its window prefix as skipped and the
             // cycles it actually simulated (none for an idle strike); the
@@ -480,14 +458,11 @@ impl Campaign {
                         report.cycles_saved +=
                             self.baseline_cycles.saturating_sub(inj.window_start);
                     }
-                    Some(run) => {
-                        report.replay_cycles += run.end_cycle.saturating_sub(inj.window_start);
-                        if run.pruned {
-                            report.fp_stops += 1;
-                            report.cycles_saved +=
-                                self.baseline_cycles.saturating_sub(run.end_cycle);
-                        }
+                    Some(run) if run.pruned => {
+                        report.gate_stops += 1;
+                        report.cycles_saved += self.baseline_cycles.saturating_sub(run.end_cycle);
                     }
+                    Some(_) => {}
                 }
             }
         }
@@ -586,7 +561,7 @@ impl Campaign {
         last: bool,
     ) -> Injection {
         let run = (!self.idle_strike(&fault)).then(|| {
-            let gate = self.config.prune.then_some(self.golden_fps.as_slice());
+            let gate = self.config.prune;
             let build = || self.window(snap);
             if last {
                 window.take().unwrap_or_else(build).run_last(fault, gate)
@@ -608,6 +583,20 @@ impl Campaign {
             replay: path,
             recovery,
         }
+    }
+
+    /// Whether pruning's idle shortcut resolves `fault`: the plan prunes
+    /// and nothing occupies the struck coordinate at the strike cycle, so
+    /// a replay would simulate to the strike only to observe `SlotIdle`.
+    /// The golden run builds its strike index on the first such check.
+    fn idle_strike(&self, fault: &FaultSpec) -> bool {
+        self.config.prune
+            && !self
+                .strike_index
+                .get_or_init(|| {
+                    ses_avf::StrikeIndex::build(&self.lifetime_spans, self.iq_entries())
+                })
+                .occupied(fault.slot, fault.cycle.as_u64())
     }
 
     /// The base of `snap`'s checkpoint window under the plan's detection
@@ -1268,9 +1257,9 @@ mod tests {
         assert!(differ > 0, "no corruption reached the output");
     }
 
-    /// One golden run serves every detection model: planned on it, each
-    /// model's samples and performance accounting equal a from-scratch
-    /// campaign's under that model, with pruning off and on. Checkpoints
+    /// One golden run serves every detection model and both pruning
+    /// settings: planned on it, each plan's samples and performance
+    /// accounting equal a from-scratch campaign's. Checkpoints
     /// only move cycles between skipped and simulated (and, pruned, into
     /// the cycles an idle strike saves), so their total is compared. The
     /// models cover parity domains, π tracking and a Commit-scope PET
@@ -1300,24 +1289,25 @@ mod tests {
                 tracking: tracking(PiScope::Commit, Some(512)),
             },
         ];
+        let config = |detection, prune| CampaignConfig {
+            injections: 40,
+            seed: 3,
+            detection,
+            threads: 2,
+            prune,
+            ..CampaignConfig::default()
+        };
+        let golden =
+            Arc::new(GoldenRun::prepare(&spec, &config(DetectionModel::None, false)).unwrap());
         for prune in [false, true] {
-            let config = |detection| CampaignConfig {
-                injections: 40,
-                seed: 3,
-                detection,
-                threads: 2,
-                prune,
-                ..CampaignConfig::default()
-            };
-            let golden =
-                Arc::new(GoldenRun::prepare(&spec, &config(DetectionModel::None)).unwrap());
             for detection in models {
-                let shared = Campaign::on(Arc::clone(&golden), config(detection)).run_detailed();
+                let shared =
+                    Campaign::on(Arc::clone(&golden), config(detection, prune)).run_detailed();
                 let scratch = Campaign::prepare(
                     &spec,
                     CampaignConfig {
                         checkpoints: false,
-                        ..config(detection)
+                        ..config(detection, prune)
                     },
                 )
                 .unwrap()
@@ -1327,7 +1317,7 @@ mod tests {
                 let counts = |r: &DetailedReport| {
                     let perf = r.perf();
                     let saved = r.prune().map_or(0, |p| p.cycles_saved);
-                    let stops = r.prune().map(|p| (p.idle_skips, p.fp_stops));
+                    let stops = r.prune().map(|p| (p.idle_skips, p.gate_stops));
                     let cycles = perf.cycles_skipped + perf.cycles_simulated + saved;
                     (
                         perf.injections,
@@ -1560,10 +1550,10 @@ mod tests {
             "no pruning stanza without --prune"
         );
         let report = pruned.prune().expect("pruned run reports accounting");
-        assert_eq!(report.injections, 60);
+        assert_eq!(pruned.perf().injections, 60);
         assert!(report.idle_skips > 0, "random strikes hit idle coordinates");
         assert!(
-            report.stop_fraction() > 0.0,
+            report.stop_fraction(60) > 0.0,
             "some replays must stop before their natural end"
         );
     }
@@ -1609,10 +1599,9 @@ mod tests {
             .run_detailed();
             let perf = pruned.perf();
             let report = pruned.prune().expect("pruned run reports accounting");
-            assert!(report.idle_skips > 0 && report.fp_stops > 0, "{report:?}");
+            assert!(report.idle_skips > 0 && report.gate_stops > 0, "{report:?}");
             assert_eq!(perf.cycles_skipped, legacy.cycles_skipped);
             assert!(perf.cycles_simulated <= legacy.cycles_simulated);
-            assert_eq!(perf.cycles_simulated, report.replay_cycles);
         }
     }
 
@@ -1706,14 +1695,12 @@ mod tests {
             checkpoints,
             ..CampaignConfig::default()
         };
-        // One checkpointed golden run per pruning setting, shared by every
-        // thread count.
-        let golden = [false, true]
-            .map(|prune| Arc::new(GoldenRun::prepare(&spec, &config(1, prune, true)).unwrap()));
-        let golden = |prune: bool| Arc::clone(&golden[usize::from(prune)]);
+        // One checkpointed golden run, shared by both pruning settings and
+        // every thread count.
+        let golden = Arc::new(GoldenRun::prepare(&spec, &config(1, false, true)).unwrap());
         // The batch is chosen on a pruned campaign, whose strike index
         // knows which coordinates are idle.
-        let probe = Campaign::on(golden(true), config(1, true, true));
+        let probe = Campaign::on(Arc::clone(&golden), config(1, true, true));
         let iq = probe.iq_entries();
         // Seeded strikes in reverse, so the strike cycles are unsorted,
         // plus one duplicate.
@@ -1763,7 +1750,7 @@ mod tests {
             let scratch = Campaign::prepare(&spec, config(4, prune, false))
                 .unwrap()
                 .inject_batch(&faults);
-            let one = Campaign::on(golden(prune), config(1, prune, true));
+            let one = Campaign::on(Arc::clone(&golden), config(1, prune, true));
             let singles: Vec<DetailedReport> =
                 faults.iter().map(|&f| one.inject_batch(&[f])).collect();
             let sum = |field: fn(&CampaignPerf) -> u64| -> u64 {
@@ -1773,23 +1760,21 @@ mod tests {
                 prune.then_some(PruneReport::default()),
                 |acc, p| {
                     acc.map(|a| PruneReport {
-                        injections: a.injections + p.injections,
                         idle_skips: a.idle_skips + p.idle_skips,
-                        fp_stops: a.fp_stops + p.fp_stops,
-                        replay_cycles: a.replay_cycles + p.replay_cycles,
+                        gate_stops: a.gate_stops + p.gate_stops,
                         cycles_saved: a.cycles_saved + p.cycles_saved,
                     })
                 },
             );
             if let Some(p) = prune_sum {
-                assert!(p.idle_skips >= 3 && p.fp_stops > 0, "{p:?}");
+                assert!(p.idle_skips >= 3 && p.gate_stops > 0, "{p:?}");
             }
             let outcomes: Vec<(FaultSpec, Outcome)> =
                 singles.iter().map(|r| r.samples()[0]).collect();
             assert_eq!(&outcomes[..], scratch.samples(), "prune {prune}");
             for threads in [1, 4] {
-                let batch =
-                    Campaign::on(golden(prune), config(threads, prune, true)).inject_batch(&faults);
+                let batch = Campaign::on(Arc::clone(&golden), config(threads, prune, true))
+                    .inject_batch(&faults);
                 let at = format!("threads {threads}, prune {prune}");
                 assert_eq!(batch.samples(), &outcomes[..], "{at}");
                 let perf = batch.perf();

@@ -57,6 +57,15 @@ impl CampaignPerf {
         }
     }
 
+    /// Mean timing-model cycles simulated per injection.
+    pub fn mean_cycles_simulated(&self) -> f64 {
+        if self.injections == 0 {
+            0.0
+        } else {
+            self.cycles_simulated as f64 / f64::from(self.injections)
+        }
+    }
+
     /// Injection throughput over the injection phase (0 when unmeasured).
     pub fn injections_per_sec(&self) -> f64 {
         let secs = self.inject_wall.as_secs_f64();
@@ -71,51 +80,41 @@ impl CampaignPerf {
 /// Accounting for the convergence-pruned executor, present only when the
 /// campaign ran with pruning enabled. All fields are pure functions of
 /// the fault sequence (folded in batch order), so the report —
-/// and the `pruning` telemetry stanza built from it — is byte-identical
-/// across thread counts and checkpoint/resume.
+/// and the `pruning` telemetry stanza built from it and the run's
+/// [`CampaignPerf`] — is byte-identical across thread counts and
+/// checkpoint/resume. The injections and the cycles the pruned path
+/// simulated are [`CampaignPerf::injections`] and
+/// [`CampaignPerf::cycles_simulated`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PruneReport {
-    /// Injections executed by the pruned path.
-    pub injections: u32,
     /// Injections resolved without any simulation because the struck
     /// coordinate held no residency at the strike cycle.
     pub idle_skips: u32,
-    /// Faulted replays stopped early because their state fingerprint
-    /// rejoined the golden stream.
-    pub fp_stops: u32,
-    /// Timing-model cycles the pruned path actually simulated.
-    pub replay_cycles: u64,
+    /// Faulted replays stopped early by the convergence gate.
+    pub gate_stops: u32,
     /// Timing-model cycles the pruned path avoided simulating, relative
     /// to replaying every fault's window to the golden end of the run.
     pub cycles_saved: u64,
 }
 
 impl PruneReport {
-    /// Fraction of injections that never ran a replay to its natural end
-    /// (idle shortcut or fingerprint stop).
-    pub fn stop_fraction(&self) -> f64 {
-        if self.injections == 0 {
+    /// Fraction of the run's `injections` that never ran a replay to its
+    /// natural end (idle shortcut or gate stop).
+    pub fn stop_fraction(&self, injections: u32) -> f64 {
+        if injections == 0 {
             0.0
         } else {
-            f64::from(self.idle_skips + self.fp_stops) / f64::from(self.injections)
+            f64::from(self.idle_skips + self.gate_stops) / f64::from(injections)
         }
     }
 
-    /// Mean timing-model cycles simulated per injection.
-    pub fn mean_replay_cycles(&self) -> f64 {
-        if self.injections == 0 {
+    /// Mean timing-model cycles avoided per injection of the run's
+    /// `injections`.
+    pub fn mean_cycles_saved(&self, injections: u32) -> f64 {
+        if injections == 0 {
             0.0
         } else {
-            self.replay_cycles as f64 / f64::from(self.injections)
-        }
-    }
-
-    /// Mean timing-model cycles avoided per injection.
-    pub fn mean_cycles_saved(&self) -> f64 {
-        if self.injections == 0 {
-            0.0
-        } else {
-            self.cycles_saved as f64 / f64::from(self.injections)
+            self.cycles_saved as f64 / f64::from(injections)
         }
     }
 }
@@ -324,7 +323,9 @@ mod tests {
         assert!((perf.skip_fraction() - 0.75).abs() < 1e-12);
         assert!((perf.replay_hit_rate() - 0.2).abs() < 1e-12);
         assert!((perf.injections_per_sec() - 50.0).abs() < 1e-12);
+        assert!((perf.mean_cycles_simulated() - 2.5).abs() < 1e-12);
         assert_eq!(CampaignPerf::default().skip_fraction(), 0.0);
+        assert_eq!(CampaignPerf::default().mean_cycles_simulated(), 0.0);
         assert_eq!(CampaignPerf::default().replay_hit_rate(), 0.0);
         assert_eq!(CampaignPerf::default().injections_per_sec(), 0.0);
     }
@@ -332,17 +333,14 @@ mod tests {
     #[test]
     fn prune_report_derived_rates() {
         let p = PruneReport {
-            injections: 100,
             idle_skips: 20,
-            fp_stops: 30,
-            replay_cycles: 5000,
+            gate_stops: 30,
             cycles_saved: 15_000,
         };
-        assert!((p.stop_fraction() - 0.5).abs() < 1e-12);
-        assert!((p.mean_replay_cycles() - 50.0).abs() < 1e-12);
-        assert!((p.mean_cycles_saved() - 150.0).abs() < 1e-12);
-        assert_eq!(PruneReport::default().stop_fraction(), 0.0);
-        assert_eq!(PruneReport::default().mean_replay_cycles(), 0.0);
+        assert!((p.stop_fraction(100) - 0.5).abs() < 1e-12);
+        assert!((p.mean_cycles_saved(100) - 150.0).abs() < 1e-12);
+        assert_eq!(p.stop_fraction(0), 0.0);
+        assert_eq!(p.mean_cycles_saved(0), 0.0);
     }
 
     #[test]

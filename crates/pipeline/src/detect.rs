@@ -636,8 +636,9 @@ impl Detector {
     /// of its signal paths require a poisoned source), so
     /// [`Detector::finish`] must resolve to
     /// [`SuppressReason::DeadValueOverwritten`] no matter how the rest of
-    /// the run unfolds. The engine combines this with a
-    /// fingerprint match against the golden run to stop the replay early.
+    /// the run unfolds. The engine's convergence gate combines this with
+    /// a spent fault and a struck slot that holds no corrupted word and
+    /// no π to stop the replay early.
     pub(crate) fn quiescent_verdict(&self) -> Option<FaultOutcome> {
         if self.outcome.is_some() || !self.injected || self.pet.is_some() {
             return None;

@@ -55,9 +55,6 @@ pub struct Observers {
     /// Capture a resumable [`Snapshot`] at the top of every cycle divisible
     /// by this interval, cycle 0 included (0 = none).
     pub snapshot_interval: u64,
-    /// Record the per-cycle overlay fingerprint stream consumed by
-    /// convergence pruning ([`FaultWindow::run_fault`]).
-    pub fingerprints: bool,
     /// Collect [`StageCounters`] bucketed by this many cycles.
     pub stage_bucket: Option<u64>,
 }
@@ -69,13 +66,6 @@ pub struct ObservedRun {
     pub result: PipelineResult,
     /// Snapshots in cycle order (empty unless `snapshot_interval > 0`).
     pub snapshots: Vec<Snapshot>,
-    /// `fingerprints[c]` is the overlay fingerprint at the top of cycle
-    /// `c`; the stream's length is the run's cycle count (empty unless
-    /// requested). The fingerprint covers only fault-reachable state
-    /// (commit count, occupied queue words, π bits), none of which a
-    /// detection model touches on a fault-free run, so the stream is
-    /// detection-model-independent.
-    pub fingerprints: Vec<u64>,
     /// Per-stage telemetry (present iff `stage_bucket` was set).
     pub stages: Option<StageCounters>,
 }
@@ -298,17 +288,14 @@ pub struct FaultWindow<'a> {
 
 impl FaultWindow<'_> {
     /// Replays `fault` on a fork of the window base, leaving the base
-    /// intact for the window's next fault. With `gate` set, the replay
-    /// stops at the first cycle the convergence gate fires against that
-    /// golden fingerprint stream (as recorded by [`Pipeline::run_golden`]
-    /// with [`Observers::fingerprints`]); without it, the replay runs to
-    /// its natural end.
+    /// intact for the window's next fault. With `gate` armed, the replay
+    /// stops at the first cycle the convergence gate fires; without it,
+    /// the replay runs to its natural end.
     ///
     /// # Panics
     ///
-    /// Panics if `fault` strikes before the window's start cycle, or if
-    /// `gate` does not cover the window's start cycle.
-    pub fn run_fault(&self, fault: FaultSpec, gate: Option<&[u64]>) -> FaultRun {
+    /// Panics if `fault` strikes before the window's start cycle.
+    pub fn run_fault(&self, fault: FaultSpec, gate: bool) -> FaultRun {
         run_window_fault(self.base.clone(), self.start, fault, gate)
     }
 
@@ -319,28 +306,23 @@ impl FaultWindow<'_> {
     /// # Panics
     ///
     /// As [`FaultWindow::run_fault`].
-    pub fn run_last(self, fault: FaultSpec, gate: Option<&[u64]>) -> FaultRun {
+    pub fn run_last(self, fault: FaultSpec, gate: bool) -> FaultRun {
         run_window_fault(self.base, self.start, fault, gate)
     }
 }
 
 /// Runs `fault` on an unstepped window base from `start`.
-fn run_window_fault<'a>(
-    mut engine: Engine<'a>,
+fn run_window_fault(
+    mut engine: Engine<'_>,
     start: Cycle,
     fault: FaultSpec,
-    gate: Option<&'a [u64]>,
+    gate: bool,
 ) -> FaultRun {
     assert!(
         fault.cycle >= start,
         "fault at {:?} strikes before window start {:?}",
         fault.cycle,
         start
-    );
-    // A stream that ends before the window would silently never fire.
-    assert!(
-        gate.is_none_or(|golden| golden.len() as u64 > start.as_u64()),
-        "convergence gate armed without a golden fingerprint stream covering {start:?}"
     );
     engine.fault = Some(fault);
     engine.gate = gate;
@@ -434,20 +416,9 @@ struct Engine<'a> {
     observers: Observers,
     /// Per-stage telemetry; `None` keeps collection zero-cost.
     stages: Option<StageCounters>,
-    /// The golden fingerprint stream the convergence gate compares
-    /// against; `None` disarms the gate.
-    gate: Option<&'a [u64]>,
+    /// Whether the convergence gate is armed.
+    gate: bool,
 }
-
-/// FNV-1a step over one 64-bit quantity (word-at-a-time: the stream is
-/// compared for equality, never used as a table hash, so the weaker
-/// per-word mixing is fine and ~8x cheaper than byte-wise FNV).
-#[inline]
-fn fnv1a(h: u64, v: u64) -> u64 {
-    (h ^ v).wrapping_mul(0x0000_0100_0000_01B3)
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 impl<'a> Engine<'a> {
     fn new(
@@ -476,7 +447,7 @@ impl<'a> Engine<'a> {
             stop_early: false,
             observers: Observers::default(),
             stages: None,
-            gate: None,
+            gate: false,
         }
     }
 
@@ -538,7 +509,7 @@ impl<'a> Engine<'a> {
     /// have happened already.
     ///
     /// At the top of each cycle the observers run in a fixed order:
-    /// fingerprint, snapshot, then the convergence gate. The gate is the
+    /// snapshot, then the convergence gate. The gate is the
     /// only observer that can end the run: when it fires, the returned
     /// result carries the decided verdict as its fault outcome and the
     /// stop cycle as its cycle count, and the flag is `true`.
@@ -548,21 +519,17 @@ impl<'a> Engine<'a> {
         let total = self.trace.len() as u64;
         let mut budget_exhausted = false;
         let mut converged = None;
-        let mut fingerprints = Vec::new();
         let interval = self.observers.snapshot_interval;
         while self.committed < total && !self.stop_early {
             if now.as_u64() >= self.cfg.max_cycles {
                 budget_exhausted = true;
                 break;
             }
-            if self.observers.fingerprints {
-                fingerprints.push(self.overlay_fingerprint());
-            }
             if interval > 0 && now.as_u64().is_multiple_of(interval) {
                 snapshots.push(self.capture(now));
             }
-            if let Some(golden) = self.gate {
-                converged = self.converged_verdict(now, golden);
+            if self.gate {
+                converged = self.converged_verdict(now);
                 if converged.is_some() {
                     break;
                 }
@@ -613,7 +580,6 @@ impl<'a> Engine<'a> {
         let run = ObservedRun {
             result,
             snapshots,
-            fingerprints,
             stages: self.stages,
         };
         (run, converged.is_some())
@@ -621,11 +587,13 @@ impl<'a> Engine<'a> {
 
     /// The convergence gate: the fault's verdict once it is decided and
     /// the rest of the run provably replays the golden tail. It fires at
-    /// the top of the first cycle after the fault has fully landed where
-    /// the detector has quiesced ([`Detector::quiescent_verdict`]), the
-    /// struck slot carries no residual corruption or π, and the overlay
-    /// fingerprint equals the golden stream's at the same cycle.
-    fn converged_verdict(&self, now: Cycle, golden: &[u64]) -> Option<FaultOutcome> {
+    /// the top of the first cycle where the first strike is spent, any
+    /// second strike is resolved, the detector has quiesced
+    /// ([`Detector::quiescent_verdict`]), and the struck slot holds no
+    /// corrupted word and no π. A fault writes only the struck
+    /// residency's word and π (DESIGN.md, soundness property 2), so from
+    /// that cycle on the faulted machine is the golden one.
+    fn converged_verdict(&self, now: Cycle) -> Option<FaultOutcome> {
         let f = self.fault?;
         let spent = f.cycle == Cycle::new(u64::MAX);
         let second_resolved = f
@@ -635,37 +603,14 @@ impl<'a> Engine<'a> {
             return None;
         }
         let verdict = self.detector.quiescent_verdict()?;
-        // The fault overlay is confined to the struck slot; once that slot
-        // is clean (struck entry gone, no lingering π) the fingerprint is
-        // the only state that could still differ.
+        // Entries never change slots, so the struck residency is either
+        // still in its slot or gone; a slot refilled since holds a clean
+        // entry.
         let slot_clean = self
             .iq
             .get(f.slot)
             .is_none_or(|e| !e.parity_mismatch() && !e.pi);
-        (slot_clean && golden.get(now.as_u64() as usize) == Some(&self.overlay_fingerprint()))
-            .then_some(verdict)
-    }
-
-    /// A cheap rolling FNV-1a hash of the machine state the fault overlay
-    /// can touch: the commit count plus, for each occupied queue slot in
-    /// age order, its slot index, sequence number, stored word, and π bit.
-    ///
-    /// An injected fault perturbs nothing but the struck word, the π bit,
-    /// and the detector's own bookkeeping — timing is bit-identical to the
-    /// golden run until an outcome stops it early — so equality of this
-    /// fingerprint at an equal cycle, together with a quiescent detector
-    /// ([`Detector::quiescent_verdict`]), proves the remainder of the
-    /// faulted run replays the golden tail exactly.
-    fn overlay_fingerprint(&self) -> u64 {
-        let mut h = fnv1a(FNV_OFFSET, self.committed);
-        for &slot in self.iq.age_order() {
-            let e = self.iq.get(slot).expect("slot in age order");
-            h = fnv1a(h, slot as u64);
-            h = fnv1a(h, e.seq.as_u64());
-            h = fnv1a(h, e.word);
-            h = fnv1a(h, e.pi as u64);
-        }
-        h
+        slot_clean.then_some(verdict)
     }
 
     /// Captures the engine's full state at the top of cycle `now`.
@@ -1109,13 +1054,11 @@ mod tests {
         assert!(snapshots.windows(2).all(|w| w[0].cycle() < w[1].cycle()));
         let every_observer = Observers {
             snapshot_interval: 500,
-            fingerprints: true,
             stage_bucket: Some(256),
         };
         let observed = pipeline.run_golden(&program, &trace, DetectionModel::None, every_observer);
         assert_eq!(plain, observed.result, "observers must not perturb timing");
         assert_eq!(observed.snapshots.len(), snapshots.len());
-        assert_eq!(observed.fingerprints.len() as u64, plain.cycles);
         assert!(observed.stages.is_some());
     }
 
@@ -1156,13 +1099,39 @@ mod tests {
         assert_eq!(recycled.residencies.as_ptr(), at);
     }
 
-    /// The convergence gate must compare against the golden stream it is
-    /// given: a planted defect (every golden fingerprint XOR 1) must never
-    /// let it fire, and the verdict must then come from the full replay.
-    /// The same fault against the true stream must still stop early, so a
-    /// loop that ignores the gate fails as well as one that always fires.
+    /// On a tracking model the gate fires only once the struck residency
+    /// has left its slot (quiescence needs a parity hit, which sets the
+    /// residency's π) and only after a temporal double's second strike,
+    /// and every gated verdict equals the from-scratch replay's. The stop
+    /// cycles are pinned to those of the fingerprint-compared gate this
+    /// one replaced, so a gate that fires earlier or later fails too.
     #[test]
-    fn convergence_gate_fires_only_on_the_true_golden_stream() {
+    fn convergence_gate_waits_for_a_clean_struck_slot() {
+        const STOPS: [(u64, u64); 23] = [
+            (3, 9949),
+            (6, 6140),
+            (23, 1222),
+            (30, 970),
+            (34, 4827),
+            (46, 2410),
+            (50, 6265),
+            (55, 4111),
+            (62, 3824),
+            (74, 1380),
+            (75, 9309),
+            (80, 7141),
+            (92, 5067),
+            (114, 11900),
+            (138, 7057),
+            (149, 10642),
+            (152, 6848),
+            (160, 286),
+            (166, 6037),
+            (177, 9714),
+            (182, 7453),
+            (190, 1198),
+            (192, 3147),
+        ];
         let (program, trace) = quick_run();
         let pipeline = Pipeline::new(PipelineConfig::default());
         let detection = DetectionModel::Parity {
@@ -1173,107 +1142,47 @@ mod tests {
                 mem_granule: 8,
             }),
         };
-        let golden = pipeline.run_golden(
-            &program,
-            &trace,
-            detection,
-            Observers {
-                snapshot_interval: 400,
-                fingerprints: true,
-                ..Observers::default()
-            },
-        );
-        let planted: Vec<u64> = golden.fingerprints.iter().map(|fp| fp ^ 1).collect();
-        let cycles = golden.result.cycles;
-        let stopped = (0..400u64)
-            .map(|i| {
-                FaultSpec::single(
-                    Cycle::new(i * 7919 % cycles),
-                    (i * 7 % 64) as usize,
-                    (i * 13 % 64) as u32,
-                )
-            })
-            .find_map(|fault| {
-                let idx = golden
-                    .snapshots
-                    .partition_point(|s| s.cycle() <= fault.cycle);
-                let snap = &golden.snapshots[idx - 1];
-                let window = pipeline.fault_window(&program, &trace, Some(snap), detection);
-                let run = window.run_fault(fault, Some(&golden.fingerprints));
-                run.pruned.then_some((fault, snap, window, run))
-            });
-        let (fault, snap, window, run) =
-            stopped.expect("some fault reconverges with the golden run");
-        let full = pipeline.resume(&program, &trace, snap, Some(fault));
-        assert!(
-            run.end_cycle < full.cycles,
-            "a pruned replay stops before the natural end"
-        );
-        assert_eq!(Some(run.outcome), full.fault);
-        let defect = window.run_fault(fault, Some(&planted));
-        assert!(
-            !defect.pruned,
-            "the gate fired against a corrupted golden stream"
-        );
-        assert_eq!(Some(defect.outcome), full.fault);
-        assert_eq!(defect.end_cycle, full.cycles);
-    }
-
-    /// The overlay fingerprint covers each occupied slot's sequence number,
-    /// stored word and π bit (DESIGN.md, soundness property 2): changing
-    /// any one of them in one entry changes the fingerprint. No
-    /// verdict shows a field dropped from it, because the gate also checks
-    /// the struck slot, the only one a fault writes.
-    #[test]
-    fn overlay_fingerprint_covers_every_slot_field() {
-        let (program, trace) = quick_run();
-        let cfg = PipelineConfig::default();
-        let (_, snapshots) = Pipeline::new(cfg.clone()).run_with_snapshots(
-            &program,
-            &trace,
-            DetectionModel::None,
-            700,
-        );
-        let snap = &snapshots[snapshots.len() / 2];
-        let engine = Engine::restore(
-            &cfg,
-            &program,
-            &trace,
-            snap,
-            DetectionModel::None,
-            None,
-            false,
-        );
-        let slot = engine.iq.age_order()[0];
-        let fingerprint = |edit: fn(&mut IqEntry)| {
-            let mut e = engine.clone();
-            edit(e.iq.get_mut(slot).expect("slot in age order"));
-            e.overlay_fingerprint()
-        };
-        let golden = engine.overlay_fingerprint();
-        assert_eq!(fingerprint(|_| {}), golden);
-        assert_ne!(fingerprint(|e| e.pi = !e.pi), golden, "π");
-        assert_ne!(fingerprint(|e| e.word ^= 1 << 40), golden, "word");
-        assert_ne!(
-            fingerprint(|e| e.seq = SeqNo::new(e.seq.as_u64() + 1)),
-            golden,
-            "sequence number"
-        );
-    }
-
-    /// A gate against a stream that ends before the window starts could
-    /// never fire; arming one is a caller bug, not a silent no-op.
-    #[test]
-    #[should_panic(expected = "convergence gate armed")]
-    fn gate_without_a_covering_stream_is_rejected() {
-        let (program, trace) = quick_run();
-        let pipeline = Pipeline::new(PipelineConfig::default());
-        let (_, snapshots) =
-            pipeline.run_with_snapshots(&program, &trace, DetectionModel::None, 600);
-        let late = snapshots.last().unwrap();
-        let fault = FaultSpec::single(late.cycle(), 0, 0);
-        let window = pipeline.fault_window(&program, &trace, Some(late), DetectionModel::None);
-        window.run_last(fault, Some(&[]));
+        let log = pipeline.run(&program, &trace).residencies;
+        let (golden, snapshots) = pipeline.run_with_snapshots(&program, &trace, detection, 400);
+        let mut stops = Vec::new();
+        for i in 0..200u64 {
+            let cycle = Cycle::new(i * 7919 % golden.cycles);
+            let (slot, bit) = ((i * 7 % 64) as usize, (i * 13 % 64) as u32);
+            // Every other fault is a temporal double, its second strike
+            // 1 to 160 cycles after the first.
+            let fault = if i % 2 == 0 {
+                FaultSpec::single(cycle, slot, bit)
+            } else {
+                FaultSpec::temporal_double(cycle, slot, bit, 1 + i * 37 % 160)
+            };
+            let idx = snapshots.partition_point(|s| s.cycle() <= fault.cycle);
+            let window =
+                pipeline.fault_window(&program, &trace, Some(&snapshots[idx - 1]), detection);
+            let gated = window.run_last(fault, true);
+            let full = pipeline.run_with_fault(&program, &trace, Some(fault), detection);
+            assert_eq!(Some(gated.outcome), full.fault, "{fault:?}");
+            if !gated.pruned {
+                assert_eq!(gated.end_cycle, full.cycles, "{fault:?}");
+                continue;
+            }
+            let at = cycle.as_u64();
+            let struck = log
+                .iter()
+                .find(|r| r.slot == slot && r.alloc.as_u64() <= at && at < r.dealloc.as_u64())
+                .expect("a gate stop follows a strike on a residency");
+            assert!(
+                struck.dealloc.as_u64() < gated.end_cycle,
+                "the gate fired with the struck residency in its slot: {fault:?}"
+            );
+            if let Some((second, _)) = fault.second_mask() {
+                assert!(
+                    second.as_u64() < gated.end_cycle,
+                    "the gate fired before the second strike: {fault:?}"
+                );
+            }
+            stops.push((i, gated.end_cycle));
+        }
+        assert_eq!(stops, STOPS);
     }
 
     #[test]

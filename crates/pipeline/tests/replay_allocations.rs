@@ -84,7 +84,7 @@ fn lean_window_replay_allocates_nothing_per_cycle() {
             let window = pipeline.fault_window(&program, &trace, snapshot, detection);
             let start = snapshot.map_or(0, |s| s.cycle().as_u64());
             let (allocations, run): (u64, FaultRun) =
-                allocations_in(|| window.run_last(fault, None));
+                allocations_in(|| window.run_last(fault, false));
             let cycles = run.end_cycle - start;
             assert!(
                 cycles >= 5_000,

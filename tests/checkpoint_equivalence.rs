@@ -184,12 +184,12 @@ fn lean_fault_runs_match_full_resume_and_scratch_in_every_window() {
                 pruned: false,
             };
             let window = pipeline.fault_window(&program, &trace, window, detection);
-            let forked = window.run_fault(fault, None);
+            let forked = window.run_fault(fault, false);
             assert_eq!(
                 forked, want,
                 "forked window run diverged under {detection:?} for {fault:?}"
             );
-            let consumed = window.run_last(fault, None);
+            let consumed = window.run_last(fault, false);
             assert_eq!(
                 consumed, want,
                 "consuming window run diverged under {detection:?} for {fault:?}"

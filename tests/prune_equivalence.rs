@@ -1,15 +1,18 @@
 //! Convergence pruning is a pure optimisation: every campaign run with
 //! `prune: true` must produce exactly the verdicts, recovery accounting,
-//! and telemetry bytes of the full-replay executor it replaces.
+//! and telemetry bytes of the full-replay executor it replaces. Pruning is
+//! part of the run plan, so both settings are planned on one golden run.
 //!
 //! Debug builds audit every eighth injection against a from-scratch
 //! replay; these tests assert the equivalence fault by fault in any build,
 //! at the campaign level — across detection models, recovery campaigns,
 //! ECC pattern campaigns, worker-thread counts, and checkpoint geometries.
 
+use std::sync::Arc;
+
 use ses_core::telemetry::campaign_artifact;
 use ses_core::{
-    run_ecc_campaign, Campaign, CampaignConfig, DetectionModel, EccCampaignConfig,
+    run_ecc_campaign, Campaign, CampaignConfig, DetectionModel, EccCampaignConfig, GoldenRun,
     LatencyDistribution, PiScope, RecoveryPolicy, TelemetryLevel, TrackingConfig, WorkloadSpec,
 };
 
@@ -20,6 +23,19 @@ fn tracking() -> TrackingConfig {
         pet_entries: None,
         mem_granule: 8,
     }
+}
+
+/// Plans `base` with pruning off and on, over one golden run.
+fn unpruned_and_pruned(spec: &WorkloadSpec, base: CampaignConfig) -> (Campaign, Campaign) {
+    let golden = Arc::new(GoldenRun::prepare(spec, &base).unwrap());
+    let pruned = CampaignConfig {
+        prune: true,
+        ..base.clone()
+    };
+    (
+        Campaign::on(Arc::clone(&golden), base),
+        Campaign::on(golden, pruned),
+    )
 }
 
 /// Fuzzed corpus: per-fault verdict identity between the pruned and the
@@ -50,18 +66,8 @@ fn fuzzed_corpus_verdicts_match_full_replay() {
                 threads: 2,
                 ..CampaignConfig::default()
             };
-            let full = Campaign::prepare(&spec, base.clone())
-                .unwrap()
-                .run_detailed();
-            let pruned = Campaign::prepare(
-                &spec,
-                CampaignConfig {
-                    prune: true,
-                    ..base
-                },
-            )
-            .unwrap()
-            .run_detailed();
+            let (full, pruned) = unpruned_and_pruned(&spec, base);
+            let (full, pruned) = (full.run_detailed(), pruned.run_detailed());
             assert_eq!(
                 full.samples(),
                 pruned.samples(),
@@ -71,9 +77,9 @@ fn fuzzed_corpus_verdicts_match_full_replay() {
                 full.prune().is_none(),
                 "prune-off runs must not grow a prune report"
             );
-            let report = pruned.prune().expect("prune-on runs report pruning");
-            assert_eq!(report.injections, 40);
-            checked += report.injections;
+            assert!(pruned.prune().is_some(), "prune-on runs report pruning");
+            assert_eq!(pruned.perf().injections, 40);
+            checked += pruned.perf().injections;
         }
     }
     assert_eq!(checked, 9 * 40, "every corpus case must have run");
@@ -98,18 +104,8 @@ fn recovery_campaign_matches_with_pruning() {
             threads: 2,
             ..CampaignConfig::default()
         };
-        let full = Campaign::prepare(&spec, base.clone())
-            .unwrap()
-            .run_detailed();
-        let pruned = Campaign::prepare(
-            &spec,
-            CampaignConfig {
-                prune: true,
-                ..base
-            },
-        )
-        .unwrap()
-        .run_detailed();
+        let (full, pruned) = unpruned_and_pruned(&spec, base);
+        let (full, pruned) = (full.run_detailed(), pruned.run_detailed());
         assert_eq!(
             full.samples(),
             pruned.samples(),
@@ -145,15 +141,7 @@ fn ecc_pattern_campaign_matches_with_pruning() {
         injections: 120,
         ..EccCampaignConfig::default()
     };
-    let full_campaign = Campaign::prepare(&spec, base.clone()).unwrap();
-    let pruned_campaign = Campaign::prepare(
-        &spec,
-        CampaignConfig {
-            prune: true,
-            ..base
-        },
-    )
-    .unwrap();
+    let (full_campaign, pruned_campaign) = unpruned_and_pruned(&spec, base);
     let full = run_ecc_campaign(&full_campaign, &ecc);
     let pruned = run_ecc_campaign(&pruned_campaign, &ecc);
     assert_eq!(full, pruned, "ECC campaign report must be prune-invariant");
@@ -230,13 +218,13 @@ fn pruned_run_survives_checkpoint_resume() {
         scratch.prune().expect("prune report"),
         checkpointed.prune().expect("prune report"),
     );
-    assert_eq!(a.injections, b.injections);
+    assert_eq!(scratch.perf().injections, checkpointed.perf().injections);
     assert_eq!(
         a.idle_skips, b.idle_skips,
         "idle detection is geometry-independent"
     );
     assert_eq!(
-        a.fp_stops, b.fp_stops,
-        "fingerprint stops are geometry-independent"
+        a.gate_stops, b.gate_stops,
+        "gate stops are geometry-independent"
     );
 }
