@@ -99,10 +99,10 @@ impl Pipeline {
         detection: DetectionModel,
         observers: Observers,
     ) -> ObservedRun {
-        let mut engine = Engine::new(&self.config, program, trace, None, detection);
+        let mut engine = Engine::start(&self.config, program, trace, None, detection);
         engine.observers = observers;
         engine.stages = observers.stage_bucket.map(StageCounters::new);
-        engine.warmed().run_core(Cycle::ZERO).0
+        engine.run_core().0
     }
 
     /// Runs the timing model over a functional trace.
@@ -145,10 +145,9 @@ impl Pipeline {
         trace: &ExecutionTrace,
         residencies: Option<Vec<Residency>>,
     ) -> PipelineResult {
-        let mut engine =
-            Engine::new(&self.config, program, trace, None, DetectionModel::None).warmed();
-        engine.iq.set_residencies(residencies);
-        engine.run_core(Cycle::ZERO).0.result
+        let mut engine = Engine::start(&self.config, program, trace, None, DetectionModel::None);
+        engine.state.iq.set_residencies(residencies);
+        engine.run_core().0.result
     }
 
     /// Runs the timing model with an optional injected fault under the
@@ -160,8 +159,9 @@ impl Pipeline {
         fault: Option<FaultSpec>,
         detection: DetectionModel,
     ) -> PipelineResult {
-        let engine = Engine::new(&self.config, program, trace, fault, detection);
-        engine.warmed().run_core(Cycle::ZERO).0.result
+        let mut engine = Engine::start(&self.config, program, trace, None, detection);
+        engine.fault = fault;
+        engine.run_core().0.result
     }
 
     /// Runs the fault-free timing model tagged with `detection`, capturing
@@ -208,18 +208,11 @@ impl Pipeline {
         snapshot: &Snapshot,
         fault: Option<FaultSpec>,
     ) -> PipelineResult {
-        Engine::restore(
-            &self.config,
-            program,
-            trace,
-            snapshot,
-            snapshot.detection,
-            fault,
-            true,
-        )
-        .run_core(snapshot.cycle)
-        .0
-        .result
+        let detection = snapshot.detection;
+        let mut engine = Engine::start(&self.config, program, trace, Some(snapshot), detection);
+        engine.fault = fault;
+        engine.state.iq.set_residencies(Some(Vec::new()));
+        engine.run_core().0.result
     }
 
     /// Prepares the base of one checkpoint window: the engine state at
@@ -240,18 +233,9 @@ impl Pipeline {
         snapshot: Option<&Snapshot>,
         detection: DetectionModel,
     ) -> FaultWindow<'a> {
-        let (base, start) = match snapshot {
-            Some(s) => (
-                Engine::restore(&self.config, program, trace, s, detection, None, false),
-                s.cycle(),
-            ),
-            None => {
-                let mut base = Engine::new(&self.config, program, trace, None, detection).warmed();
-                base.iq.set_residencies(None);
-                (base, Cycle::ZERO)
-            }
-        };
-        FaultWindow { base, start }
+        let mut base = Engine::start(&self.config, program, trace, snapshot, detection);
+        base.state.iq.set_residencies(None);
+        FaultWindow { base }
     }
 }
 
@@ -283,7 +267,6 @@ pub struct FaultRun {
 /// cost across the whole batch.
 pub struct FaultWindow<'a> {
     base: Engine<'a>,
-    start: Cycle,
 }
 
 impl FaultWindow<'_> {
@@ -296,7 +279,7 @@ impl FaultWindow<'_> {
     ///
     /// Panics if `fault` strikes before the window's start cycle.
     pub fn run_fault(&self, fault: FaultSpec, gate: bool) -> FaultRun {
-        run_window_fault(self.base.clone(), self.start, fault, gate)
+        run_window_fault(self.base.clone(), fault, gate)
     }
 
     /// Like [`FaultWindow::run_fault`], but replays on the window base
@@ -307,26 +290,15 @@ impl FaultWindow<'_> {
     ///
     /// As [`FaultWindow::run_fault`].
     pub fn run_last(self, fault: FaultSpec, gate: bool) -> FaultRun {
-        run_window_fault(self.base, self.start, fault, gate)
+        run_window_fault(self.base, fault, gate)
     }
 }
 
-/// Runs `fault` on an unstepped window base from `start`.
-fn run_window_fault(
-    mut engine: Engine<'_>,
-    start: Cycle,
-    fault: FaultSpec,
-    gate: bool,
-) -> FaultRun {
-    assert!(
-        fault.cycle >= start,
-        "fault at {:?} strikes before window start {:?}",
-        fault.cycle,
-        start
-    );
+/// Runs `fault` on an unstepped window base.
+fn run_window_fault(mut engine: Engine<'_>, fault: FaultSpec, gate: bool) -> FaultRun {
     engine.fault = Some(fault);
     engine.gate = gate;
-    let (run, pruned) = engine.run_core(start);
+    let (run, pruned) = engine.run_core();
     FaultRun {
         outcome: run
             .result
@@ -350,23 +322,15 @@ fn run_window_fault(
 /// detector state that is not empty, a PET buffer's log of the last
 /// commits, is never read: a π entry is judged against the entries
 /// younger than itself only, after the same number of younger commits
-/// however full the log was. A snapshot keeps no residency log either.
-/// Cache contents are stored compactly (occupied lines only).
+/// however full the log was. A snapshot keeps no residency log either:
+/// the queue's clone leaves it out. Cache contents are stored compactly
+/// (occupied lines only).
 #[derive(Clone)]
 pub struct Snapshot {
     cycle: Cycle,
     frontend: FrontEndState,
-    /// Queue image without a residency log.
-    iq: InstructionQueue,
+    engine: EngineState,
     hierarchy: HierarchySnapshot,
-    reg_ready: [Cycle; Reg::COUNT],
-    pred_ready: [Cycle; Pred::COUNT],
-    committed: u64,
-    recovery: Option<Recovery>,
-    miss_outstanding_until: Cycle,
-    stall_until: Cycle,
-    squashes: u64,
-    squashed_instrs: u64,
     /// The capture run's detection model, the one [`Pipeline::resume`]
     /// restores under.
     detection: DetectionModel,
@@ -384,19 +348,17 @@ impl std::fmt::Debug for Snapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Snapshot")
             .field("cycle", &self.cycle)
-            .field("committed", &self.committed)
+            .field("committed", &self.engine.committed)
             .field("detection", &self.detection)
             .finish_non_exhaustive()
     }
 }
 
+/// The engine's mutable machine state apart from the front end and the
+/// caches: everything a checkpoint clones of the engine itself.
 #[derive(Clone)]
-struct Engine<'a> {
-    cfg: &'a PipelineConfig,
-    trace: &'a [DynInstr],
-    frontend: FrontEnd<'a>,
+struct EngineState {
     iq: InstructionQueue,
-    hierarchy: Hierarchy,
     reg_ready: [Cycle; Reg::COUNT],
     pred_ready: [Cycle; Pred::COUNT],
     committed: u64,
@@ -409,6 +371,33 @@ struct Engine<'a> {
     stall_until: Cycle,
     squashes: u64,
     squashed_instrs: u64,
+}
+
+impl EngineState {
+    fn new(cfg: &PipelineConfig) -> Self {
+        EngineState {
+            iq: InstructionQueue::new(cfg.iq_entries),
+            reg_ready: [Cycle::ZERO; Reg::COUNT],
+            pred_ready: [Cycle::ZERO; Pred::COUNT],
+            committed: 0,
+            recovery: None,
+            miss_outstanding_until: Cycle::ZERO,
+            stall_until: Cycle::ZERO,
+            squashes: 0,
+            squashed_instrs: 0,
+        }
+    }
+}
+
+#[derive(Clone)]
+struct Engine<'a> {
+    cfg: &'a PipelineConfig,
+    trace: &'a [DynInstr],
+    frontend: FrontEnd<'a>,
+    state: EngineState,
+    hierarchy: Hierarchy,
+    /// The cycle the run starts from: 0, or the snapshot's.
+    from: Cycle,
     fault: Option<FaultSpec>,
     detector: Detector,
     stop_early: bool,
@@ -421,106 +410,74 @@ struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
-    fn new(
+    /// A fault-free engine ready to run under `detection`: restored from
+    /// `snapshot`, or fresh at cycle 0 with caches warmed when the
+    /// configuration asks for it. The detector starts fresh
+    /// ([`Detector::new`]) either way: its fault-free state at a snapshot
+    /// cycle differs only in a PET buffer's log, which no verdict reads.
+    /// A fresh engine logs residencies; a restored one logs nothing until
+    /// its caller seeds a log. Callers attach the fault, the gate and the
+    /// observers.
+    fn start(
         cfg: &'a PipelineConfig,
         program: &'a Program,
         trace: &'a ExecutionTrace,
-        fault: Option<FaultSpec>,
+        snapshot: Option<&Snapshot>,
         detection: DetectionModel,
     ) -> Self {
-        Engine {
+        let mut engine = Engine {
             cfg,
             trace: trace.entries(),
             frontend: FrontEnd::new(cfg, program, trace.entries()),
-            iq: InstructionQueue::new(cfg.iq_entries),
+            state: snapshot.map_or_else(|| EngineState::new(cfg), |s| s.engine.clone()),
             hierarchy: Hierarchy::new(cfg.hierarchy),
-            reg_ready: [Cycle::ZERO; Reg::COUNT],
-            pred_ready: [Cycle::ZERO; Pred::COUNT],
-            committed: 0,
-            recovery: None,
-            miss_outstanding_until: Cycle::ZERO,
-            stall_until: Cycle::ZERO,
-            squashes: 0,
-            squashed_instrs: 0,
-            fault,
+            from: snapshot.map_or(Cycle::ZERO, Snapshot::cycle),
+            fault: None,
             detector: Detector::new(detection),
             stop_early: false,
             observers: Observers::default(),
             stages: None,
             gate: false,
+        };
+        match snapshot {
+            Some(s) => {
+                engine.frontend.state = s.frontend.clone();
+                engine.hierarchy.restore(&s.hierarchy);
+            }
+            None if cfg.warm_caches => engine.warm_caches(),
+            None => {}
         }
-    }
-
-    /// A fresh engine ready to run from cycle 0: caches warmed when the
-    /// configuration asks for it. A restored or forked engine carries
-    /// post-warm-up state and must not be warmed again.
-    fn warmed(mut self) -> Self {
-        if self.cfg.warm_caches {
-            self.warm_caches();
-        }
-        self
-    }
-
-    /// Rebuilds an engine mid-run from a snapshot under `detection`, with
-    /// an optional fault still to inject; the caller continues with
-    /// [`Engine::run_core`]`(snapshot.cycle)`. The detector starts fresh
-    /// ([`Detector::new`]): its fault-free state at the snapshot cycle
-    /// differs only in a PET buffer's log, which no verdict reads.
-    ///
-    /// With `with_residencies` the residency log starts empty at the
-    /// snapshot cycle; without, it is switched off, which skips logging
-    /// every later deallocation. Fault runs never consume their
-    /// residencies, so [`Pipeline::fault_window`] restores lean.
-    fn restore(
-        cfg: &'a PipelineConfig,
-        program: &'a Program,
-        trace: &'a ExecutionTrace,
-        snapshot: &Snapshot,
-        detection: DetectionModel,
-        fault: Option<FaultSpec>,
-        with_residencies: bool,
-    ) -> Self {
-        if let Some(f) = fault {
-            assert!(
-                f.cycle >= snapshot.cycle,
-                "fault at {:?} strikes before snapshot cycle {:?}",
-                f.cycle,
-                snapshot.cycle
-            );
-        }
-        let mut engine = Engine::new(cfg, program, trace, fault, detection);
-        engine.frontend.restore_state(&snapshot.frontend);
-        engine.iq = snapshot.iq.clone_without_residencies();
-        engine.iq.set_residencies(with_residencies.then(Vec::new));
-        engine.hierarchy.restore(&snapshot.hierarchy);
-        engine.reg_ready = snapshot.reg_ready;
-        engine.pred_ready = snapshot.pred_ready;
-        engine.committed = snapshot.committed;
-        engine.recovery = snapshot.recovery;
-        engine.miss_outstanding_until = snapshot.miss_outstanding_until;
-        engine.stall_until = snapshot.stall_until;
-        engine.squashes = snapshot.squashes;
-        engine.squashed_instrs = snapshot.squashed_instrs;
         engine
     }
 
-    /// The cycle loop, from `start` (inclusive) to the end of the trace,
-    /// an early fault outcome, or the cycle budget. Warm-up, if any, must
-    /// have happened already.
+    /// The cycle loop, from the start cycle (inclusive) to the end of the
+    /// trace, an early fault outcome, or the cycle budget.
     ///
     /// At the top of each cycle the observers run in a fixed order:
     /// snapshot, then the convergence gate. The gate is the
     /// only observer that can end the run: when it fires, the returned
     /// result carries the decided verdict as its fault outcome and the
     /// stop cycle as its cycle count, and the flag is `true`.
-    fn run_core(mut self, start: Cycle) -> (ObservedRun, bool) {
+    ///
+    /// # Panics
+    ///
+    /// Panics if the fault strikes before the start cycle.
+    fn run_core(mut self) -> (ObservedRun, bool) {
+        if let Some(f) = self.fault {
+            assert!(
+                f.cycle >= self.from,
+                "fault at {:?} strikes before start cycle {:?}",
+                f.cycle,
+                self.from
+            );
+        }
         let mut snapshots = Vec::new();
-        let mut now = start;
+        let mut now = self.from;
         let total = self.trace.len() as u64;
         let mut budget_exhausted = false;
         let mut converged = None;
         let interval = self.observers.snapshot_interval;
-        while self.committed < total && !self.stop_early {
+        while self.state.committed < total && !self.stop_early {
             if now.as_u64() >= self.cfg.max_cycles {
                 budget_exhausted = true;
                 break;
@@ -540,13 +497,13 @@ impl<'a> Engine<'a> {
             self.step_insert(now);
             self.step_fetch(now);
             self.step_inject(now);
-            let occupancy = self.iq.tick_stats();
+            let occupancy = self.state.iq.tick_stats();
             if let Some(st) = self.stages.as_mut() {
                 st.on_cycle(now.as_u64(), occupancy as u64);
             }
             now = now.next();
         }
-        self.iq.drain_all(now);
+        self.state.iq.drain_all(now);
         // Resolve any entries that were drained while corrupted.
         // (drain_all already logged residencies; the detector saw
         // deallocs only for squash/flush paths, so let finish() decide.)
@@ -557,17 +514,17 @@ impl<'a> Engine<'a> {
             None if self.fault.is_some() => self.detector.finish(),
             None => None,
         };
-        let occupied_cycle_sum = self.iq.occupied_cycle_sum();
-        let residencies = self.iq.into_residencies();
+        let occupied_cycle_sum = self.state.iq.occupied_cycle_sum();
+        let residencies = self.state.iq.into_residencies();
         let result = PipelineResult {
             cycles: now.as_u64(),
-            committed: self.committed,
+            committed: self.state.committed,
             iq_capacity: self.cfg.iq_entries,
             occupied_cycle_sum,
             predictions,
             mispredictions,
-            squashes: self.squashes,
-            squashed_instrs: self.squashed_instrs,
+            squashes: self.state.squashes,
+            squashed_instrs: self.state.squashed_instrs,
             wrong_path_fetched: fe_stats.wrong_path_fetched,
             throttled_cycles: fe_stats.throttled_cycles,
             l0: self.hierarchy.stats(Level::L0),
@@ -607,6 +564,7 @@ impl<'a> Engine<'a> {
         // still in its slot or gone; a slot refilled since holds a clean
         // entry.
         let slot_clean = self
+            .state
             .iq
             .get(f.slot)
             .is_none_or(|e| !e.parity_mismatch() && !e.pi);
@@ -617,17 +575,9 @@ impl<'a> Engine<'a> {
     fn capture(&self, now: Cycle) -> Snapshot {
         Snapshot {
             cycle: now,
-            frontend: self.frontend.snapshot_state(),
-            iq: self.iq.clone_without_residencies(),
+            frontend: self.frontend.state.clone(),
+            engine: self.state.clone(),
             hierarchy: self.hierarchy.snapshot(),
-            reg_ready: self.reg_ready,
-            pred_ready: self.pred_ready,
-            committed: self.committed,
-            recovery: self.recovery,
-            miss_outstanding_until: self.miss_outstanding_until,
-            stall_until: self.stall_until,
-            squashes: self.squashes,
-            squashed_instrs: self.squashed_instrs,
             detection: self.detector.model(),
         }
     }
@@ -658,12 +608,14 @@ impl<'a> Engine<'a> {
     }
 
     fn step_recovery(&mut self, now: Cycle) {
-        let Some(rec) = self.recovery else { return };
+        let Some(rec) = self.state.recovery else {
+            return;
+        };
         if rec.at > now {
             return;
         }
-        self.recovery = None;
-        let flushed = self.iq.flush_younger(rec.branch_seq, now);
+        self.state.recovery = None;
+        let flushed = self.state.iq.flush_younger(rec.branch_seq, now);
         for e in flushed {
             if self.detector.on_dealloc(e, ResidencyEnd::FlushedWrongPath) {
                 self.stop_early = true;
@@ -675,8 +627,10 @@ impl<'a> Engine<'a> {
     fn step_retire(&mut self, now: Cycle) {
         let mut retired = 0u64;
         for _ in 0..self.cfg.width {
-            let Some(slot) = self.iq.head() else { break };
-            let entry = self.iq.get(slot).expect("head occupied");
+            let Some(slot) = self.state.iq.head() else {
+                break;
+            };
+            let entry = self.state.iq.get(slot).expect("head occupied");
             let Occupant::CorrectPath { trace_idx } = entry.occupant else {
                 // Wrong-path entries at the head wait for their flush.
                 break;
@@ -685,8 +639,8 @@ impl<'a> Engine<'a> {
             if !done {
                 break;
             }
-            let entry = self.iq.retire(slot, now);
-            self.committed += 1;
+            let entry = self.state.iq.retire(slot, now);
+            self.state.committed += 1;
             retired += 1;
             let d = &self.trace[trace_idx as usize];
             if self.detector.on_commit(&entry, d) {
@@ -702,7 +656,7 @@ impl<'a> Engine<'a> {
 
     fn step_issue(&mut self, now: Cycle) {
         let in_order = self.cfg.issue_order == IssueOrder::InOrder;
-        if in_order && now < self.stall_until {
+        if in_order && now < self.state.stall_until {
             return; // in-order pipeline stalled behind a load miss
         }
         let mut issued = 0usize;
@@ -711,12 +665,12 @@ impl<'a> Engine<'a> {
         let mut squash_request: Option<(SeqNo, u64, Cycle)> = None;
         // Indexing the age order in place is sound: nothing in the loop
         // inserts or removes an entry (the squash is applied after it).
-        for age in 0..self.iq.occupied() {
+        for age in 0..self.state.iq.occupied() {
             if issued >= self.cfg.width {
                 break;
             }
-            let slot = self.iq.age_order()[age];
-            let entry = self.iq.get(slot).expect("slot in order list");
+            let slot = self.state.iq.age_order()[age];
+            let entry = self.state.iq.get(slot).expect("slot in order list");
             if entry.issued.is_some() {
                 continue; // already in flight; in-order issue may proceed
             }
@@ -740,18 +694,13 @@ impl<'a> Engine<'a> {
                 branch_issued += 1;
             }
             // --- issue the entry ---
-            let seq = entry.seq;
-            let occupant = entry.occupant;
-            let instr = entry.instr;
-            let mispredicted = self.trace_mispredict_flag(slot);
+            let (seq, occupant, mispredicted) =
+                (entry.seq, entry.occupant, entry.mispredicted_branch);
             let complete_at = self.compute_completion(slot, now, &mut squash_request);
-            let entry = self.iq.get_mut(slot).expect("slot still occupied");
+            let entry = self.state.iq.get_mut(slot).expect("slot still occupied");
             entry.issued = Some(now);
             entry.complete_at = Some(complete_at);
-            if self
-                .detector
-                .on_issue(self.iq.get_mut(slot).expect("occupied"))
-            {
+            if self.detector.on_issue(entry) {
                 self.stop_early = true;
             }
             // Scoreboard update for executed correct-path instructions.
@@ -759,21 +708,20 @@ impl<'a> Engine<'a> {
                 let d = &self.trace[trace_idx as usize];
                 if d.executed {
                     if let Some(w) = d.reg_written {
-                        self.reg_ready[w.index()] = complete_at;
+                        self.state.reg_ready[w.index()] = complete_at;
                     }
                     if let Some(p) = d.pred_written {
-                        self.pred_ready[p.index()] = complete_at;
+                        self.state.pred_ready[p.index()] = complete_at;
                     }
                 }
                 if mispredicted {
-                    self.recovery = Some(Recovery {
+                    self.state.recovery = Some(Recovery {
                         at: complete_at,
                         branch_seq: seq,
                         resume_trace_idx: trace_idx + 1,
                     });
                 }
             }
-            let _ = instr;
             issued += 1;
         }
 
@@ -787,25 +735,18 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn trace_mispredict_flag(&self, slot: usize) -> bool {
-        self.iq
-            .get(slot)
-            .map(|e| e.mispredicted_branch)
-            .unwrap_or(false)
-    }
-
     fn ready_to_issue(&self, entry: &IqEntry, now: Cycle) -> bool {
         match entry.occupant {
             // Wrong-path operands are bogus anyway; they issue freely.
             Occupant::WrongPath => true,
             Occupant::CorrectPath { .. } => {
-                if self.pred_ready[entry.instr.qp.index()] > now {
+                if self.state.pred_ready[entry.instr.qp.index()] > now {
                     return false;
                 }
                 entry
                     .instr
                     .reads()
-                    .all(|r| self.reg_ready[r.index()] <= now)
+                    .all(|r| self.state.reg_ready[r.index()] <= now)
             }
         }
     }
@@ -818,7 +759,7 @@ impl<'a> Engine<'a> {
         now: Cycle,
         squash_request: &mut Option<(SeqNo, u64, Cycle)>,
     ) -> Cycle {
-        let entry = self.iq.get(slot).expect("slot occupied");
+        let entry = self.state.iq.get(slot).expect("slot occupied");
         let op = entry.instr.op;
         let seq = entry.seq;
         let base = op.base_latency().max(1);
@@ -835,8 +776,8 @@ impl<'a> Engine<'a> {
                 let access = self.hierarchy.access(addr, AccessKind::Load);
                 let complete = now + access.latency;
                 // An L0 miss stalls in-order issue until the data returns.
-                if access.missed_in(Level::L0) && complete > self.stall_until {
-                    self.stall_until = complete;
+                if access.missed_in(Level::L0) && complete > self.state.stall_until {
+                    self.state.stall_until = complete;
                 }
                 // Squash / throttle triggers (§3.1): a load miss at the
                 // configured level.
@@ -849,8 +790,8 @@ impl<'a> Engine<'a> {
                     }
                 }
                 if let ThrottlePolicy::OnLoadMiss(level) = self.cfg.throttle {
-                    if access.missed_in(level) && complete > self.miss_outstanding_until {
-                        self.miss_outstanding_until = complete;
+                    if access.missed_in(level) && complete > self.state.miss_outstanding_until {
+                        self.state.miss_outstanding_until = complete;
                     }
                 }
                 complete
@@ -881,29 +822,29 @@ impl<'a> Engine<'a> {
         data_ready: Cycle,
         now: Cycle,
     ) {
-        let squashed = self.iq.squash_younger(load_seq, now);
+        let squashed = self.state.iq.squash_younger(load_seq, now);
         for e in squashed {
             if self.detector.on_dealloc(e, ResidencyEnd::Squashed) {
                 self.stop_early = true;
             }
         }
         let squashed = squashed.len() as u64;
-        self.squashed_instrs += squashed;
-        self.squashes += 1;
+        self.state.squashed_instrs += squashed;
+        self.state.squashes += 1;
         if let Some(st) = self.stages.as_mut() {
             st.on_squash(now.as_u64(), squashed);
         }
         // Cancel a pending recovery if its branch was squashed.
-        if let Some(rec) = self.recovery {
+        if let Some(rec) = self.state.recovery {
             if rec.branch_seq.is_younger_than(load_seq) {
-                self.recovery = None;
+                self.state.recovery = None;
             }
         }
         // Refetch from just after the load, timed so instructions re-enter
         // the queue as the pipeline resumes execution ("bring them back
         // when the pipeline resumes execution", §3) — that is, when the
         // *last* outstanding miss returns, not just the triggering one.
-        let horizon = data_ready.max(self.stall_until);
+        let horizon = data_ready.max(self.state.stall_until);
         let resume = Cycle::new(
             horizon
                 .as_u64()
@@ -914,7 +855,7 @@ impl<'a> Engine<'a> {
     }
 
     fn step_insert(&mut self, now: Cycle) {
-        let free = self.iq.free().min(self.cfg.width);
+        let free = self.state.iq.free().min(self.cfg.width);
         if free == 0 {
             return;
         }
@@ -933,7 +874,7 @@ impl<'a> Engine<'a> {
             } = f;
             let mut entry = IqEntry::new(occupant, instr, seq, now, falsely_predicated);
             entry.mispredicted_branch = mispredicted_branch;
-            self.iq.insert(entry);
+            self.state.iq.insert(entry);
             inserted += 1;
         }
         if inserted > 0 {
@@ -945,7 +886,7 @@ impl<'a> Engine<'a> {
 
     fn step_fetch(&mut self, now: Cycle) {
         let throttled = matches!(self.cfg.throttle, ThrottlePolicy::OnLoadMiss(_))
-            && now < self.miss_outstanding_until;
+            && now < self.state.miss_outstanding_until;
         // Synthetic front-end stall pattern (I-cache/ITLB hiccups).
         let ifetch_stalled = self.cfg.ifetch_stall_period > 0
             && now.as_u64() % self.cfg.ifetch_stall_period < self.cfg.ifetch_stall_cycles;
@@ -972,9 +913,9 @@ impl<'a> Engine<'a> {
             && now.as_u64().is_multiple_of(self.cfg.scrub_period)
         {
             // A scrub read removes no entry, so the age order holds still.
-            for age in 0..self.iq.occupied() {
-                let slot = self.iq.age_order()[age];
-                if let Some(entry) = self.iq.get_mut(slot) {
+            for age in 0..self.state.iq.occupied() {
+                let slot = self.state.iq.age_order()[age];
+                if let Some(entry) = self.state.iq.get_mut(slot) {
                     if entry.parity_mismatch() && self.detector.on_scrub(entry) {
                         self.stop_early = true;
                         return;
@@ -983,7 +924,7 @@ impl<'a> Engine<'a> {
             }
         }
         if f.cycle == now {
-            let entry = self.iq.get_mut(f.slot);
+            let entry = self.state.iq.get_mut(f.slot);
             self.detector.set_ecc_verdict(f.ecc);
             self.detector.on_injection(entry, f.mask());
             if self.detector.outcome().is_some() {
@@ -1001,7 +942,7 @@ impl<'a> Engine<'a> {
         // number, so an entry that refilled the slot is left alone.
         if let Some((c2, mask)) = f.second_mask() {
             if c2 == now {
-                if let Some(entry) = self.iq.get_mut(f.slot) {
+                if let Some(entry) = self.state.iq.get_mut(f.slot) {
                     self.detector.on_second_strike(entry, mask);
                 }
                 self.fault = Some(FaultSpec {
@@ -1097,6 +1038,27 @@ mod tests {
         let recycled = pipeline.run_into(&program, &trace, stale);
         assert_eq!(recycled, plain);
         assert_eq!(recycled.residencies.as_ptr(), at);
+    }
+
+    /// A checkpoint never copies the capture run's residency log, which
+    /// stays complete, and a window base and its forks log nothing.
+    #[test]
+    fn checkpoints_and_window_forks_carry_no_residency_log() {
+        let (program, trace) = quick_run();
+        let pipeline = Pipeline::new(PipelineConfig::default());
+        let plain = pipeline.run(&program, &trace);
+        let (golden, snapshots) =
+            pipeline.run_with_snapshots(&program, &trace, DetectionModel::None, 500);
+        assert_eq!(golden.residencies, plain.residencies);
+        assert!(snapshots.len() > 2);
+        assert!(snapshots.iter().all(|s| s.engine.iq.log().is_none()));
+        for snapshot in [None, Some(&snapshots[snapshots.len() / 2])] {
+            let window = pipeline.fault_window(&program, &trace, snapshot, DetectionModel::None);
+            let fork = window.base.clone();
+            assert!(window.base.state.iq.log().is_none() && fork.state.iq.log().is_none());
+            let (run, _) = fork.run_core();
+            assert!(run.result.residencies.is_empty() && run.result.committed > 0);
+        }
     }
 
     /// On a tracking model the gate fires only once the struck residency

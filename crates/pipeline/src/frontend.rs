@@ -62,6 +62,21 @@ pub struct FrontEndStats {
 pub struct FrontEnd<'a> {
     program: &'a Program,
     trace: &'a [DynInstr],
+    pipe_capacity: usize,
+    width: usize,
+    depth: u64,
+    /// Set by the engine while a throttling miss is outstanding. It is an
+    /// input, not state: the engine sets it every cycle before fetching.
+    pub throttled: bool,
+    /// Everything else fetch changes, and all a checkpoint holds of the
+    /// front end.
+    pub(crate) state: FrontEndState,
+}
+
+/// The front end's mutable state: a lifetime-free image that a pipeline
+/// checkpoint clones whole.
+#[derive(Debug, Clone)]
+pub(crate) struct FrontEndState {
     predictor: Gshare,
     /// Next trace index to fetch on the correct path.
     cursor: usize,
@@ -72,13 +87,8 @@ pub struct FrontEnd<'a> {
     /// path.
     wrong_path_active: bool,
     pipe: VecDeque<FetchedInstr>,
-    pipe_capacity: usize,
     resume_at: Cycle,
-    /// Set by the engine while a throttling miss is outstanding.
-    pub throttled: bool,
     next_seq: SeqNo,
-    width: usize,
-    depth: u64,
     /// Return-address stack: call targets are static, but return targets
     /// are register-indirect and must be predicted.
     ras: Vec<Addr>,
@@ -91,33 +101,35 @@ impl<'a> FrontEnd<'a> {
         FrontEnd {
             program,
             trace,
-            predictor: Gshare::new(config.predictor),
-            cursor: 0,
-            wrong_pc: None,
-            wrong_path_active: false,
-            pipe: VecDeque::new(),
             pipe_capacity: config.width * config.frontend_depth.max(1) as usize,
-            resume_at: Cycle::ZERO,
-            throttled: false,
-            next_seq: SeqNo::FIRST,
             width: config.width,
             depth: config.frontend_depth,
-            ras: Vec::with_capacity(RAS_DEPTH),
-            stats: FrontEndStats::default(),
+            throttled: false,
+            state: FrontEndState {
+                predictor: Gshare::new(config.predictor),
+                cursor: 0,
+                wrong_pc: None,
+                wrong_path_active: false,
+                pipe: VecDeque::new(),
+                resume_at: Cycle::ZERO,
+                next_seq: SeqNo::FIRST,
+                ras: Vec::with_capacity(RAS_DEPTH),
+                stats: FrontEndStats::default(),
+            },
         }
     }
 
     /// Whether every correct-path instruction has been fetched and the pipe
     /// is empty.
     pub fn exhausted(&self) -> bool {
-        self.cursor >= self.trace.len() && self.pipe.is_empty()
+        self.state.cursor >= self.trace.len() && self.state.pipe.is_empty()
     }
 
     /// Pops the oldest instruction in the pipe if it has reached the
     /// queue-insert stage by `now`.
     pub fn pop_ready(&mut self, now: Cycle) -> Option<FetchedInstr> {
-        match self.pipe.front() {
-            Some(f) if f.ready_at <= now => self.pipe.pop_front(),
+        match self.state.pipe.front() {
+            Some(f) if f.ready_at <= now => self.state.pipe.pop_front(),
             _ => None,
         }
     }
@@ -125,20 +137,20 @@ impl<'a> FrontEnd<'a> {
     /// Fetches up to `width` instructions this cycle, returning how many
     /// (correct-path, wrong-path) instructions entered the pipe.
     pub fn fetch(&mut self, now: Cycle) -> (u64, u64) {
-        if now < self.resume_at {
+        if now < self.state.resume_at {
             return (0, 0);
         }
         if self.throttled {
-            self.stats.throttled_cycles += 1;
+            self.state.stats.throttled_cycles += 1;
             return (0, 0);
         }
-        let before = (self.stats.fetched, self.stats.wrong_path_fetched);
+        let before = self.state.stats;
         let ready_at = now + self.depth;
         for _ in 0..self.width {
-            if self.pipe.len() >= self.pipe_capacity {
+            if self.state.pipe.len() >= self.pipe_capacity {
                 break;
             }
-            if self.wrong_path_active {
+            if self.state.wrong_path_active {
                 if !self.fetch_wrong_path(ready_at) {
                     break;
                 }
@@ -146,26 +158,27 @@ impl<'a> FrontEnd<'a> {
                 break;
             }
         }
+        let after = self.state.stats;
         (
-            self.stats.fetched - before.0,
-            self.stats.wrong_path_fetched - before.1,
+            after.fetched - before.fetched,
+            after.wrong_path_fetched - before.wrong_path_fetched,
         )
     }
 
     fn fetch_correct_path(&mut self, ready_at: Cycle) -> bool {
-        let Some(d) = self.trace.get(self.cursor) else {
+        let Some(d) = self.trace.get(self.state.cursor) else {
             return false;
         };
-        self.cursor += 1;
+        self.state.cursor += 1;
         let mut mispredicted = false;
         if d.instr.op.is_conditional_branch() {
             let taken = d.taken.unwrap_or(false);
-            let correct = self.predictor.update(d.pc, taken);
+            let correct = self.state.predictor.update(d.pc, taken);
             if !correct {
                 mispredicted = true;
                 // The machine fetches down the predicted (wrong) path.
-                self.wrong_path_active = true;
-                self.wrong_pc = if taken {
+                self.state.wrong_path_active = true;
+                self.state.wrong_pc = if taken {
                     // Predicted not-taken: wrong path is the fall-through.
                     Some(d.pc.offset(INSTR_BYTES))
                 } else {
@@ -175,32 +188,32 @@ impl<'a> FrontEnd<'a> {
             }
         } else if d.instr.op == Opcode::Call && d.executed {
             // Push the return address; a full stack drops its oldest entry.
-            if self.ras.len() == RAS_DEPTH {
-                self.ras.remove(0);
+            if self.state.ras.len() == RAS_DEPTH {
+                self.state.ras.remove(0);
             }
-            self.ras.push(d.pc.offset(INSTR_BYTES));
+            self.state.ras.push(d.pc.offset(INSTR_BYTES));
         } else if d.instr.op == Opcode::Ret && d.executed {
             // Returns are register-indirect: predict via the RAS.
-            let predicted = self.ras.pop();
-            self.stats.ras_predictions += 1;
+            let predicted = self.state.ras.pop();
+            self.state.stats.ras_predictions += 1;
             if predicted != Some(d.next_pc) {
-                self.stats.ras_mispredictions += 1;
+                self.state.stats.ras_mispredictions += 1;
                 mispredicted = true;
-                self.wrong_path_active = true;
+                self.state.wrong_path_active = true;
                 // The machine fetches wherever the (wrong) RAS entry
                 // points, or falls through on an empty stack.
-                self.wrong_pc = Some(predicted.unwrap_or(d.pc.offset(INSTR_BYTES)));
+                self.state.wrong_pc = Some(predicted.unwrap_or(d.pc.offset(INSTR_BYTES)));
             }
         }
-        self.pipe.push_back(FetchedInstr {
+        self.state.pipe.push_back(FetchedInstr {
             occupant: Occupant::CorrectPath { trace_idx: d.index },
             instr: d.instr,
-            seq: self.next_seq.bump(),
+            seq: self.state.next_seq.bump(),
             falsely_predicated: !d.executed,
             mispredicted_branch: mispredicted,
             ready_at,
         });
-        self.stats.fetched += 1;
+        self.state.stats.fetched += 1;
         // A fetch group ends at a taken control transfer (the fetch unit
         // must redirect); misprediction handling continues on the wrong
         // path next call within this same cycle.
@@ -209,26 +222,26 @@ impl<'a> FrontEnd<'a> {
     }
 
     fn fetch_wrong_path(&mut self, ready_at: Cycle) -> bool {
-        let Some(pc) = self.wrong_pc else {
+        let Some(pc) = self.state.wrong_pc else {
             // Wrong path ran off the image: fetch bubbles until recovery.
             return false;
         };
         let Some(&instr) = self.program.instr_at(pc) else {
-            self.wrong_pc = None;
+            self.state.wrong_pc = None;
             return false;
         };
-        self.pipe.push_back(FetchedInstr {
+        self.state.pipe.push_back(FetchedInstr {
             occupant: Occupant::WrongPath,
             instr,
-            seq: self.next_seq.bump(),
+            seq: self.state.next_seq.bump(),
             falsely_predicated: false,
             mispredicted_branch: false,
             ready_at,
         });
-        self.stats.wrong_path_fetched += 1;
+        self.state.stats.wrong_path_fetched += 1;
         // Follow the wrong path: take unconditional transfers, predict
         // conditional branches not-taken, stop at returns and halts.
-        self.wrong_pc = match instr.op {
+        self.state.wrong_pc = match instr.op {
             Opcode::Jmp | Opcode::Call => static_target(&instr, pc),
             Opcode::Ret | Opcode::Halt => None,
             _ => Some(pc.offset(INSTR_BYTES)),
@@ -241,81 +254,32 @@ impl<'a> FrontEnd<'a> {
     /// (`trace_idx` = branch + 1) and squash refetch (`trace_idx` =
     /// load + 1).
     pub fn redirect(&mut self, trace_idx: u64, resume_at: Cycle) {
-        self.cursor = trace_idx as usize;
-        self.pipe.clear();
-        self.wrong_pc = None;
-        self.wrong_path_active = false;
-        self.resume_at = resume_at;
+        self.state.cursor = trace_idx as usize;
+        self.state.pipe.clear();
+        self.state.wrong_pc = None;
+        self.state.wrong_path_active = false;
+        self.state.resume_at = resume_at;
     }
 
     /// Whether the front end is currently fetching (or stalled on) the
     /// wrong path.
     pub fn on_wrong_path(&self) -> bool {
-        self.wrong_path_active
+        self.state.wrong_path_active
     }
 
     /// Fetch statistics so far.
     pub fn stats(&self) -> FrontEndStats {
-        self.stats
+        self.state.stats
     }
 
     /// Prediction statistics over conditional branches *and* returns:
     /// (predictions, mispredictions).
     pub fn predictor_stats(&self) -> (u64, u64) {
         (
-            self.predictor.predictions() + self.stats.ras_predictions,
-            self.predictor.mispredictions() + self.stats.ras_mispredictions,
+            self.state.predictor.predictions() + self.state.stats.ras_predictions,
+            self.state.predictor.mispredictions() + self.state.stats.ras_mispredictions,
         )
     }
-
-    /// Captures the front end's mutable state (everything except the
-    /// program/trace references and configuration-derived constants).
-    pub(crate) fn snapshot_state(&self) -> FrontEndState {
-        FrontEndState {
-            predictor: self.predictor.clone(),
-            cursor: self.cursor,
-            wrong_pc: self.wrong_pc,
-            wrong_path_active: self.wrong_path_active,
-            pipe: self.pipe.clone(),
-            resume_at: self.resume_at,
-            throttled: self.throttled,
-            next_seq: self.next_seq,
-            ras: self.ras.clone(),
-            stats: self.stats,
-        }
-    }
-
-    /// Restores state captured by [`Self::snapshot_state`]. The front end
-    /// must have been built with the same configuration, program, and
-    /// trace as the captured one.
-    pub(crate) fn restore_state(&mut self, state: &FrontEndState) {
-        self.predictor = state.predictor.clone();
-        self.cursor = state.cursor;
-        self.wrong_pc = state.wrong_pc;
-        self.wrong_path_active = state.wrong_path_active;
-        self.pipe = state.pipe.clone();
-        self.resume_at = state.resume_at;
-        self.throttled = state.throttled;
-        self.next_seq = state.next_seq;
-        self.ras = state.ras.clone();
-        self.stats = state.stats;
-    }
-}
-
-/// Lifetime-free image of the front end's mutable state, stored inside a
-/// pipeline checkpoint.
-#[derive(Debug, Clone)]
-pub(crate) struct FrontEndState {
-    predictor: Gshare,
-    cursor: usize,
-    wrong_pc: Option<Addr>,
-    wrong_path_active: bool,
-    pipe: VecDeque<FetchedInstr>,
-    resume_at: Cycle,
-    throttled: bool,
-    next_seq: SeqNo,
-    ras: Vec<Addr>,
-    stats: FrontEndStats,
 }
 
 #[cfg(test)]

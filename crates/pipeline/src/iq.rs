@@ -95,7 +95,12 @@ impl IqEntry {
 /// free-slot bitset yields the lowest free slot, retirement pops the head
 /// of the age order, and squash and flush truncate its tail (their victims
 /// are always a suffix of age order).
-#[derive(Debug, Clone)]
+///
+/// A clone carries the queue's machine state but not its residency log,
+/// and logs nothing until a log is seeded: the log is the run's output,
+/// not machine state, and copying a golden run's growing log into every
+/// checkpoint would cost time quadratic in its length.
+#[derive(Debug)]
 pub struct InstructionQueue {
     slots: Vec<Option<IqEntry>>,
     /// One bit per slot, set while the slot is free (bit `s % 64` of word
@@ -281,9 +286,15 @@ impl InstructionQueue {
         self.residencies = residencies;
     }
 
-    /// Clones the live queue state without the residency log, which the
-    /// clone has switched off (checkpoint capture keeps no log).
-    pub(crate) fn clone_without_residencies(&self) -> InstructionQueue {
+    /// The residency log so far; `None` while logging is off.
+    #[cfg(test)]
+    pub(crate) fn log(&self) -> Option<&[Residency]> {
+        self.residencies.as_deref()
+    }
+}
+
+impl Clone for InstructionQueue {
+    fn clone(&self) -> Self {
         InstructionQueue {
             slots: self.slots.clone(),
             free_bits: self.free_bits.clone(),

@@ -1,13 +1,7 @@
 //! `ser-repro` — command-line front end for the soft-error-rate
 //! reproduction suite.
 //!
-//! ```text
-//! ser-repro list
-//! ser-repro suite [--squash l0|l1] [--throttle l0|l1]
-//! ser-repro bench <name> [--squash l0|l1] [--throttle l0|l1]
-//! ser-repro inject <name> [--injections N] [--model none|parity|tracking]
-//! ser-repro pet <name>
-//! ```
+//! `ser-repro help` lists every subcommand and its flags.
 //!
 //! `inject`, `suite`, `ecc-grid`, `fuzz` and the recovery/ECC forms of
 //! `campaign` parse into the same `ses_core::job::JobSpec` the daemon
